@@ -48,11 +48,13 @@ def _atomic_write(path: str, data: bytes):
         raise
 
 
-def _csv_bytes(comment: str, header: list[str], rows, trailing_comments=()) -> bytes:
-    lines = [f"# subplanck {comment}"]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+def _csv_bytes(comment: str, header: list[str], columns, trailing_comments=()) -> bytes:
+    """CSV text from equal-length columns: integer columns as %d, all
+    others with 17 significant digits."""
+    columns = [np.asarray(col) for col in columns]
+    row_fmt = ",".join("%d" if np.issubdtype(col.dtype, np.integer) else _FLOAT_FMT for col in columns)
+    lines = [f"# subplanck {comment}", ",".join(header)]
+    lines.extend(map(row_fmt.__mod__, zip(*(col.tolist() for col in columns))))
     lines.extend(f"# {c}" for c in trailing_comments)
     return ("\n".join(lines) + "\n").encode()
 
@@ -130,12 +132,13 @@ def _cmd_wigner(args) -> int:
 
     config = _config_string(args, ["alpha", "m", "gammas", "displace", "pert", "s", "phi", "product"])
     config += f" grid=({_fmt(grid.re_min)},{_fmt(grid.re_max)},{_fmt(grid.im_min)},{_fmt(grid.im_max)}) nx={grid.nx} ny={grid.ny}"
-    re_pts, im_pts = grid.re_points, grid.im_points
-    rows = []
-    for iy in range(grid.ny - 1, -1, -1):
-        for ix in range(grid.nx):
-            rows.append((float(re_pts[ix]), float(im_pts[iy]), float(out_values[ix, iy])))
-    _atomic_write(args.out + ".csv", _csv_bytes(config, ["re", "im", "w"], rows))
+    # rows run from im_max down to im_min, re ascending within a row
+    columns = [
+        np.tile(grid.re_points, grid.ny),
+        np.repeat(grid.im_points[::-1], grid.nx),
+        out_values[:, ::-1].T.ravel(),
+    ]
+    _atomic_write(args.out + ".csv", _csv_bytes(config, ["re", "im", "w"], columns))
     render = wigner.WignerField(grid, out_values, field.underresolved)
     _atomic_write(args.out + ".pgm", _pgm_bytes(render))
     return 0
@@ -173,8 +176,7 @@ def _cmd_overlap(args) -> int:
         header.append("quadrature")
         columns.append(np.array(quad))
     config = _config_string(args, ["alpha", "m", "gammas", "pert", "phi", "s_max", "points", "quadrature"])
-    rows = list(zip(*[list(map(float, col)) for col in columns]))
-    _atomic_write(args.out, _csv_bytes(config, header, rows))
+    _atomic_write(args.out, _csv_bytes(config, header, columns))
     return 0
 
 
@@ -189,7 +191,7 @@ def _cmd_protocol(args) -> int:
             result = protocol.resonant_protocol(args.alpha, spec, dt_fraction=args.dt_fraction)
         rows.append((float(mag), result.p_e, result.p_g))
     config = _config_string(args, ["regime", "alpha", "pert", "phi", "s_max", "points", "dt_fraction"])
-    _atomic_write(args.out, _csv_bytes(config, ["s", "p_e", "p_g"], rows))
+    _atomic_write(args.out, _csv_bytes(config, ["s", "p_e", "p_g"], zip(*rows)))
     return 0
 
 
@@ -205,10 +207,10 @@ def _cmd_estimate(args) -> int:
     mean = float(estimates.mean())
     emp_sigma = float(estimates.std(ddof=1)) if len(runs) > 1 else 0.0
     theory = estimation.theory_sigma(args.repetitions, a_abs)
-    rows = [(i, int(r), run.estimate) for i, (r, run) in enumerate(zip(counts, runs))]
     summary = f"summary mean={_fmt(mean)} empirical_sigma={_fmt(emp_sigma)} theory_sigma={_fmt(theory)}"
     config = _config_string(args, ["alpha", "s", "repetitions", "trials", "seed", "convention"])
-    _atomic_write(args.out, _csv_bytes(config, ["trial", "r", "s_tilde"], rows, trailing_comments=[summary]))
+    columns = [np.arange(len(runs)), counts, estimates]
+    _atomic_write(args.out, _csv_bytes(config, ["trial", "r", "s_tilde"], columns, trailing_comments=[summary]))
     print(summary)
     return 0
 
@@ -309,7 +311,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit:
         raise
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

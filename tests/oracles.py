@@ -3,9 +3,9 @@
 Everything here deliberately avoids the closed-form code paths it checks:
 the resonant evolution uses the exact 2x2 ladder blocks, the Wigner
 oracles evaluate the displaced-parity definition W_A = 2 Tr[A D P D^dag]
-by explicit Fock sums, and displacement operators are built as matrix
-exponentials where full independence from the coherent-state identities
-is wanted.
+by explicit Fock sums or the unfactorised cross-term exponent point by
+point, and displacement operators are built as matrix exponentials where
+full independence from the coherent-state identities is wanted.
 """
 
 import numpy as np
@@ -54,6 +54,25 @@ def parity_wigner_expm(alpha_k: complex, alpha_l: complex, point: complex, dim: 
     cl = to_fock(coherent_state(alpha_l), dim).coefficients
     op = d @ parity @ d.conj().T
     return 2.0 * complex(np.conj(cl) @ op @ ck)
+
+
+def cross_wigner_direct(alpha_k: complex, alpha_l: complex, point):
+    """2 exp(E_kl(p)) with the whole exponent
+    E_kl = -2 (p - a_k)(conj(p) - conj(a_l)) + log <a_l|a_k>
+    assembled before a single exp: no midpoint form, no axis factors."""
+    p = np.asarray(point, dtype=complex)
+    log_overlap = -0.5 * (abs(alpha_k) ** 2 + abs(alpha_l) ** 2) + np.conj(alpha_l) * alpha_k
+    return 2.0 * np.exp(-2.0 * (p - alpha_k) * (np.conj(p) - np.conj(alpha_l)) + log_overlap)
+
+
+def wigner_direct(weights, amplitudes, points) -> np.ndarray:
+    """sum_kl w_k conj(w_l) 2 exp(E_kl(p)) at each point, real part."""
+    p = np.asarray(points, dtype=complex)
+    total = np.zeros(p.shape, dtype=complex)
+    for wk, ak in zip(weights, amplitudes):
+        for wl, al in zip(weights, amplitudes):
+            total += wk * np.conj(wl) * cross_wigner_direct(ak, al, p)
+    return total.real
 
 
 def resonant_blocks(joint: np.ndarray, omega0: float, t: float) -> np.ndarray:

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from subplanck import wigner
 from subplanck.cli import main, parse_complex
 
 
@@ -74,6 +77,24 @@ class TestWignerCommand:
         line = capsys.readouterr().out.strip()
         assert line.startswith("product_integral=")
         assert abs(float(line.split("=")[1])) < 1e-3
+
+    def test_range_edge_field_is_finite(self, tmp_path):
+        out = tmp_path / "edge"
+        assert main([
+            "wigner", "--alpha", "0+20i", "--m", "2", "--bounds", "-0.5", "0.5", "-0.5", "0.5",
+            "--nx", "61", "--ny", "61", "--out", str(out),
+        ]) == 0
+        _, _, rows = _read_csv(tmp_path / "edge.csv")
+        assert rows.shape == (61 * 61, 3)
+        assert np.all(np.isfinite(rows))
+        assert rows[:, 2].max() > 1.9  # central cat fringe at full height
+
+    def test_non_finite_field_exits_nonzero(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(wigner, "_axis_factors", lambda points, centres, k: np.full((points.size, centres.size), np.nan))
+        out = tmp_path / "nan"
+        assert main(["wigner", "--alpha", "0+2i", "--m", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_product_requires_pert(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -223,3 +244,46 @@ class TestDeterminismAndErrors:
         assert code == 1
         assert not out.exists()
         assert not list(tmp_path.glob(".subplanck-*"))
+
+
+class TestPinnedOutputs:
+    """sha256 of CSVs whose numbers never pass through the Wigner kernel.
+    Any change to their arithmetic or formatting alters these bytes and
+    must be recorded as a change of output."""
+
+    CASES = {
+        "protocol_dispersive": (
+            ["protocol", "--regime", "dispersive", "--alpha", "0+4i", "--s-max", "0.4", "--points", "65"],
+            "98407d92b1b1caca9fbebb676d4dfe422ad0f5c9e54fa15d5094ed385bcf56b1",
+        ),
+        "protocol_resonant": (
+            ["protocol", "--regime", "resonant", "--alpha", "1+3i", "--pert", "rotation", "--dt-fraction", "0.7",
+             "--s-max", "0.05", "--points", "33"],
+            "45da605ba7172c451e572b926c2b475e68edbcc5292ca488274db4a1a79e7c68",
+        ),
+        "estimate_dispersive": (
+            ["estimate", "--alpha", "0+4i", "--repetitions", "4000", "--trials", "64", "--seed", "9"],
+            "7e2630a2c3d5c04051146510e2092ef3344a25579f2cfa4a3071e446929c68b9",
+        ),
+        "estimate_resonant": (
+            ["estimate", "--alpha", "2-3i", "--s", "0.03", "--repetitions", "250000", "--trials", "16", "--seed", "5",
+             "--convention", "resonant"],
+            "443db90df3875ecd391116d42a6138c4e7854c23af049896f3be5ee550abf5f9",
+        ),
+        "overlap_displacement": (
+            ["overlap", "--alpha", "0+4i", "--m", "2", "--s-max", "0.4", "--points", "129"],
+            "d236c092df25d70407afb16721a7aaf73c20ea3016db2035c620278bbc2ee4d1",
+        ),
+        "overlap_rotation": (
+            ["overlap", "--alpha", "3+1i", "--m", "4", "--gammas", "0,0.5,1,1.5", "--pert", "rotation",
+             "--s-max", "0.05", "--points", "41"],
+            "043669972630de55ba3704903b6df45d5517c82942928d6e7e50a2c891efda3b",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_digest(self, tmp_path, name):
+        argv, digest = self.CASES[name]
+        out = tmp_path / f"{name}.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subplanck import wigner
 from subplanck.states import (
+    CoherentSuperposition,
     displace,
     inner_product,
     make_circular_state,
@@ -19,7 +21,7 @@ from subplanck.wigner import (
     wigner_field,
 )
 
-from oracles import parity_wigner_expm, parity_wigner_fock
+from oracles import cross_wigner_direct, parity_wigner_expm, parity_wigner_fock, wigner_direct
 
 
 def _zero_crossings(xs, ys):
@@ -50,6 +52,15 @@ class TestCrossWigner:
         cases = [(1.0, -1.0, 0.3 + 0.2j), (1.5j, 0.5, -0.4j), (0.8 + 0.6j, -0.2j, 0.1)]
         for ak, al, p in cases:
             assert abs(cross_wigner(ak, al, p) - parity_wigner_expm(ak, al, p, dim=48)) < 1e-8
+
+    @pytest.mark.parametrize("radius", [8.0, 20.0, 30.0, 40.0])
+    def test_finite_beyond_overflow_edge(self, radius):
+        # e^{+2|a|^2} alone overflows past |a| ~ 19; the midpoint form does not
+        ak, al = radius * np.exp(0.3j), radius * np.exp(2.4j)
+        points = np.array([0.0, 0.01 - 0.02j, 0.5 * (ak + al) + 0.1, ak])
+        got = cross_wigner(ak, al, points)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - cross_wigner_direct(ak, al, points))) < 1e-9
 
     def test_interference_zero_spacing(self):
         # cross term of a +-4i pair oscillates as cos(16 x) on the real axis
@@ -136,6 +147,75 @@ class TestWignerField:
         comp = make_circular_state(3j, 4, np.zeros(4))
         f = wigner_field(comp, auto_grid(comp))
         assert np.all(np.abs(f.values) <= 2.0 + 1e-9)
+
+
+def _random_state(rng, m, radius):
+    alpha = radius * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    return make_circular_state(alpha, m, rng.uniform(0.0, 2.0 * np.pi, m))
+
+
+class TestFieldOracles:
+    """wigner_field against evaluations that share nothing with its kernel:
+    the unfactorised exponent sum and the displaced-parity Fock sum."""
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("radius", [0.5, 2.0, 8.0])
+    @pytest.mark.filterwarnings("ignore::subplanck.wigner.UnderresolvedGridWarning")
+    def test_matches_direct_sum(self, m, radius):
+        state = _random_state(np.random.default_rng(100 * m + int(10 * radius)), m, radius)
+        box = radius + 3.0
+        # point values are exact at any step, so a coarse grid over the
+        # whole state checks lobes, fringes and tails alike
+        grid = PhaseSpaceGrid(-box, box, -box, box, 41, 37)
+        field = wigner_field(state, grid)
+        want = wigner_direct(state.weights, state.amplitudes, grid.mesh())
+        assert np.max(np.abs(field.values - want)) < 1e-12
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("radius", [1.0, 8.0])
+    @pytest.mark.filterwarnings("ignore::subplanck.wigner.UnderresolvedGridWarning")
+    def test_matches_parity_fock(self, m, radius):
+        gammas = np.random.default_rng(m).uniform(0.0, 2.0 * np.pi, m)
+        state = make_circular_state(1j * radius, m, gammas)
+        # 5 x 5 samples: the origin, the component at i*radius and points between
+        grid = PhaseSpaceGrid(-radius, radius, -radius, radius, 5, 5)
+        field = wigner_field(state, grid)
+        w, a = state.weights, state.amplitudes
+        for ix, x in enumerate(grid.re_points):
+            for iy, y in enumerate(grid.im_points):
+                want = sum(w[k] * np.conj(w[l]) * parity_wigner_fock(a[k], a[l], complex(x, y))
+                           for k in range(m) for l in range(m))
+                assert abs(field.values[ix, iy] - want.real) < 1e-8
+
+    @pytest.mark.parametrize("radius", [20.0, 30.0, 40.0])
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_fringe_window_beyond_overflow_edge(self, m, radius):
+        state = _random_state(np.random.default_rng(int(radius) + m), m, radius)
+        grid = PhaseSpaceGrid(-0.5, 0.5, -0.5, 0.5, 121, 121)
+        field = wigner_field(state, grid)
+        assert not field.underresolved
+        assert np.all(np.isfinite(field.values))
+        assert np.max(np.abs(field.values)) > 0.5  # the fringes are there, not underflowed
+        want = wigner_direct(state.weights, state.amplitudes, grid.mesh())
+        assert np.max(np.abs(field.values - want)) < 1e-9
+
+    @pytest.mark.parametrize("radius", [2.0, 8.0])
+    def test_m16_auto_grid_mass(self, radius):
+        state = _random_state(np.random.default_rng(16), 16, radius)
+        field = wigner_field(state, auto_grid(state))
+        assert quadrature_mass(field) == pytest.approx(1.0, abs=1e-6)
+
+
+class TestNonFiniteGuard:
+    def test_overflowing_weights_raise(self):
+        huge = CoherentSuperposition([1e200], [0.0])  # 2 |w|^2 overflows
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
+            wigner_field(huge, PhaseSpaceGrid(-3, 3, -3, 3, 33, 33))
+
+    def test_nan_kernel_raises(self, monkeypatch):
+        monkeypatch.setattr(wigner, "_axis_factors", lambda points, centres, k: np.full((points.size, centres.size), np.nan))
+        with pytest.raises(FloatingPointError):
+            wigner_field(vacuum(), PhaseSpaceGrid(-3, 3, -3, 3, 33, 33))
 
 
 class TestOverlapQuadrature:
