@@ -41,6 +41,10 @@ def _atomic_write(path: str, data: bytes):
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
+        # mkstemp creates 0600; give the output the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -99,13 +103,7 @@ def _cmd_wigner(args) -> int:
     base = states.make_circular_state(args.alpha, args.m, _gammas(args.gammas, args.m))
     if args.displace is not None:
         base = states.displace(base, args.displace)
-    pert_state = None
-    if args.pert is not None:
-        spec = _pert_from_args(args)
-        if spec.kind == metrology.ROTATION:
-            pert_state = states.rotate(base, spec.magnitude)
-        else:
-            pert_state = states.displace(base, spec.beta(args.alpha))
+    pert_state = None if args.pert is None else _pert_from_args(args).apply(base, args.alpha)
     if args.product and pert_state is None:
         raise SystemExit("error: --product needs --pert")
 
@@ -160,19 +158,10 @@ def _cmd_overlap(args) -> int:
         base = states.make_circular_state(args.alpha, args.m, _gammas(args.gammas, args.m))
         if args.pert == metrology.ROTATION:
             base = states.displace(base, args.alpha)
-            extreme = states.rotate(base, float(sweep.magnitudes[-1]))
-        else:
-            extreme = states.displace(base, metrology.PerturbationSpec(args.pert, float(sweep.magnitudes[-1]), args.phi).beta(args.alpha))
-        grid = wigner.auto_grid(base, extreme)
+        specs = [metrology.PerturbationSpec(args.pert, float(mag), args.phi) for mag in sweep.magnitudes]
+        grid = wigner.auto_grid(base, specs[-1].apply(base, args.alpha))
         w_base = wigner.wigner_field(base, grid)
-        quad = []
-        for mag in sweep.magnitudes:
-            spec = metrology.PerturbationSpec(args.pert, float(mag), args.phi)
-            if spec.kind == metrology.ROTATION:
-                pert_state = states.rotate(base, spec.magnitude)
-            else:
-                pert_state = states.displace(base, spec.beta(args.alpha))
-            quad.append(wigner.phase_space_overlap(w_base, wigner.wigner_field(pert_state, grid)))
+        quad = [wigner.phase_space_overlap(w_base, wigner.wigner_field(spec.apply(base, args.alpha), grid)) for spec in specs]
         header.append("quadrature")
         columns.append(np.array(quad))
     config = _config_string(args, ["alpha", "m", "gammas", "pert", "phi", "s_max", "points", "quadrature"])

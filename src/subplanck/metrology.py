@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .states import CoherentSuperposition, displace, inner_product, make_circular_state, mean_excitation, rotate
 
@@ -80,6 +79,13 @@ class PerturbationSpec:
             raise ValueError("direction is unset and no reference amplitude was given")
         return float(np.angle(alpha) + np.pi / 2.0)
 
+    def apply(self, state: CoherentSuperposition, alpha: complex | None = None) -> CoherentSuperposition:
+        """U_pert|state>: R(magnitude) for rotations, D(beta(alpha)) for
+        displacements; `alpha` only resolves a None direction."""
+        if self.kind == ROTATION:
+            return rotate(state, self.magnitude)
+        return displace(state, self.beta(alpha))
+
     def in_regime(self, alpha_abs: float) -> bool:
         """Validity window: s << 1 for displacements, theta << 1/(2|alpha|)."""
         if self.kind == DISPLACEMENT:
@@ -125,11 +131,7 @@ def exact_overlap(state: CoherentSuperposition, pert: PerturbationSpec, alpha: c
 
     `alpha` is only consulted to resolve a None displacement direction.
     """
-    if pert.kind == ROTATION:
-        perturbed = rotate(state, pert.magnitude)
-    else:
-        perturbed = displace(state, pert.beta(alpha))
-    return abs(inner_product(state, perturbed)) ** 2
+    return abs(inner_product(state, pert.apply(state, alpha))) ** 2
 
 
 def _enclosing_radius(points: np.ndarray) -> float:
@@ -222,6 +224,8 @@ class OverlapSweep:
         hi = self.magnitudes[after]
         if not refine:
             return float(0.5 * (lo + hi))
+        from scipy.optimize import minimize_scalar  # deferred: scipy costs most of a cold start
+
         res = minimize_scalar(self._exact_fn, bounds=(float(lo), float(hi)), method="bounded", options={"xatol": 1e-12})
         return float(res.x)
 

@@ -24,10 +24,11 @@ implement the idealized algebra in closed form:
   Stopping both legs early at dt = f * T_R/2 rescales the fringe argument
   by sin(pi f / 2) without changing the scaling of detectable shifts.
 
-A truncated-Fock numeric integrator for the interaction-picture
-Jaynes-Cummings Hamiltonian backs the closed-form algebra as an oracle;
-it covers the resonant regime, arbitrary detuning, and the effective
-dispersive (level-conditioned phase) model with one code path.
+A truncated-Fock numeric oracle backs the closed-form algebra: the
+interaction-picture Jaynes-Cummings Hamiltonian couples only |e, n> and
+|g, n+1>, so it is evolved exactly, block by block, with the 2x2
+dressed-state propagator at any detuning; the effective dispersive model
+is a diagonal number-dependent phase.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .metrology import ROTATION, OutOfRegimeWarning, PerturbationSpec
 from .states import CoherentSuperposition, FockVector, coherent_state, displace, inner_product, rotate, vacuum
@@ -314,16 +314,13 @@ def generic_strategy(
     intermediate = _split(branch_e, branch_g)
 
     norms_before = (branch_e.norm(), branch_g.norm())
-    if pert.kind == ROTATION:
-        if pert_model == "phase_only":
-            raise ValueError("phase-only model is defined for displacements")
-        branch_e, branch_g = rotate(branch_e, pert.magnitude), rotate(branch_g, pert.magnitude)
+    if pert_model == "exact":
+        branch_e, branch_g = pert.apply(branch_e, alpha), pert.apply(branch_g, alpha)
+    elif pert.kind == ROTATION:
+        raise ValueError("phase-only model is defined for displacements")
     else:
         beta = pert.beta(alpha)
-        if pert_model == "exact":
-            branch_e, branch_g = displace(branch_e, beta), displace(branch_g, beta)
-        else:
-            branch_e, branch_g = _phase_only_displace(branch_e, beta), _phase_only_displace(branch_g, beta)
+        branch_e, branch_g = _phase_only_displace(branch_e, beta), _phase_only_displace(branch_g, beta)
     norms_after = (branch_e.norm(), branch_g.norm())
     if not np.allclose(norms_before, norms_after, rtol=0, atol=1e-9):
         raise AssertionError("perturbation leaked between TLS branches")
@@ -342,25 +339,23 @@ def generic_strategy(
 # --- numeric Jaynes-Cummings oracle ---------------------------------------
 
 
-def jc_numeric_evolve(
-    psi: FockVector,
-    tls,
-    params: JCParams,
-    hamiltonian: str = "jc",
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
-) -> np.ndarray:
-    """Integrate the interaction-picture Schroedinger equation.
+def jc_numeric_evolve(psi: FockVector, tls, params: JCParams, hamiltonian: str = "jc") -> np.ndarray:
+    """Evolve tls[0] |e, psi> + tls[1] |g, psi> in the interaction picture
+    with the exact propagator of the truncated model.
 
     hamiltonian = "jc": H(t)/hbar = (Omega_0/2)(e^{i delta t} sigma^+ a +
-    e^{-i delta t} sigma^- a^dag), exploiting the ladder structure that
-    couples |e, n> to |g, n+1>.  hamiltonian = "dispersive": the effective
-    far-detuned model chi * n conditioned on the coupled lower level, with
+    e^{-i delta t} sigma^- a^dag) couples only |e, k> and |g, k+1>.  In the
+    frame rotating at delta/2 each pair sees the constant block
+    H_k = [[delta/2, g_k], [g_k, -delta/2]], g_k = Omega_0 sqrt(k+1) / 2,
+    whose propagator is cos(Omega_k t) - i sin(Omega_k t) H_k / Omega_k with
+    dressed Rabi frequency Omega_k = sqrt(delta^2/4 + g_k^2).  |g, 0> and
+    |e, n_trunc-1> have no partner in the basis and stay stationary.
+    hamiltonian = "dispersive": the effective far-detuned model chi * n on
+    the |g> branch, c_g[n] -> e^{-i chi n t} c_g[n] with
     chi = Omega_0^2 / (4 delta).
 
     Returns the joint state as an array of shape (2, n_trunc): row 0 the
-    |e> branch, row 1 the |g> branch.  The initial product state is
-    tls[0] |e, psi> + tls[1] |g, psi>.
+    |e> branch, row 1 the |g> branch.
     """
     if psi.leakage > 1e-8:
         warnings.warn(f"initial Fock vector carries truncation leakage {psi.leakage:.2e}", stacklevel=2)
@@ -368,51 +363,29 @@ def jc_numeric_evolve(
     if c_tls.shape != (2,):
         raise ValueError("tls must be a 2-component amplitude vector")
     n = psi.dimension
-    y0 = np.concatenate([c_tls[0] * psi.coefficients, c_tls[1] * psi.coefficients])
-    half_rabi = 0.5 * params.omega0_rabi
+    t = params.interaction_time
     delta = params.detuning
-    ladder = np.sqrt(np.arange(1, n))  # couples e[m] <-> g[m+1]
+    ce = c_tls[0] * psi.coefficients
+    cg = c_tls[1] * psi.coefficients
 
     if hamiltonian == "jc":
-
-        def rhs(t, y):
-            ce, cg = y[:n], y[n:]
-            phase = np.exp(1j * delta * t)
-            dce = np.zeros(n, dtype=complex)
-            dcg = np.zeros(n, dtype=complex)
-            dce[:-1] = -1j * half_rabi * phase * ladder * cg[1:]
-            dcg[1:] = -1j * half_rabi * np.conj(phase) * ladder * ce[:-1]
-            return np.concatenate([dce, dcg])
-
+        g = 0.5 * params.omega0_rabi * np.sqrt(np.arange(1, n))  # couples e[k] <-> g[k+1]
+        rabi = np.sqrt(0.25 * delta**2 + g**2)
+        cos, sinc = np.cos(rabi * t), np.sin(rabi * t) / rabi
+        a, b = ce[:-1], cg[1:]
+        ce[:-1], cg[1:] = (
+            np.exp(0.5j * delta * t) * ((cos - 0.5j * delta * sinc) * a - 1j * g * sinc * b),
+            np.exp(-0.5j * delta * t) * (-1j * g * sinc * a + (cos + 0.5j * delta * sinc) * b),
+        )
     elif hamiltonian == "dispersive":
-        if params.detuning == 0:
+        if delta == 0:
             raise ValueError("dispersive model needs a nonzero detuning")
-        chi = params.omega0_rabi**2 / (4.0 * params.detuning)
-        numbers = np.arange(n)
-
-        def rhs(t, y):
-            dcg = -1j * chi * numbers * y[n:]
-            return np.concatenate([np.zeros(n, dtype=complex), dcg])
-
+        chi = params.omega0_rabi**2 / (4.0 * delta)
+        cg = cg * np.exp(-1j * chi * t * np.arange(n))
     else:
         raise ValueError("hamiltonian must be 'jc' or 'dispersive'")
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, params.interaction_time),
-        y0,
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise RuntimeError(f"JC integration failed: {sol.message}")
-    y = sol.y[:, -1]
-    norm = float(np.linalg.norm(y))
-    if abs(norm - np.linalg.norm(y0)) > 1e-9 * max(1.0, np.linalg.norm(y0)):
-        warnings.warn(f"integrator norm drift {abs(norm - 1.0):.2e}", stacklevel=2)
-    out = y.reshape(2, n)
+    out = np.vstack([ce, cg])
     top_population = float(np.abs(out[0, -1]) ** 2 + np.abs(out[1, -1]) ** 2)
     if top_population > 1e-10:
         warnings.warn(f"population {top_population:.2e} reached the top Fock level; enlarge the basis", stacklevel=2)

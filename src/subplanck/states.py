@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "CoherentSuperposition",
@@ -181,10 +180,6 @@ class FockVector:
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.coefficients) ** 2))
 
-    def dot(self, other: "FockVector") -> complex:
-        n = min(self.dimension, other.dimension)
-        return complex(np.vdot(self.coefficients[:n], other.coefficients[:n]))
-
 
 def to_fock(state: CoherentSuperposition, n_trunc: int | None = None) -> FockVector:
     """Expand into the number basis, c_n = sum_k w_k e^{-|a_k|^2/2} a_k^n / sqrt(n!).
@@ -199,7 +194,7 @@ def to_fock(state: CoherentSuperposition, n_trunc: int | None = None) -> FockVec
     if n_trunc < 1:
         raise ValueError("n_trunc must be >= 1")
     n = np.arange(n_trunc)
-    half_log_fact = 0.5 * gammaln(n + 1.0)
+    half_log_fact = 0.5 * np.array([math.lgamma(k + 1.0) for k in range(n_trunc)])
     coeffs = np.zeros(n_trunc, dtype=complex)
     for w, a in zip(state.weights, state.amplitudes):
         r = abs(a)

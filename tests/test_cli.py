@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,6 +248,26 @@ class TestDeterminismAndErrors:
         assert code == 1
         assert not out.exists()
         assert not list(tmp_path.glob(".subplanck-*"))
+
+    def test_output_mode_follows_umask(self, tmp_path):
+        out = tmp_path / "pe.csv"
+        previous = os.umask(0o022)
+        try:
+            code = main(["protocol", "--regime", "dispersive", "--alpha", "0+4i", "--s-max", "0.4", "--points", "5",
+                         "--out", str(out)])
+        finally:
+            os.umask(previous)
+        assert code == 0
+        assert out.stat().st_mode & 0o777 == 0o644
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is most of a cold start and the CLI needs none of it to import
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import subplanck.cli, sys; print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 class TestPinnedOutputs:

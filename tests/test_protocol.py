@@ -15,6 +15,7 @@ from subplanck.protocol import (
 )
 from subplanck.states import (
     CoherentSuperposition,
+    FockVector,
     coherent_state,
     fidelity,
     inner_product,
@@ -22,7 +23,7 @@ from subplanck.states import (
     vacuum,
 )
 
-from oracles import displacement_matrix, resonant_blocks
+from oracles import displacement_matrix, jc_ode, resonant_blocks
 
 ALPHA = 4j
 
@@ -259,7 +260,7 @@ class TestJCNumeric:
         detuning = 20.0 * omega0 * np.sqrt(nbar)
         t = np.pi * 4 * detuning / omega0**2
         psi = to_fock(coherent_state(alpha))
-        out = jc_numeric_evolve(psi, (0.0, 1.0), JCParams(omega0, detuning, nbar, t), rtol=1e-11)
+        out = jc_numeric_evolve(psi, (0.0, 1.0), JCParams(omega0, detuning, nbar, t))
         leak = float(np.sum(np.abs(out[0]) ** 2))
         assert leak < 1e-4
         branch = out[1] / np.linalg.norm(out[1])
@@ -267,6 +268,33 @@ class TestJCNumeric:
         raw_fidelity = abs(np.vdot(flipped, branch)) ** 2
         print(f"true-JC dispersive branch fidelity vs |-alpha>: {raw_fidelity:.6f}")
         assert raw_fidelity >= 0.999
+
+    @pytest.mark.parametrize(
+        "alpha, tls, omega0, detuning, t, hamiltonian",
+        [
+            (2.0, (1.0, 0.0), 1.0, 0.0, 3.0, "jc"),
+            (2.0 + 1.0j, (0.6, 0.8j), 1.0, 1.7, 4.0, "jc"),
+            (1.5 - 0.5j, (np.sqrt(0.3), -np.sqrt(0.7)), 0.8, -2.5, 5.0, "jc"),
+            (3.0, (0.0, 1.0), 1.0, 12.0, 20.0, "dispersive"),
+        ],
+    )
+    def test_matches_ode_oracle(self, alpha, tls, omega0, detuning, t, hamiltonian):
+        psi = to_fock(coherent_state(alpha))
+        out = jc_numeric_evolve(psi, tls, JCParams(omega0, detuning, abs(alpha) ** 2, t), hamiltonian=hamiltonian)
+        joint0 = np.outer(tls, psi.coefficients)
+        assert np.linalg.norm(out - jc_ode(joint0, omega0, detuning, t, hamiltonian)) <= 1e-9
+        assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(joint0), abs=1e-12)
+
+    def test_truncation_edges_stationary(self):
+        # |e, n-1> and |g, 0> have no partner in the truncated ladder
+        n = 6
+        params = JCParams(1.0, 0.7, 0.0, 2.3)
+        top = FockVector(np.eye(n)[n - 1])
+        with pytest.warns(UserWarning, match="top Fock level"):
+            out = jc_numeric_evolve(top, (1.0, 0.0), params)
+        np.testing.assert_array_equal(out, np.outer([1.0, 0.0], np.eye(n)[n - 1]))
+        out = jc_numeric_evolve(FockVector(np.eye(n)[0]), (0.0, 1.0), params)
+        np.testing.assert_array_equal(out, np.outer([0.0, 1.0], np.eye(n)[0]))
 
     def test_truncation_warning_on_tight_basis(self):
         psi = to_fock(coherent_state(2.0), 8)
