@@ -63,16 +63,28 @@ def _csv_bytes(comment: str, header: list[str], columns, trailing_comments=()) -
     return ("\n".join(lines) + "\n").encode()
 
 
-def _pgm_bytes(field: wigner.WignerField) -> bytes:
+def _field_csv_bytes(comment: str, grid: wigner.PhaseSpaceGrid, values: np.ndarray) -> bytes:
+    """CSV text of re,im,w rows for samples values[ix, iy]: rows run from
+    im_max down to im_min, re ascending within a row.  Each coordinate is
+    formatted once per axis; a row of the grid is one format string with
+    its re and im text filled in and one slot per sample."""
+    re_text = list(map(_FLOAT_FMT.__mod__, grid.re_points.tolist()))
+    blocks = [f"# subplanck {comment}\nre,im,w\n"]
+    for im_text, row in zip(map(_FLOAT_FMT.__mod__, grid.im_points[::-1].tolist()), values[:, ::-1].T.tolist()):
+        tail = f",{im_text},{_FLOAT_FMT}\n"
+        blocks.append((tail.join(re_text) + tail) % tuple(row))
+    return "".join(blocks).encode()
+
+
+def _pgm_bytes(values: np.ndarray, grid: wigner.PhaseSpaceGrid) -> bytes:
     """Binary 8-bit graymap, symmetric diverging map: W = 0 -> gray 128,
     +-max|W| -> 255/0.  Rows run from im_max down to im_min."""
-    values = field.values
     scale = float(np.max(np.abs(values)))
     if scale == 0.0:
         scale = 1.0
     pixels = np.clip(np.rint(127.5 + 127.5 * values / scale), 0, 255).astype(np.uint8)
     raster = pixels[:, ::-1].T  # rows: im descending; columns: re ascending
-    header = f"P5\n{field.grid.nx} {field.grid.ny}\n255\n".encode()
+    header = f"P5\n{grid.nx} {grid.ny}\n255\n".encode()
     return header + raster.tobytes()
 
 
@@ -114,31 +126,22 @@ def _cmd_wigner(args) -> int:
         grid = wigner.PhaseSpaceGrid(lo_re, hi_re, lo_im, hi_im, args.nx, args.ny, alpha_max=amax)
     else:
         grid = wigner.auto_grid(*sample_states)
-    field = wigner.wigner_field(base, grid)
-    if field.underresolved:
+    # the fields this command renders: the base, the perturbed state, or both for --product
+    rendered = sample_states if args.product or pert_state is None else [pert_state]
+    fields = [wigner.wigner_field(state, grid) for state in rendered]
+    if any(field.underresolved for field in fields):
         print("warning: grid under-resolves the interference fringes", file=sys.stderr)
     if args.product:
-        field_pert = wigner.wigner_field(pert_state, grid)
-        out_values = field.values * field_pert.values
-        integral = wigner.phase_space_overlap(field, field_pert)
+        out_values = fields[0].values * fields[1].values
+        integral = wigner.phase_space_overlap(*fields)
         print(f"product_integral={_fmt(integral)}")
-    elif pert_state is not None:
-        field = wigner.wigner_field(pert_state, grid)
-        out_values = field.values
     else:
-        out_values = field.values
+        out_values = fields[0].values
 
     config = _config_string(args, ["alpha", "m", "gammas", "displace", "pert", "s", "phi", "product"])
     config += f" grid=({_fmt(grid.re_min)},{_fmt(grid.re_max)},{_fmt(grid.im_min)},{_fmt(grid.im_max)}) nx={grid.nx} ny={grid.ny}"
-    # rows run from im_max down to im_min, re ascending within a row
-    columns = [
-        np.tile(grid.re_points, grid.ny),
-        np.repeat(grid.im_points[::-1], grid.nx),
-        out_values[:, ::-1].T.ravel(),
-    ]
-    _atomic_write(args.out + ".csv", _csv_bytes(config, ["re", "im", "w"], columns))
-    render = wigner.WignerField(grid, out_values, field.underresolved)
-    _atomic_write(args.out + ".pgm", _pgm_bytes(render))
+    _atomic_write(args.out + ".csv", _field_csv_bytes(config, grid, out_values))
+    _atomic_write(args.out + ".pgm", _pgm_bytes(out_values, grid))
     return 0
 
 

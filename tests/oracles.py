@@ -118,3 +118,20 @@ def jc_ode(joint: np.ndarray, omega0: float, detuning: float, t: float, hamilton
     sol = solve_ivp(rhs, (0.0, t), joint.astype(complex).ravel(), method="DOP853", rtol=1e-12, atol=1e-14)
     assert sol.success, sol.message
     return sol.y[:, -1].reshape(2, n)
+
+
+def trapezoid_overlap(v1, v2, re, im):
+    """(1/pi) * 2-d trapezoid integral of v1 * v2 over sampled fields
+    v[ix, iy], with the Richardson error estimate against the
+    half-resolution subgrid of the odd-truncated grid."""
+
+    def integral(values, x, y):
+        return float(np.trapezoid(np.trapezoid(values, x=y, axis=1), x=x)) / np.pi
+
+    prod = v1 * v2
+    mx = re.size if re.size % 2 == 1 else re.size - 1
+    my = im.size if im.size % 2 == 1 else im.size - 1
+    value = integral(prod, re, im)
+    full = integral(prod[:mx, :my], re[:mx], im[:my])
+    half = integral(prod[:mx:2, :my:2], re[:mx:2], im[:my:2])
+    return value, abs(full - half) / 3.0 + abs(value - full)

@@ -1,4 +1,6 @@
 import hashlib
+import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -100,6 +102,17 @@ class TestWignerCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
 
+    def test_perturbed_field_underresolution_is_reported(self, tmp_path, capsys):
+        # the base cat is resolved at this step but the state displaced to 6i is not
+        argv = [
+            "wigner", "--alpha", "0+4i", "--m", "2", "--pert", "displacement", "--s", "2",
+            "--phi", "1.5707963267948966", "--bounds", "-8", "8", "-8", "8", "--nx", "201", "--ny", "201",
+            "--out", str(tmp_path / "x"),
+        ]
+        with pytest.warns(wigner.UnderresolvedGridWarning):
+            assert main(argv) == 0
+        assert "warning: grid under-resolves the interference fringes" in capsys.readouterr().err
+
     def test_product_requires_pert(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["wigner", "--alpha", "0+4i", "--m", "4", "--product", "--out", str(tmp_path / "x")])
@@ -140,6 +153,27 @@ class TestOverlapCommand:
         _, header, rows = _read_csv(out)
         assert header[-1] == "quadrature"
         np.testing.assert_allclose(rows[:, 3], rows[:, 1], atol=1e-6)
+
+    def test_quadrature_column_large_compass(self, tmp_path):
+        # |alpha| = 20 needs a 2463 x 2459 grid; the factor-space quadrature
+        # stays at the Gram overlap through the first dark fringe
+        out = tmp_path / "ovq20.csv"
+        assert main([
+            "overlap", "--alpha", "0+20i", "--m", "4", "--s-max", "0.1", "--points", "9",
+            "--quadrature", "--out", str(out),
+        ]) == 0
+        _, _, rows = _read_csv(out)
+        assert rows[:, 1].min() < 1e-2
+        assert np.max(np.abs(rows[:, 3] - rows[:, 1])) <= 1e-9
+
+    def test_quadrature_non_finite_factors_exit_nonzero(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(wigner, "_axis_factors", lambda points, centres, k: np.full((points.size, centres.size), np.nan))
+        out = tmp_path / "nan.csv"
+        code = main(["overlap", "--alpha", "0+2i", "--m", "2", "--s-max", "0.3", "--points", "5", "--quadrature",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_rotation_zeros(self, tmp_path):
         out = tmp_path / "rot.csv"
@@ -271,9 +305,8 @@ def test_cli_import_loads_no_scipy():
 
 
 class TestPinnedOutputs:
-    """sha256 of CSVs whose numbers never pass through the Wigner kernel.
-    Any change to their arithmetic or formatting alters these bytes and
-    must be recorded as a change of output."""
+    """sha256 of CLI outputs.  Any change to their arithmetic or formatting
+    alters these bytes and must be recorded as a change of output."""
 
     CASES = {
         "protocol_dispersive": (
@@ -303,6 +336,41 @@ class TestPinnedOutputs:
              "--s-max", "0.05", "--points", "41"],
             "043669972630de55ba3704903b6df45d5517c82942928d6e7e50a2c891efda3b",
         ),
+        # the quadrature column is pinned as of the factor-space kernel; it
+        # moved by <= 5.6e-16 from the sampled-grid trapezoid sums before it
+        "overlap_quadrature": (
+            ["overlap", "--alpha", "0+4i", "--m", "2", "--s-max", "0.4", "--points", "33", "--quadrature"],
+            "4fea0d324026aca64483859d8eeab04f5246aa71b2fa19b714b7cf62337ffd94",
+        ),
+    }
+
+    # (argv, CSV sha256, PGM sha256) of `wigner` renders: the README cat and
+    # compass product, the gallery's rotated displaced cat, and the |alpha| = 20
+    # range edge
+    WIGNER_CASES = {
+        "cat": (
+            ["wigner", "--alpha", "0+4i", "--m", "2"],
+            "ae982d9221374022482f9300f7d4093d97b33b778148f59b28f60e3a177f05d8",
+            "f6a2ea6820adcbde01b992ced846f17d9e18a8f552ff244d4d6d181f04399fa0",
+        ),
+        "cat_rotated": (
+            ["wigner", "--alpha", "0+4i", "--m", "2", "--displace", "0+4i", "--pert", "rotation",
+             "--s", f"{math.pi / 64:.17g}"],
+            "867dda2a4c42b5599cdc5685fdb3789ba54d84a933574ac0e2038148aff709d2",
+            "33f5e4d1a593ea56126f360b1e2845dd9c71f219229b0be7dccad6b794d3930e",
+        ),
+        "range_edge_a20": (
+            ["wigner", "--alpha", "0+20i", "--m", "2", "--bounds", "-0.5", "0.5", "-0.5", "0.5",
+             "--nx", "61", "--ny", "61"],
+            "859f66b63c6121375db0bf51c4779c5f3ea1cb4876faa7317e161f421f478ce1",
+            "cc37e42319560087422f662bd60a5104c6460dcc4390d60f78be675691d77be1",
+        ),
+        "compass_product": (
+            ["wigner", "--alpha", "0+4i", "--m", "4", "--product", "--pert", "displacement",
+             "--s", "0.2776801836348979", "--phi", "0.7853981633974483"],
+            "41e7b06f9eda6f950b82ade230441aa991396bbbd71827cd0f0e9c1d1bbb802c",
+            "eed9dd2f0feb948248a46edc0c732da5259ef104865087e8af92e3165608b85b",
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -311,3 +379,24 @@ class TestPinnedOutputs:
         out = tmp_path / f"{name}.csv"
         assert main(argv + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", sorted(WIGNER_CASES))
+    def test_wigner_digest(self, tmp_path, name):
+        argv, csv_digest, pgm_digest = self.WIGNER_CASES[name]
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.with_suffix(".csv").read_bytes()).hexdigest() == csv_digest
+        assert hashlib.sha256(out.with_suffix(".pgm").read_bytes()).hexdigest() == pgm_digest
+
+
+def test_gallery_script_renders(tmp_path, capsys):
+    # the only caller of --displace, --pert rotation without --product, and
+    # two --product renders in one run
+    script = Path(__file__).resolve().parents[1] / "scripts" / "render_wigner_gallery.py"
+    spec = importlib.util.spec_from_file_location("render_wigner_gallery", script)
+    gallery = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gallery)
+    assert gallery.run(tmp_path) == 0
+    assert len(list(tmp_path.glob("*.csv"))) == 5
+    assert len(list(tmp_path.glob("*.pgm"))) == 5
+    assert "wrote 5 CSV and 5 PGM files" in capsys.readouterr().out

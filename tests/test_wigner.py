@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +23,7 @@ from subplanck.wigner import (
     wigner_field,
 )
 
-from oracles import cross_wigner_direct, parity_wigner_expm, parity_wigner_fock, wigner_direct
+from oracles import cross_wigner_direct, parity_wigner_expm, parity_wigner_fock, trapezoid_overlap, wigner_direct
 
 
 def _zero_crossings(xs, ys):
@@ -217,6 +219,26 @@ class TestNonFiniteGuard:
         with pytest.raises(FloatingPointError):
             wigner_field(vacuum(), PhaseSpaceGrid(-3, 3, -3, 3, 33, 33))
 
+    def test_nan_coefficient_raises_in_overlap(self):
+        cat = make_circular_state(2j, 2, [0.0, 0.0])
+        field = wigner_field(cat, auto_grid(cat))
+        coeffs = field.coeffs.copy()
+        coeffs[1] = np.nan
+        broken = dataclasses.replace(field, coeffs=coeffs)
+        with pytest.raises(FloatingPointError):
+            phase_space_overlap(field, broken)
+        with pytest.raises(FloatingPointError):
+            quadrature_mass(broken)
+
+    def test_non_hermitian_coefficients_raise_on_read(self):
+        cat = make_circular_state(2j, 2, [0.0, 0.0])
+        field = wigner_field(cat, auto_grid(cat))
+        skewed = dataclasses.replace(field, coeffs=1j * field.coeffs)
+        with pytest.raises(FloatingPointError, match="Hermiticity"):
+            skewed.values
+        with pytest.raises(FloatingPointError):
+            phase_space_overlap(field, skewed)
+
 
 class TestOverlapQuadrature:
     def test_vacuum_purity(self):
@@ -267,6 +289,40 @@ class TestOverlapQuadrature:
         exact = abs(inner_product(state, other)) ** 2
         assert abs(quad - exact) < max(1e-6, 10 * err)
         assert abs(quad - exact) < 1e-6
+
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.floats(min_value=3.0, max_value=12.0),
+        st.floats(min_value=-np.pi, max_value=np.pi),
+        st.floats(min_value=0.0, max_value=0.25),
+        st.floats(min_value=-0.05, max_value=0.05),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_quadrature_matches_exact_overlap_large_states(self, m, radius, phase, shift, angle):
+        gammas = np.linspace(0.0, phase, m)
+        state = make_circular_state(radius * np.exp(1j * phase), m, gammas)
+        other = rotate(displace(state, shift * 1j * np.exp(1j * phase)), angle)
+        g = auto_grid(state, other)
+        quad, err = phase_space_overlap(wigner_field(state, g), wigner_field(other, g), with_error=True)
+        exact = abs(inner_product(state, other)) ** 2
+        assert abs(quad - exact) <= 1e-6
+        assert abs(quad - exact) <= max(1e-6, 10 * err)
+
+    @pytest.mark.parametrize("nx,ny", [(33, 33), (34, 33), (33, 36), (40, 38)])
+    @pytest.mark.filterwarnings("ignore::subplanck.wigner.UnderresolvedGridWarning")
+    def test_factor_quadrature_is_the_sampled_trapezoid_rule(self, nx, ny):
+        # odd and even point counts: the Richardson estimate truncates even axes
+        state = make_circular_state(1.5 * np.exp(0.4j), 3, [0.2, -0.7, 1.1])
+        other = rotate(displace(state, 0.3 - 0.1j), 0.1)
+        grid = PhaseSpaceGrid(-4.5, 4.0, -4.0, 4.2, nx, ny)
+        f1, f2 = wigner_field(state, grid), wigner_field(other, grid)
+        value, err = phase_space_overlap(f1, f2, with_error=True)
+        want_value, want_err = trapezoid_overlap(f1.values, f2.values, grid.re_points, grid.im_points)
+        assert value == pytest.approx(want_value, abs=1e-14)
+        assert err == pytest.approx(want_err, abs=1e-14)
+        assert phase_space_overlap(f1, f2) == value
+        mass = trapezoid_overlap(f1.values, np.ones((nx, ny)), grid.re_points, grid.im_points)[0]
+        assert quadrature_mass(f1) == pytest.approx(mass, abs=1e-14)
 
     def test_fringe_frequency_scales_linearly(self):
         radii = [2.0, 4.0, 6.0]
