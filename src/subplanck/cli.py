@@ -54,8 +54,12 @@ def _atomic_write(path: str, data: bytes):
 
 def _csv_bytes(comment: str, header: list[str], columns, trailing_comments=()) -> bytes:
     """CSV text from equal-length columns: integer columns as %d, all
-    others with 17 significant digits."""
+    others with 17 significant digits.  A non-finite value raises
+    FloatingPointError, so it never reaches a file."""
     columns = [np.asarray(col) for col in columns]
+    for name, col in zip(header, columns):
+        if not np.all(np.isfinite(col)):
+            raise FloatingPointError(f"non-finite value in column {name!r}")
     row_fmt = ",".join("%d" if np.issubdtype(col.dtype, np.integer) else _FLOAT_FMT for col in columns)
     lines = [f"# subplanck {comment}", ",".join(header)]
     lines.extend(map(row_fmt.__mod__, zip(*(col.tolist() for col in columns))))
@@ -97,10 +101,6 @@ def _gammas(arg: str | None, m: int) -> np.ndarray:
     return vals
 
 
-def _pert_from_args(args) -> metrology.PerturbationSpec:
-    return metrology.PerturbationSpec(args.pert, args.s, args.phi)
-
-
 def _config_string(args, keys) -> str:
     parts = [args.command]
     for key in keys:
@@ -115,7 +115,7 @@ def _cmd_wigner(args) -> int:
     base = states.make_circular_state(args.alpha, args.m, _gammas(args.gammas, args.m))
     if args.displace is not None:
         base = states.displace(base, args.displace)
-    pert_state = None if args.pert is None else _pert_from_args(args).apply(base, args.alpha)
+    pert_state = None if args.pert is None else metrology.PerturbationSpec(args.pert, args.s, args.phi).apply(base, args.alpha)
     if args.product and pert_state is None:
         raise SystemExit("error: --product needs --pert")
 
@@ -158,13 +158,13 @@ def _cmd_overlap(args) -> int:
     header = ["magnitude", "exact", "approx"]
     columns = [sweep.magnitudes, sweep.exact, sweep.approx]
     if args.quadrature:
-        base = states.make_circular_state(args.alpha, args.m, _gammas(args.gammas, args.m))
-        if args.pert == metrology.ROTATION:
-            base = states.displace(base, args.alpha)
-        specs = [metrology.PerturbationSpec(args.pert, float(mag), args.phi) for mag in sweep.magnitudes]
-        grid = wigner.auto_grid(base, specs[-1].apply(base, args.alpha))
-        w_base = wigner.wigner_field(base, grid)
-        quad = [wigner.phase_space_overlap(w_base, wigner.wigner_field(spec.apply(base, args.alpha), grid)) for spec in specs]
+        perturbed = [
+            metrology.PerturbationSpec(sweep.kind, float(mag), sweep.direction).apply(sweep.target)
+            for mag in sweep.magnitudes
+        ]
+        grid = wigner.auto_grid(sweep.target, perturbed[-1])
+        w_base = wigner.wigner_field(sweep.target, grid)
+        quad = [wigner.phase_space_overlap(w_base, wigner.wigner_field(state, grid)) for state in perturbed]
         header.append("quadrature")
         columns.append(np.array(quad))
     config = _config_string(args, ["alpha", "m", "gammas", "pert", "phi", "s_max", "points", "quadrature"])
@@ -303,7 +303,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit:
         raise
-    except (ValueError, OSError, FloatingPointError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,10 +2,11 @@
 experimental feasibility calculator.
 
 Randomness contract: all sampling uses numpy's PCG64 bit generator seeded
-through SeedSequence, and binomial counts are drawn by counting uniform
-variates below p (normal approximation above R = 1e5).  Trial ensembles
-derive per-trial generators with SeedSequence.spawn, so results are
-reproducible for a given master seed and independent of evaluation order.
+through SeedSequence, and each binomial count is one exact
+Generator.binomial draw at every R, so no R-sized array is ever formed.
+Trial ensembles derive per-trial generators with SeedSequence.spawn, so
+results are reproducible for a given master seed and independent of
+evaluation order, and a shorter ensemble is a prefix of a longer one.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ __all__ = [
     "feasibility",
     "theory_sigma",
 ]
-
-_EXACT_SAMPLING_LIMIT = 100_000
-
 
 @dataclass(frozen=True)
 class EstimationRun:
@@ -57,15 +55,6 @@ class FeasibilityReport:
     verdict: bool
 
 
-def _binomial(rng: np.random.Generator, p_e: float, repetitions: int) -> int:
-    if repetitions <= _EXACT_SAMPLING_LIMIT:
-        return int(np.count_nonzero(rng.random(repetitions) < p_e))
-    mean = repetitions * p_e
-    std = math.sqrt(repetitions * p_e * (1.0 - p_e))
-    draw = round(mean + std * rng.standard_normal())
-    return int(min(max(draw, 0), repetitions))
-
-
 def simulate_readout(p_e: float, repetitions: int, seed) -> int:
     """Draw r ~ Binomial(repetitions, p_e) from the seeded generator."""
     if not 0.0 <= p_e <= 1.0:
@@ -73,7 +62,7 @@ def simulate_readout(p_e: float, repetitions: int, seed) -> int:
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    return _binomial(rng, p_e, repetitions)
+    return int(rng.binomial(repetitions, p_e))
 
 
 def theory_sigma(repetitions: int, alpha_mag: float) -> float:
@@ -115,13 +104,6 @@ def estimate_displacement(
     )
 
 
-def _fringe_probability(true_s: float, alpha: complex, convention: str) -> float:
-    pert = PerturbationSpec(DISPLACEMENT, true_s)
-    if convention == "dispersive":
-        return dispersive_protocol(alpha, pert).p_e
-    return resonant_protocol(alpha, pert).p_e
-
-
 def run_trials(
     true_s: float,
     alpha: complex,
@@ -137,12 +119,12 @@ def run_trials(
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    p_e = _fringe_probability(true_s, alpha, convention)
+    fringe = dispersive_protocol if convention == "dispersive" else resonant_protocol
+    p_e = fringe(alpha, PerturbationSpec(DISPLACEMENT, true_s)).p_e
     children = np.random.SeedSequence(seed).spawn(n_trials)
     counts = np.empty(n_trials, dtype=np.int64)
     for i, child in enumerate(children):
-        rng = np.random.Generator(np.random.PCG64(child))
-        counts[i] = _binomial(rng, p_e, repetitions)
+        counts[i] = np.random.Generator(np.random.PCG64(child)).binomial(repetitions, p_e)
     return counts
 
 

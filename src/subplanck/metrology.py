@@ -101,16 +101,14 @@ def _pair_coefficients(m: int, phi_rel: float) -> np.ndarray:
     return s[iu] - s[il]
 
 
-def approx_overlap(m: int, alpha: complex, gammas, pert: PerturbationSpec) -> float:
+def approx_overlap(m: int, alpha: complex, pert: PerturbationSpec) -> float:
     """Closed-form overlap of a circular state with its perturbed copy.
 
-    The gamma phases cancel between the conjugate cross terms and do not
-    enter the result; they are accepted for signature parity with the
-    state constructor.  Rotations are mapped onto the equivalent
+    The component phases gamma_k cancel between the conjugate cross terms
+    and do not enter the result.  Rotations are mapped onto the equivalent
     displacement s = theta |alpha| orthogonal to the displaced circle.
     Out-of-regime inputs are still evaluated, with a warning.
     """
-    del gammas
     a_abs = abs(alpha)
     if not pert.in_regime(a_abs):
         warnings.warn("perturbation outside closed-form validity regime", OutOfRegimeWarning, stacklevel=2)
@@ -198,36 +196,61 @@ def sensitivity_report(state: CoherentSuperposition) -> SensitivityReport:
     )
 
 
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_minimum(f, lo: float, hi: float, xtol: float) -> float:
+    """Golden-section minimum of f, unimodal on [lo, hi], to a bracket of
+    xtol: one new evaluation per step, and a step count fixed up front so
+    the search also ends where xtol is below the spacing of floats."""
+    width = hi - lo
+    steps = math.ceil(math.log(xtol / width) / math.log(_INV_PHI)) if width > xtol else 0
+    c, d = hi - _INV_PHI * width, lo + _INV_PHI * width
+    fc, fd = f(c), f(d)
+    for _ in range(steps):
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_PHI * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_PHI * (hi - lo)
+            fd = f(d)
+    return c if fc < fd else d
+
+
 @dataclass(frozen=True, repr=False)
 class OverlapSweep:
-    """Exact and closed-form overlap sampled on a magnitude grid."""
+    """Exact and closed-form overlap of `target` with its perturbed copies,
+    sampled on a magnitude grid.  `direction` is the absolute displacement
+    angle, already resolved against alpha (rotations ignore it)."""
 
     kind: str
+    direction: float
     magnitudes: np.ndarray
     exact: np.ndarray
     approx: np.ndarray
     in_regime: np.ndarray
-    _exact_fn: object = field(compare=False)
-
-    def rows(self):
-        return list(zip(self.magnitudes, self.exact, self.approx))
+    target: CoherentSuperposition = field(compare=False)
 
     def first_fringe_zero(self, refine: bool = True) -> float:
         """First overlap minimum, bracketed by the half-crossings of the
-        exact curve and optionally polished by bounded minimization."""
+        exact curve and optionally polished by a golden-section search of
+        the exact overlap down to a bracket of 1e-12."""
         below = self.exact < 0.5
         if not below.any():
             raise ValueError("sweep never crosses overlap = 1/2; extend the range")
         i0 = int(np.argmax(below))
         after = i0 + int(np.argmax(~below[i0:])) if (~below[i0:]).any() else self.magnitudes.size - 1
-        lo = self.magnitudes[max(i0 - 1, 0)]
-        hi = self.magnitudes[after]
+        lo = float(self.magnitudes[max(i0 - 1, 0)])
+        hi = float(self.magnitudes[after])
         if not refine:
-            return float(0.5 * (lo + hi))
-        from scipy.optimize import minimize_scalar  # deferred: scipy costs most of a cold start
+            return 0.5 * (lo + hi)
 
-        res = minimize_scalar(self._exact_fn, bounds=(float(lo), float(hi)), method="bounded", options={"xatol": 1e-12})
-        return float(res.x)
+        def overlap(mag: float) -> float:
+            return exact_overlap(self.target, PerturbationSpec(self.kind, mag, self.direction))
+
+        return _golden_minimum(overlap, lo, hi, 1e-12)
 
 
 def overlap_sweep(
@@ -244,6 +267,7 @@ def overlap_sweep(
     Displacement sweeps act on the circular state itself; rotation sweeps
     act on the displaced configuration D(alpha)|state>, whose circle
     passes through the origin, with the closed form using s = theta|alpha|.
+    The returned sweep carries that state as its `target`.
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
@@ -253,20 +277,15 @@ def overlap_sweep(
     if max_magnitude is None:
         max_magnitude = np.pi / (2.0 * a_abs) if kind == DISPLACEMENT else np.pi / (2.0 * a_abs**2)
     mags = np.linspace(0.0, max_magnitude, n_points)
-    if kind == ROTATION:
-        target = displace(base, alpha)
-    else:
-        target = base
-
-    def exact_fn(mag: float) -> float:
-        return exact_overlap(target, PerturbationSpec(kind, float(mag), direction), alpha=alpha)
-
-    exact_vals = np.array([exact_fn(mag) for mag in mags])
+    target = displace(base, alpha) if kind == ROTATION else base
+    direction = PerturbationSpec(kind, 0.0, direction).resolve_direction(alpha)
+    specs = [PerturbationSpec(kind, float(mag), direction) for mag in mags]
+    exact_vals = np.array([exact_overlap(target, spec) for spec in specs])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", OutOfRegimeWarning)
-        approx_vals = np.array([approx_overlap(m, alpha, gam, PerturbationSpec(kind, float(mag), direction)) for mag in mags])
-        regime = np.array([PerturbationSpec(kind, float(mag), direction).in_regime(a_abs) for mag in mags])
-    return OverlapSweep(kind, mags, exact_vals, approx_vals, regime, exact_fn)
+        approx_vals = np.array([approx_overlap(m, alpha, spec) for spec in specs])
+    regime = np.array([spec.in_regime(a_abs) for spec in specs])
+    return OverlapSweep(kind, direction, mags, exact_vals, approx_vals, regime, target)
 
 
 def locate_first_zero(
@@ -277,6 +296,8 @@ def locate_first_zero(
     direction: float | None = None,
     search_max: float | None = None,
 ) -> float:
-    """Refined location of the first fringe zero of the exact overlap."""
+    """First fringe zero of the exact overlap: a 257-point sweep brackets
+    it between half-crossings and a golden-section search narrows the
+    bracket to 1e-12."""
     sweep = overlap_sweep(alpha, m, gammas, kind, direction, max_magnitude=search_max, n_points=257)
     return sweep.first_fringe_zero(refine=True)

@@ -71,10 +71,6 @@ class CoherentSuperposition:
         return self.weights.size
 
     @property
-    def terms(self) -> list[tuple[complex, complex]]:
-        return [(complex(w), complex(a)) for w, a in zip(self.weights, self.amplitudes)]
-
-    @property
     def max_amplitude(self) -> float:
         return float(np.max(np.abs(self.amplitudes)))
 
@@ -176,9 +172,6 @@ class FockVector:
     @property
     def dimension(self) -> int:
         return self.coefficients.size
-
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.coefficients) ** 2))
 
 
 def to_fock(state: CoherentSuperposition, n_trunc: int | None = None) -> FockVector:

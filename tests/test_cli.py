@@ -283,6 +283,20 @@ class TestDeterminismAndErrors:
         assert not out.exists()
         assert not list(tmp_path.glob(".subplanck-*"))
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--alpha", "0+4i", "--s", "nan"],
+            ["estimate", "--alpha", "0"],
+            ["protocol", "--regime", "dispersive", "--alpha", "0+4i", "--s-max", "inf", "--points", "3"],
+        ],
+        ids=["estimate_nan_s", "estimate_zero_alpha", "protocol_infinite_s_max"],
+    )
+    def test_arithmetic_failure_exits_nonzero(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path / "bad.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_output_mode_follows_umask(self, tmp_path):
         out = tmp_path / "pe.csv"
         previous = os.umask(0o022)
@@ -304,6 +318,39 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "False"
 
 
+SCIPY_FREE_ARGV = [
+    ["wigner", "--alpha", "0+2i", "--m", "2", "--out", "cat"],
+    ["wigner", "--alpha", "0+2i", "--m", "4", "--product", "--pert", "displacement", "--s", "0.2", "--out", "prod"],
+    ["overlap", "--alpha", "0+2i", "--m", "2", "--s-max", "0.3", "--points", "5", "--quadrature", "--out", "ov.csv"],
+    ["overlap", "--alpha", "0+2i", "--m", "2", "--pert", "rotation", "--s-max", "0.1", "--points", "5",
+     "--quadrature", "--out", "rot.csv"],
+    ["protocol", "--regime", "dispersive", "--alpha", "0+2i", "--s-max", "0.3", "--points", "5", "--out", "d.csv"],
+    ["protocol", "--regime", "resonant", "--alpha", "0+2i", "--s-max", "0.3", "--points", "5", "--out", "r.csv"],
+    ["estimate", "--alpha", "0+2i", "--repetitions", "100", "--trials", "4", "--out", "est.csv"],
+    ["feasibility", "--omega0", "3e5", "--nbar", "20", "--budget", "0.015"],
+]
+
+
+def test_library_and_every_subcommand_run_without_scipy(tmp_path):
+    # scipy serves only the test oracles: with every scipy import made to
+    # fail, the refinement, the sampler and each subcommand still run
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"""
+import sys
+sys.modules["scipy"] = None
+from subplanck import cli, estimation, metrology
+metrology.locate_first_zero(4j, 2)
+metrology.locate_first_zero(4j, 2, kind="rotation", search_max=0.05)
+estimation.estimator_calibration(0.05, 4j, 1000, 8, 1)
+for argv in {SCIPY_FREE_ARGV!r}:
+    assert cli.main(argv) == 0, argv
+"""
+    result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert len(list(tmp_path.glob("*.csv"))) == sum("--out" in argv for argv in SCIPY_FREE_ARGV)
+
+
 class TestPinnedOutputs:
     """sha256 of CLI outputs.  Any change to their arithmetic or formatting
     alters these bytes and must be recorded as a change of output."""
@@ -318,14 +365,16 @@ class TestPinnedOutputs:
              "--s-max", "0.05", "--points", "33"],
             "45da605ba7172c451e572b926c2b475e68edbcc5292ca488274db4a1a79e7c68",
         ),
+        # the estimate streams are pinned as of the exact Generator.binomial
+        # sampler, which replaced uniform counting and the normal approximation
         "estimate_dispersive": (
             ["estimate", "--alpha", "0+4i", "--repetitions", "4000", "--trials", "64", "--seed", "9"],
-            "7e2630a2c3d5c04051146510e2092ef3344a25579f2cfa4a3071e446929c68b9",
+            "8799b8852ba32a4812cfa389493bcfd6982c4e997be2c112944c72d95b787ab6",
         ),
         "estimate_resonant": (
             ["estimate", "--alpha", "2-3i", "--s", "0.03", "--repetitions", "250000", "--trials", "16", "--seed", "5",
              "--convention", "resonant"],
-            "443db90df3875ecd391116d42a6138c4e7854c23af049896f3be5ee550abf5f9",
+            "91ccba5c133c365a335b66d06083eddad1c0b4a50d62ae7cf17a401b70edec17",
         ),
         "overlap_displacement": (
             ["overlap", "--alpha", "0+4i", "--m", "2", "--s-max", "0.4", "--points", "129"],

@@ -42,10 +42,10 @@ class TestPerturbationSpec:
 class TestApproxOverlap:
     def test_identity_perturbation(self):
         for m in (1, 2, 3, 4, 6):
-            assert approx_overlap(m, 4j, np.zeros(m), PerturbationSpec("displacement", 0.0)) == pytest.approx(1.0)
+            assert approx_overlap(m, 4j, PerturbationSpec("displacement", 0.0)) == pytest.approx(1.0)
 
     def test_cat_fringe_value(self):
-        val = approx_overlap(2, 4j, [0.0, 0.0], PerturbationSpec("displacement", 0.1))
+        val = approx_overlap(2, 4j, PerturbationSpec("displacement", 0.1))
         assert val == pytest.approx((1 + np.cos(1.6)) / 2, abs=1e-12)
         assert val == pytest.approx(0.48540023884935557, abs=1e-12)
 
@@ -53,12 +53,12 @@ class TestApproxOverlap:
         # theta = pi/(4 |alpha|^2) maps to s = pi/16, formally past the
         # validity flag, so the value comes back tagged but still exact
         with pytest.warns(OutOfRegimeWarning):
-            val = approx_overlap(2, 4j, [0.0, 0.0], PerturbationSpec("rotation", np.pi / 64))
+            val = approx_overlap(2, 4j, PerturbationSpec("rotation", np.pi / 64))
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_out_of_regime_still_computed(self):
         with pytest.warns(OutOfRegimeWarning):
-            val = approx_overlap(2, 4j, [0.0, 0.0], PerturbationSpec("displacement", 0.5))
+            val = approx_overlap(2, 4j, PerturbationSpec("displacement", 0.5))
         assert np.isfinite(val)
 
 
@@ -71,7 +71,7 @@ class TestExactOverlap:
         cat = make_circular_state(4j, 2, [0.0, 0.0])
         spec = PerturbationSpec("displacement", 0.1)
         exact = exact_overlap(cat, spec, alpha=4j)
-        approx = approx_overlap(2, 4j, [0.0, 0.0], spec)
+        approx = approx_overlap(2, 4j, spec)
         assert abs(exact - approx) < 5e-3
 
     def test_minimal_sensitivity_along_alpha(self):
@@ -96,17 +96,16 @@ class TestExactOverlap:
         state = make_circular_state(alpha, m, gammas)
         spec = PerturbationSpec("displacement", s, direction=direction)
         exact = exact_overlap(state, spec, alpha=alpha)
-        approx = approx_overlap(m, alpha, gammas, spec)
+        approx = approx_overlap(m, alpha, spec)
         assert abs(exact - approx) < 5e-3 + 10 * s**2
 
     def test_cosine_periodicity(self):
-        gammas = [0.0, 0.0]
         period = np.pi / (2 * 4.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", OutOfRegimeWarning)
             for s in np.linspace(0.0, 0.15, 7):
-                a = approx_overlap(2, 4j, gammas, PerturbationSpec("displacement", s))
-                b = approx_overlap(2, 4j, gammas, PerturbationSpec("displacement", s + period))
+                a = approx_overlap(2, 4j, PerturbationSpec("displacement", s))
+                b = approx_overlap(2, 4j, PerturbationSpec("displacement", s + period))
                 assert a == pytest.approx(b, abs=1e-12)
 
     def test_direction_extremes(self):
