@@ -173,6 +173,8 @@ def _cmd_overlap(args) -> int:
 
 
 def _cmd_protocol(args) -> int:
+    if args.points < 2:
+        raise ValueError("points must be >= 2")
     mags = np.linspace(0.0, args.s_max, args.points)
     rows = []
     for mag in mags:

@@ -115,10 +115,14 @@ def run_trials(
     """Excited counts for n_trials independent full pipelines.
 
     The protocol's excited-state probability is computed once; each trial
-    then samples its binomial readout from a spawned sub-generator.
+    then samples its binomial readout from a spawned sub-generator.  true_s
+    must lie on the principal branch [0, pi/(4|alpha|)], the only range the
+    arccos inversion can return, so no larger shift is silently aliased.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    if not 0.0 <= true_s <= math.pi / (4.0 * abs(alpha)):
+        raise ValueError("true_s must lie on the principal branch [0, pi/(4|alpha|)]")
     fringe = dispersive_protocol if convention == "dispersive" else resonant_protocol
     p_e = fringe(alpha, PerturbationSpec(DISPLACEMENT, true_s)).p_e
     children = np.random.SeedSequence(seed).spawn(n_trials)
@@ -158,8 +162,8 @@ def feasibility(omega0: float, nbar: float, decoherence_budget: float, regime: s
     supplied budget is already the superposition's decoherence time and is
     compared against T directly.  The verdict demands a 10x margin.
     """
-    if omega0 <= 0 or nbar <= 0 or decoherence_budget <= 0:
-        raise ValueError("feasibility inputs must be positive")
+    if not all(0.0 < x < math.inf for x in (omega0, nbar, decoherence_budget)):
+        raise ValueError("feasibility inputs must be positive and finite")
     if regime not in ("cavity", "ion"):
         raise ValueError("regime must be 'cavity' or 'ion'")
     interaction_time = 2.0 * np.pi * math.sqrt(nbar) / omega0

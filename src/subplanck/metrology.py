@@ -14,6 +14,12 @@ to 1/|alpha|^2 through the mapping s = theta |alpha|).
 The exact pipeline evaluates the same overlaps through the Gram algebra
 of `states`; agreement degrades only by the Gaussian envelope e^{-s^2}
 and exponentially small cross terms, both outside the closed form.
+
+Both pipelines are array kernels over the perturbation magnitude: a sweep
+of P points is one (P, M, M) stack of Gram blocks contracted with the
+weights, and one closed-form expression over the P x M(M-1)/2 pair
+phases.  The scalar `exact_overlap`, `approx_overlap` and the first-zero
+refinement are the same kernels at P = 1.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import CoherentSuperposition, displace, inner_product, make_circular_state, mean_excitation, rotate
+from .states import CoherentSuperposition, _gram, displace, make_circular_state, mean_excitation, rotate
 
 __all__ = [
     "PerturbationSpec",
@@ -88,9 +94,20 @@ class PerturbationSpec:
 
     def in_regime(self, alpha_abs: float) -> bool:
         """Validity window: s << 1 for displacements, theta << 1/(2|alpha|)."""
-        if self.kind == DISPLACEMENT:
-            return self.magnitude <= 0.2
-        return self.magnitude * 2.0 * alpha_abs <= 0.2
+        return bool(_in_regime(self.kind, self.magnitude, alpha_abs))
+
+
+def _in_regime(kind: str, magnitudes, alpha_abs: float):
+    """The validity rule of `PerturbationSpec.in_regime`, elementwise over
+    scalar or array magnitudes."""
+    if kind == DISPLACEMENT:
+        return magnitudes <= 0.2
+    return magnitudes * 2.0 * alpha_abs <= 0.2
+
+
+def _direction(pert: PerturbationSpec, alpha: complex | None) -> float | None:
+    """Absolute displacement angle of `pert`; None for rotations."""
+    return None if pert.kind == ROTATION else pert.resolve_direction(alpha)
 
 
 def _pair_coefficients(m: int, phi_rel: float) -> np.ndarray:
@@ -114,14 +131,21 @@ def approx_overlap(m: int, alpha: complex, pert: PerturbationSpec) -> float:
         warnings.warn("perturbation outside closed-form validity regime", OutOfRegimeWarning, stacklevel=2)
     if a_abs < 2.0:
         warnings.warn("closed-form overlap assumes well-separated components (|alpha| >= 2)", OutOfRegimeWarning, stacklevel=2)
-    if pert.kind == ROTATION:
-        s = pert.magnitude * a_abs
+    return float(_approx_overlaps(m, alpha, pert.kind, _direction(pert, alpha), np.array([pert.magnitude]))[0])
+
+
+def _approx_overlaps(m: int, alpha: complex, kind: str, direction: float | None, magnitudes: np.ndarray) -> np.ndarray:
+    """Closed-form overlap at each magnitude; `direction` is the absolute
+    displacement angle (rotations ignore it and map onto s = theta |alpha|)."""
+    a_abs = abs(alpha)
+    if kind == ROTATION:
+        s = magnitudes * a_abs
         phi_rel = np.pi / 2.0
     else:
-        s = pert.magnitude
-        phi_rel = pert.resolve_direction(alpha) - float(np.angle(alpha))
+        s = magnitudes
+        phi_rel = direction - float(np.angle(alpha))
     a_kl = _pair_coefficients(m, phi_rel)
-    return float((m + 2.0 * np.sum(np.cos(2.0 * s * a_kl * a_abs))) / m**2)
+    return (m + 2.0 * np.sum(np.cos(2.0 * np.outer(s, a_kl) * a_abs), axis=1)) / m**2
 
 
 def exact_overlap(state: CoherentSuperposition, pert: PerturbationSpec, alpha: complex | None = None) -> float:
@@ -129,7 +153,26 @@ def exact_overlap(state: CoherentSuperposition, pert: PerturbationSpec, alpha: c
 
     `alpha` is only consulted to resolve a None displacement direction.
     """
-    return abs(inner_product(state, pert.apply(state, alpha))) ** 2
+    return float(_exact_overlaps(state, pert.kind, _direction(pert, alpha), np.array([pert.magnitude]))[0])
+
+
+def _exact_overlaps(target: CoherentSuperposition, kind: str, direction: float | None, magnitudes: np.ndarray) -> np.ndarray:
+    """|<target|U(s_p)|target>|^2 at each magnitude s_p from one stack of
+    Gram blocks.  Row p holds the perturbed ket term-wise: amplitudes
+    e^{i s_p} a_l for rotations; for displacements beta_p = s_p e^{i phi},
+    weights w_l e^{i Im(beta_p conj(a_l))} and amplitudes a_l + beta_p."""
+    w, a = target.weights, target.amplitudes
+    s = magnitudes[:, None]
+    if kind == ROTATION:
+        ket_w, ket_a = w, np.exp(1j * s) * a
+    else:
+        beta = s * np.exp(1j * direction)
+        ket_w, ket_a = w * np.exp(1j * np.imag(beta * np.conj(a))), a + beta
+    # per-row (1, M) @ (M, M) @ (M, 1) products sum in the order of the
+    # unbatched conj(w) @ G @ w', and libm's hypot and pow square the modulus
+    # as abs(z) ** 2 does, so each value is bit-identical to the scalar path
+    amp = (np.conj(w)[None, :] @ _gram(a, ket_a) @ ket_w[..., None])[..., 0, 0]
+    return np.float_power(np.hypot(amp.real, amp.imag), 2)
 
 
 def _enclosing_radius(points: np.ndarray) -> float:
@@ -248,7 +291,7 @@ class OverlapSweep:
             return 0.5 * (lo + hi)
 
         def overlap(mag: float) -> float:
-            return exact_overlap(self.target, PerturbationSpec(self.kind, mag, self.direction))
+            return float(_exact_overlaps(self.target, self.kind, self.direction, np.array([mag]))[0])
 
         return _golden_minimum(overlap, lo, hi, 1e-12)
 
@@ -276,16 +319,14 @@ def overlap_sweep(
     a_abs = abs(alpha)
     if max_magnitude is None:
         max_magnitude = np.pi / (2.0 * a_abs) if kind == DISPLACEMENT else np.pi / (2.0 * a_abs**2)
+    # the grid runs from 0 to the extreme, so checking the extreme checks every point
+    extreme = PerturbationSpec(kind, float(max_magnitude), direction)
     mags = np.linspace(0.0, max_magnitude, n_points)
     target = displace(base, alpha) if kind == ROTATION else base
-    direction = PerturbationSpec(kind, 0.0, direction).resolve_direction(alpha)
-    specs = [PerturbationSpec(kind, float(mag), direction) for mag in mags]
-    exact_vals = np.array([exact_overlap(target, spec) for spec in specs])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OutOfRegimeWarning)
-        approx_vals = np.array([approx_overlap(m, alpha, spec) for spec in specs])
-    regime = np.array([spec.in_regime(a_abs) for spec in specs])
-    return OverlapSweep(kind, direction, mags, exact_vals, approx_vals, regime, target)
+    direction = extreme.resolve_direction(alpha)
+    exact_vals = _exact_overlaps(target, kind, direction, mags)
+    approx_vals = _approx_overlaps(m, alpha, kind, direction, mags)
+    return OverlapSweep(kind, direction, mags, exact_vals, approx_vals, _in_regime(kind, mags, a_abs), target)
 
 
 def locate_first_zero(

@@ -34,9 +34,12 @@ __all__ = [
 
 
 def _gram(bra_amps: np.ndarray, ket_amps: np.ndarray) -> np.ndarray:
-    """Matrix of coherent overlaps G[k, l] = <bra_k|ket_l>."""
+    """Matrix of coherent overlaps G[..., k, l] = <bra_k|ket[..., l]>.
+
+    Leading axes of the ket broadcast: a (P, M) stack of ket amplitudes
+    gives a (P, M, M) stack of Gram blocks, one per row."""
     b = bra_amps[:, None]
-    k = ket_amps[None, :]
+    k = ket_amps[..., None, :]
     return np.exp(-0.5 * (np.abs(b) ** 2 + np.abs(k) ** 2) + np.conj(b) * k)
 
 
@@ -55,13 +58,17 @@ class CoherentSuperposition:
     amplitudes: np.ndarray
 
     def __init__(self, weights, amplitudes):
-        w = np.atleast_1d(np.asarray(weights, dtype=complex))
-        a = np.atleast_1d(np.asarray(amplitudes, dtype=complex))
+        w = np.asarray(weights, dtype=complex)
+        a = np.asarray(amplitudes, dtype=complex)
+        if w.ndim == 0:
+            w = w.reshape(1)
+        if a.ndim == 0:
+            a = a.reshape(1)
         if w.ndim != 1 or a.ndim != 1 or w.shape != a.shape:
             raise ValueError("weights and amplitudes must be equal-length 1-d sequences")
         if w.size < 1:
             raise ValueError("a superposition needs at least one term")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(a))):
+        if not (np.isfinite(w).all() and np.isfinite(a).all()):
             raise ValueError("weights and amplitudes must be finite")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "amplitudes", a)

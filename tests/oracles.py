@@ -13,7 +13,13 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from subplanck.states import coherent_state, default_n_trunc, displace, to_fock
+from subplanck.states import coherent_state, default_n_trunc, displace, inner_product, to_fock
+
+
+def perturbed_overlap(target, spec) -> float:
+    """|<target|U|target>|^2 for one PerturbationSpec: the perturbed state
+    is built term by term and contracted with the 2-d Gram matrix."""
+    return abs(inner_product(target, spec.apply(target))) ** 2
 
 
 def fock_inner(fa, fb) -> complex:

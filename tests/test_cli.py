@@ -297,6 +297,25 @@ class TestDeterminismAndErrors:
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["feasibility", "--omega0", "nan", "--nbar", "20", "--budget", "1"],
+            ["estimate", "--alpha", "0+4i", "--s", "5", "--out", "bad.csv"],
+            ["protocol", "--regime", "dispersive", "--alpha", "0+4i", "--s-max", "0.3", "--points", "0",
+             "--out", "bad.csv"],
+            ["overlap", "--alpha", "0+4i", "--m", "2", "--s-max", "-0.1", "--out", "bad.csv"],
+        ],
+        ids=["feasibility_nan_omega0", "estimate_s_beyond_branch", "protocol_zero_points", "overlap_negative_s_max"],
+    )
+    def test_invalid_input_exits_nonzero(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ")
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_output_mode_follows_umask(self, tmp_path):
         out = tmp_path / "pe.csv"
         previous = os.umask(0o022)

@@ -126,6 +126,16 @@ class TestCalibration:
         c = run_trials(np.pi / 32, 4j, 1000, 8, seed=555)
         np.testing.assert_array_equal(a[:8], c)
 
+    @pytest.mark.parametrize("true_s", [5.0, np.pi / 16 + 1e-9, -1e-3, np.nan])
+    def test_trials_reject_s_off_the_principal_branch(self, true_s):
+        # beyond pi/(4|alpha|) the arccos inversion would alias the shift
+        with pytest.raises(ValueError, match="principal branch"):
+            run_trials(true_s, 4j, 1000, 4, seed=1)
+
+    def test_trials_accept_both_branch_ends(self):
+        assert run_trials(0.0, 4j, 100, 2, seed=1).shape == (2,)
+        assert run_trials(np.pi / 16, 4j, 100, 2, seed=1).shape == (2,)
+
 
 class TestFeasibility:
     def test_cavity_reference_numbers(self):
@@ -153,3 +163,9 @@ class TestFeasibility:
             feasibility(-1.0, 20.0, 1e-3)
         with pytest.raises(ValueError):
             feasibility(1e5, 20.0, 1e-3, regime="atom")
+
+    @pytest.mark.parametrize("inputs", [(np.nan, 20.0, 1e-3), (1e5, np.inf, 1e-3), (1e5, 20.0, np.nan), (np.inf, 20.0, 1e-3)])
+    def test_non_finite_inputs_rejected(self, inputs):
+        # NaN passes a `<= 0` test, so each input must be checked as finite too
+        with pytest.raises(ValueError, match="positive and finite"):
+            feasibility(*inputs)

@@ -1,4 +1,6 @@
+import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +15,10 @@ from subplanck.metrology import (
     overlap_sweep,
     sensitivity_report,
 )
+from subplanck import states
 from subplanck.states import coherent_state, displace, make_circular_state
+
+from oracles import perturbed_overlap
 
 angles = st.floats(min_value=-np.pi, max_value=np.pi)
 
@@ -200,3 +205,57 @@ class TestSweep:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             overlap_sweep(4j, 2, n_points=1)
+
+
+class TestSweepKernel:
+    @given(
+        st.floats(min_value=0.5, max_value=40.0),
+        angles,
+        st.integers(min_value=1, max_value=16),
+        st.sampled_from(["displacement", "rotation"]),
+        st.one_of(st.none(), angles),
+        st.lists(angles, min_size=16, max_size=16),
+        st.floats(min_value=0.1, max_value=3.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_columns_match_per_point_paths(self, radius, phase, m, kind, phi, gammas, span):
+        # the batched Gram stack and closed form against one state, one
+        # inner product and one scalar approx_overlap per magnitude
+        alpha = radius * np.exp(1j * phase)
+        scale = np.pi / (2.0 * radius) if kind == "displacement" else np.pi / (2.0 * radius**2)
+        sweep = overlap_sweep(alpha, m, gammas[:m], kind, phi, span * scale, 17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OutOfRegimeWarning)
+            for mag, exact, approx in zip(sweep.magnitudes, sweep.exact, sweep.approx):
+                spec = PerturbationSpec(kind, float(mag), sweep.direction)
+                assert abs(exact - perturbed_overlap(sweep.target, spec)) <= 1e-13
+                assert abs(approx - approx_overlap(m, alpha, spec)) <= 1e-15
+        assert list(sweep.in_regime) == [PerturbationSpec(kind, float(x)).in_regime(radius) for x in sweep.magnitudes]
+
+    @pytest.mark.parametrize("kind", ["displacement", "rotation"])
+    def test_work_does_not_grow_with_points(self, monkeypatch, kind):
+        # one Gram stack per sweep: the Gram calls and state constructions
+        # are the same at 16 and at 257 points
+        calls = Counter()
+        gram, init = states._gram, states.CoherentSuperposition.__init__
+
+        def counted_gram(*args):
+            calls["gram"] += 1
+            return gram(*args)
+
+        def counted_init(self, *args):
+            calls["state"] += 1
+            init(self, *args)
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("subplanck")]:
+            for name, value in list(vars(module).items()):
+                if value is gram:
+                    monkeypatch.setattr(module, name, counted_gram)
+        monkeypatch.setattr(states.CoherentSuperposition, "__init__", counted_init)
+        counts = []
+        for n_points in (16, 257):
+            calls.clear()
+            overlap_sweep(3 + 1j, 4, None, kind, None, None, n_points)
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert counts[0]["gram"] >= 1
