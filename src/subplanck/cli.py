@@ -112,6 +112,9 @@ def _config_string(args, keys) -> str:
 
 
 def _cmd_wigner(args) -> int:
+    given = [flag is not None for flag in (args.bounds, args.nx, args.ny)]
+    if any(given) and not all(given):
+        raise ValueError("--bounds, --nx and --ny go together: give all three or none")
     base = states.make_circular_state(args.alpha, args.m, _gammas(args.gammas, args.m))
     if args.displace is not None:
         base = states.displace(base, args.displace)
@@ -120,12 +123,10 @@ def _cmd_wigner(args) -> int:
         raise SystemExit("error: --product needs --pert")
 
     sample_states = [base] if pert_state is None else [base, pert_state]
-    if args.nx and args.ny and args.bounds:
-        lo_re, hi_re, lo_im, hi_im = args.bounds
-        amax = max(s.max_amplitude for s in sample_states)
-        grid = wigner.PhaseSpaceGrid(lo_re, hi_re, lo_im, hi_im, args.nx, args.ny, alpha_max=amax)
-    else:
+    if args.bounds is None:
         grid = wigner.auto_grid(*sample_states)
+    else:
+        grid = wigner.PhaseSpaceGrid(*args.bounds, args.nx, args.ny)
     # the fields this command renders: the base, the perturbed state, or both for --product
     rendered = sample_states if args.product or pert_state is None else [pert_state]
     fields = [wigner.wigner_field(state, grid) for state in rendered]
@@ -193,10 +194,7 @@ def _cmd_estimate(args) -> int:
     a_abs = abs(args.alpha)
     true_s = args.s if args.s is not None else np.pi / (8.0 * a_abs)
     counts = estimation.run_trials(true_s, args.alpha, args.repetitions, args.trials, args.seed, args.convention)
-    runs = [
-        estimation.estimate_displacement(int(r), args.repetitions, a_abs, args.convention, seed=args.seed)
-        for r in counts
-    ]
+    runs = [estimation.estimate_displacement(int(r), args.repetitions, a_abs, args.convention) for r in counts]
     estimates = np.array([run.estimate for run in runs])
     mean = float(estimates.mean())
     emp_sigma = float(estimates.std(ddof=1)) if len(runs) > 1 else 0.0
@@ -250,9 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--displace", type=parse_complex, default=None, help="pre-displacement of the state")
     _add_pert_args(p)
     p.add_argument("--product", action="store_true", help="emit the pointwise product of unperturbed and perturbed fields")
-    p.add_argument("--bounds", type=float, nargs=4, default=None, metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"))
-    p.add_argument("--nx", type=int, default=None)
-    p.add_argument("--ny", type=int, default=None)
+    p.add_argument("--bounds", type=float, nargs=4, default=None, metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"),
+                   help="explicit grid bounds; give with --nx and --ny (default: grid sized to the state)")
+    p.add_argument("--nx", type=int, default=None, help="grid points along Re; give with --bounds and --ny")
+    p.add_argument("--ny", type=int, default=None, help="grid points along Im; give with --bounds and --nx")
     p.add_argument("--out", required=True, help="output prefix; writes <out>.csv and <out>.pgm")
     p.set_defaults(func=_cmd_wigner)
 

@@ -1,12 +1,14 @@
 """Readout statistics, the arccos fringe-inversion estimator, and the
 experimental feasibility calculator.
 
-Randomness contract: all sampling uses numpy's PCG64 bit generator seeded
-through SeedSequence, and each binomial count is one exact
-Generator.binomial draw at every R, so no R-sized array is ever formed.
-Trial ensembles derive per-trial generators with SeedSequence.spawn, so
-results are reproducible for a given master seed and independent of
-evaluation order, and a shorter ensemble is a prefix of a longer one.
+Randomness contract: `simulate_readout` is the one sampler.  It draws
+each binomial count as one exact Generator.binomial draw from
+np.random.default_rng(seed), so no R-sized array is ever formed; an int
+seed gives numpy's PCG64 stream seeded through SeedSequence(seed).  Trial
+ensembles spawn one child SeedSequence per trial from the master seed and
+call `simulate_readout` on each child, so results are reproducible for a
+given master seed and independent of evaluation order, and a shorter
+ensemble is a prefix of a longer one.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ class EstimationRun:
     excited_count: int
     estimate: float
     sigma: float
-    alpha_mag: float
-    seed: int | None = None
 
     def __post_init__(self):
         if not (0 <= self.excited_count <= self.repetitions):
@@ -56,13 +56,13 @@ class FeasibilityReport:
 
 
 def simulate_readout(p_e: float, repetitions: int, seed) -> int:
-    """Draw r ~ Binomial(repetitions, p_e) from the seeded generator."""
+    """Draw r ~ Binomial(repetitions, p_e) from np.random.default_rng(seed);
+    `seed` is an int, None or a (spawned) SeedSequence."""
     if not 0.0 <= p_e <= 1.0:
         raise ValueError("p_e must lie in [0, 1]")
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    return int(rng.binomial(repetitions, p_e))
+    return int(np.random.default_rng(seed).binomial(repetitions, p_e))
 
 
 def theory_sigma(repetitions: int, alpha_mag: float) -> float:
@@ -75,7 +75,6 @@ def estimate_displacement(
     repetitions: int,
     alpha_mag: float,
     convention: str = "dispersive",
-    seed: int | None = None,
 ) -> EstimationRun:
     """Invert the fringe probability on the principal arccos branch.
 
@@ -99,8 +98,6 @@ def estimate_displacement(
         excited_count=excited_count,
         estimate=s_hat,
         sigma=theory_sigma(repetitions, alpha_mag),
-        alpha_mag=alpha_mag,
-        seed=seed,
     )
 
 
@@ -115,7 +112,8 @@ def run_trials(
     """Excited counts for n_trials independent full pipelines.
 
     The protocol's excited-state probability is computed once; each trial
-    then samples its binomial readout from a spawned sub-generator.  true_s
+    then draws its count with `simulate_readout` from its own child of
+    SeedSequence(seed).spawn(n_trials).  true_s
     must lie on the principal branch [0, pi/(4|alpha|)], the only range the
     arccos inversion can return, so no larger shift is silently aliased.
     """
@@ -126,10 +124,7 @@ def run_trials(
     fringe = dispersive_protocol if convention == "dispersive" else resonant_protocol
     p_e = fringe(alpha, PerturbationSpec(DISPLACEMENT, true_s)).p_e
     children = np.random.SeedSequence(seed).spawn(n_trials)
-    counts = np.empty(n_trials, dtype=np.int64)
-    for i, child in enumerate(children):
-        counts[i] = np.random.Generator(np.random.PCG64(child)).binomial(repetitions, p_e)
-    return counts
+    return np.array([simulate_readout(p_e, repetitions, child) for child in children], dtype=np.int64)
 
 
 def estimator_calibration(

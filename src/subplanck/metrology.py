@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import CoherentSuperposition, _gram, displace, make_circular_state, mean_excitation, rotate
+from .states import CoherentSuperposition, _gram, _moved_terms, displace, make_circular_state, mean_excitation, rotate
 
 __all__ = [
     "PerturbationSpec",
@@ -158,16 +158,15 @@ def exact_overlap(state: CoherentSuperposition, pert: PerturbationSpec, alpha: c
 
 def _exact_overlaps(target: CoherentSuperposition, kind: str, direction: float | None, magnitudes: np.ndarray) -> np.ndarray:
     """|<target|U(s_p)|target>|^2 at each magnitude s_p from one stack of
-    Gram blocks.  Row p holds the perturbed ket term-wise: amplitudes
-    e^{i s_p} a_l for rotations; for displacements beta_p = s_p e^{i phi},
-    weights w_l e^{i Im(beta_p conj(a_l))} and amplitudes a_l + beta_p."""
+    Gram blocks.  Row p holds the ket R(s_p)|target> for rotations and
+    D(s_p e^{i phi})|target> for displacements, built term-wise by the
+    same code as `states.rotate` and `states.displace`."""
     w, a = target.weights, target.amplitudes
     s = magnitudes[:, None]
     if kind == ROTATION:
-        ket_w, ket_a = w, np.exp(1j * s) * a
+        ket_w, ket_a = _moved_terms(w, a, theta=s)
     else:
-        beta = s * np.exp(1j * direction)
-        ket_w, ket_a = w * np.exp(1j * np.imag(beta * np.conj(a))), a + beta
+        ket_w, ket_a = _moved_terms(w, a, beta=s * np.exp(1j * direction))
     # per-row (1, M) @ (M, M) @ (M, 1) products sum in the order of the
     # unbatched conj(w) @ G @ w', and libm's hypot and pow square the modulus
     # as abs(z) ** 2 does, so each value is bit-identical to the scalar path

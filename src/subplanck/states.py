@@ -122,15 +122,27 @@ def make_circular_state(alpha: complex, m: int, gammas) -> CoherentSuperposition
     return CoherentSuperposition(weights, amps).normalized()
 
 
+def _moved_terms(weights: np.ndarray, amplitudes: np.ndarray, theta=None, beta=None):
+    """Term-wise (weights, amplitudes) of R(theta)|psi>, or of D(beta)|psi>
+    when `beta` is given: R(theta)|a> = |e^{i theta} a> and
+    D(beta)|a> = e^{i Im(beta conj(a))} |a + beta>.
+
+    theta and beta broadcast against the term axis: a (P, 1) column gives
+    P moved kets as (P, M) rows (a rotation keeps the (M,) weights, which
+    every row shares)."""
+    if beta is None:
+        return weights, np.exp(1j * theta) * amplitudes
+    return weights * np.exp(1j * np.imag(beta * np.conj(amplitudes))), amplitudes + beta
+
+
 def displace(state: CoherentSuperposition, beta: complex) -> CoherentSuperposition:
     """Apply D(beta) term-wise: D(beta)|a> = e^{i Im(beta conj(a))} |a + beta>."""
-    phases = np.exp(1j * np.imag(beta * np.conj(state.amplitudes)))
-    return CoherentSuperposition(state.weights * phases, state.amplitudes + beta)
+    return CoherentSuperposition(*_moved_terms(state.weights, state.amplitudes, beta=beta))
 
 
 def rotate(state: CoherentSuperposition, theta: float) -> CoherentSuperposition:
     """Apply R(theta) = e^{i theta n} term-wise: |a> -> |e^{i theta} a>."""
-    return CoherentSuperposition(state.weights, np.exp(1j * theta) * state.amplitudes)
+    return CoherentSuperposition(*_moved_terms(state.weights, state.amplitudes, theta=theta))
 
 
 def inner_product(a: CoherentSuperposition, b: CoherentSuperposition) -> complex:

@@ -109,9 +109,9 @@ def cross_wigner(alpha_k: complex, alpha_l: complex, point) -> complex:
 class PhaseSpaceGrid:
     """Rectangular sampling grid for the complex plane.
 
-    `alpha_max`, when provided, records the largest coherent amplitude the
-    grid is meant to resolve; `fringe_resolved` then reports whether the
-    step obeys h <= pi / (8 alpha_max).
+    The grid holds only its bounds and point counts.  `resolves(a)` reports
+    whether the step obeys h <= pi / (8 a) for a largest coherent
+    amplitude a; `wigner_field` asks it about the state it samples.
     """
 
     re_min: float
@@ -120,7 +120,6 @@ class PhaseSpaceGrid:
     im_max: float
     nx: int
     ny: int
-    alpha_max: float | None = None
 
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
@@ -141,12 +140,6 @@ class PhaseSpaceGrid:
         hx = (self.re_max - self.re_min) / (self.nx - 1)
         hy = (self.im_max - self.im_min) / (self.ny - 1)
         return max(hx, hy)
-
-    @property
-    def fringe_resolved(self) -> bool | None:
-        if self.alpha_max is None:
-            return None
-        return self.resolves(self.alpha_max)
 
     def resolves(self, alpha_max: float) -> bool:
         if alpha_max <= 0.0:
@@ -212,7 +205,7 @@ def auto_grid(*states: CoherentSuperposition, pad: float = 4.0) -> PhaseSpaceGri
         n = int(math.ceil((hi - lo) / h)) + 1
         return n + 1 if n % 2 == 0 else n
 
-    return PhaseSpaceGrid(re_lo, re_hi, im_lo, im_hi, _count(re_lo, re_hi), _count(im_lo, im_hi), alpha_max=a_max)
+    return PhaseSpaceGrid(re_lo, re_hi, im_lo, im_hi, _count(re_lo, re_hi), _count(im_lo, im_hi))
 
 
 def _axis_factors(points: np.ndarray, centres: np.ndarray, wavenumbers: np.ndarray) -> np.ndarray:

@@ -117,6 +117,25 @@ class TestWignerCommand:
         with pytest.raises(SystemExit):
             main(["wigner", "--alpha", "0+4i", "--m", "4", "--product", "--out", str(tmp_path / "x")])
 
+    @pytest.mark.parametrize(
+        "grid_args",
+        [
+            ["--bounds", "-1", "1", "-1", "1"],
+            ["--nx", "11", "--ny", "11"],
+            ["--nx", "0", "--ny", "0", "--bounds", "-1", "1", "-1", "1"],
+        ],
+        ids=["bounds_without_counts", "counts_without_bounds", "zero_counts"],
+    )
+    def test_explicit_grid_is_all_or_none(self, tmp_path, capsys, grid_args):
+        # a partial or invalid explicit grid is an error, never a silent
+        # fall-back to the auto grid
+        argv = ["wigner", "--alpha", "0+2i", "--m", "2", *grid_args, "--out", str(tmp_path / "a")]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ")
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestOverlapCommand:
     def test_cat_fringe_zeros(self, tmp_path):

@@ -1,0 +1,108 @@
+"""Static checks that keep dead code out of the package: every import is
+used in its module, and every module-level `_private` definition is
+referenced somewhere in the package outside its own body."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "subplanck"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """Names listed in a module-level `__all__`."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets):
+            return {elt.value for elt in stmt.value.elts}
+    return set()
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by an import that the module never reads or exports."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= _exported(tree)
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read:
+                    unused.append(bound)
+    return unused
+
+
+def _private_names(stmt: ast.stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, ast.Assign):
+        names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        names = [stmt.target.id]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _references(stmt: ast.stmt) -> set[str]:
+    """Identifiers a statement reads: bare names, attribute names (as in
+    `states._gram`) and names imported from another module."""
+    refs = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def unreferenced_privates(trees: dict[str, ast.Module]) -> list[str]:
+    """`module: name` for each module-level private definition that no other
+    top-level statement of the package references."""
+    statements = [(module, stmt, _references(stmt)) for module, tree in trees.items() for stmt in tree.body]
+    dead = []
+    for module, stmt, _ in statements:
+        for name in _private_names(stmt):
+            if not any(name in refs for _, other, refs in statements if other is not stmt):
+                dead.append(f"{module}: {name}")
+    return dead
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(_parse(path)) == []
+
+
+def test_every_private_definition_is_referenced():
+    assert unreferenced_privates({path.name: _parse(path) for path in MODULES}) == []
+
+
+def test_checks_catch_dead_code():
+    # the checks themselves must fire: an unused import, a private helper
+    # referenced only by itself, and a private constant nobody reads
+    source = ast.parse(
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import numpy as np\n"
+        "from .states import _gram, displace\n"
+        "__all__ = ['displace']\n"
+        "_UNUSED = 1.0\n"
+        "_USED = 2.0\n"
+        "def _recursive(n):\n"
+        "    return _recursive(n - 1) if n else _USED\n"
+        "def _used(x):\n"
+        "    return np.sqrt(x)\n"
+        "def public(x):\n"
+        "    return _used(x)\n"
+    )
+    assert unused_imports(source) == ["math", "_gram"]
+    assert unreferenced_privates({"m.py": source}) == ["m.py: _UNUSED", "m.py: _recursive"]

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +14,7 @@ from subplanck.estimation import (
     simulate_readout,
     theory_sigma,
 )
-from subplanck.protocol import dispersive_protocol
+from subplanck.protocol import dispersive_protocol, resonant_protocol
 from subplanck.metrology import PerturbationSpec
 
 
@@ -45,6 +48,21 @@ class TestSimulateReadout:
         with pytest.raises(ValueError):
             simulate_readout(0.5, 0, 0)
 
+    def test_int_seed_draws_the_seed_sequence_pcg64_stream(self):
+        for seed in (0, 7, 2**40 + 3):
+            ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+            assert simulate_readout(0.37, 20_000, seed) == ref.binomial(20_000, 0.37)
+
+    @pytest.mark.parametrize("convention, protocol", [("dispersive", dispersive_protocol), ("resonant", resonant_protocol)])
+    def test_spawned_children_reproduce_run_trials(self, convention, protocol):
+        # run_trials draws trial i with simulate_readout from child i of the
+        # master SeedSequence, so one child replays one trial
+        alpha, true_s, repetitions, n = 2 - 3j, 0.05, 4000, 12
+        counts = run_trials(true_s, alpha, repetitions, n, 321, convention)
+        p_e = protocol(alpha, PerturbationSpec("displacement", true_s)).p_e
+        children = np.random.SeedSequence(321).spawn(n)
+        assert [simulate_readout(p_e, repetitions, child) for child in children] == counts.tolist()
+
 
 class TestEstimateDisplacement:
     def test_zero_count_gives_zero(self):
@@ -69,7 +87,7 @@ class TestEstimateDisplacement:
         with pytest.raises(ValueError):
             estimate_displacement(11, 10, 4.0)
         with pytest.raises(ValueError):
-            EstimationRun(10, 11, 0.0, 1.0, 4.0)
+            EstimationRun(10, 11, 0.0, 1.0)
 
     @given(
         st.floats(min_value=0.15, max_value=0.85),
@@ -169,3 +187,18 @@ class TestFeasibility:
         # NaN passes a `<= 0` test, so each input must be checked as finite too
         with pytest.raises(ValueError, match="positive and finite"):
             feasibility(*inputs)
+
+
+def test_estimator_scaling_script_runs(capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "estimator_scaling.py"
+    spec = importlib.util.spec_from_file_location("estimator_scaling", script)
+    scaling = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scaling)
+    assert scaling.run([4.0, 16.0], 100, 8, 3) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # settings, column header, one row per nbar, fitted exponent
+    assert len(lines) == 5
+    assert lines[0] == "R = 100, trials = 8, seed = 3"
+    assert [float(row.split()[0]) for row in lines[2:4]] == [4.0, 16.0]
+    assert np.all(np.isfinite([float(v) for row in lines[2:4] for v in row.split()]))
+    assert lines[4].startswith("fitted sigma ~ nbar^x exponent: x = ")

@@ -81,18 +81,18 @@ class TestGrid:
             PhaseSpaceGrid(2, 1, 0, 1, 8, 8)
 
     def test_fringe_resolution_flag(self):
-        g = PhaseSpaceGrid(-8, 8, -8, 8, 65, 65, alpha_max=4.0)
-        assert g.fringe_resolved is False
-        g2 = PhaseSpaceGrid(-8, 8, -8, 8, 513, 513, alpha_max=4.0)
-        assert g2.fringe_resolved is True
-        assert PhaseSpaceGrid(-1, 1, -1, 1, 4, 4).fringe_resolved is None
+        g = PhaseSpaceGrid(-8, 8, -8, 8, 65, 65)
+        assert g.resolves(4.0) is False
+        g2 = PhaseSpaceGrid(-8, 8, -8, 8, 513, 513)
+        assert g2.resolves(4.0) is True
+        assert PhaseSpaceGrid(-1, 1, -1, 1, 4, 4).resolves(0.0) is True
 
     def test_auto_grid_covers_and_resolves(self):
         cat = make_circular_state(4j, 2, [0.0, 0.0])
         g = auto_grid(cat)
         assert g.re_min <= -4 and g.re_max >= 4
         assert g.im_min <= -8 and g.im_max >= 8
-        assert g.fringe_resolved
+        assert g.resolves(cat.max_amplitude)
         assert g.nx % 2 == 1 and g.ny % 2 == 1
 
 
@@ -140,7 +140,7 @@ class TestWignerField:
 
     def test_underresolved_marker(self):
         cat = make_circular_state(4j, 2, [0.0, 0.0])
-        coarse = PhaseSpaceGrid(-8, 8, -10, 10, 33, 33, alpha_max=4.0)
+        coarse = PhaseSpaceGrid(-8, 8, -10, 10, 33, 33)
         with pytest.warns(UnderresolvedGridWarning):
             f = wigner_field(cat, coarse)
         assert f.underresolved
