@@ -129,9 +129,8 @@ def _cmd_wigner(args) -> int:
         grid = wigner.PhaseSpaceGrid(*args.bounds, args.nx, args.ny)
     # the fields this command renders: the base, the perturbed state, or both for --product
     rendered = sample_states if args.product or pert_state is None else [pert_state]
+    # an under-resolved field reports itself once, as an UnderresolvedGridWarning
     fields = [wigner.wigner_field(state, grid) for state in rendered]
-    if any(field.underresolved for field in fields):
-        print("warning: grid under-resolves the interference fringes", file=sys.stderr)
     if args.product:
         out_values = fields[0].values * fields[1].values
         integral = wigner.phase_space_overlap(*fields)
@@ -194,14 +193,13 @@ def _cmd_estimate(args) -> int:
     a_abs = abs(args.alpha)
     true_s = args.s if args.s is not None else np.pi / (8.0 * a_abs)
     counts = estimation.run_trials(true_s, args.alpha, args.repetitions, args.trials, args.seed, args.convention)
-    runs = [estimation.estimate_displacement(int(r), args.repetitions, a_abs, args.convention) for r in counts]
-    estimates = np.array([run.estimate for run in runs])
+    estimates = estimation.estimate_displacement(counts, args.repetitions, a_abs, args.convention)
     mean = float(estimates.mean())
-    emp_sigma = float(estimates.std(ddof=1)) if len(runs) > 1 else 0.0
+    emp_sigma = float(estimates.std(ddof=1)) if estimates.size > 1 else 0.0
     theory = estimation.theory_sigma(args.repetitions, a_abs)
     summary = f"summary mean={_fmt(mean)} empirical_sigma={_fmt(emp_sigma)} theory_sigma={_fmt(theory)}"
     config = _config_string(args, ["alpha", "s", "repetitions", "trials", "seed", "convention"])
-    columns = [np.arange(len(runs)), counts, estimates]
+    columns = [np.arange(estimates.size), counts, estimates]
     _atomic_write(args.out, _csv_bytes(config, ["trial", "r", "s_tilde"], columns, trailing_comments=[summary]))
     print(summary)
     return 0

@@ -1,6 +1,10 @@
 """Readout statistics, the arccos fringe-inversion estimator, and the
 experimental feasibility calculator.
 
+`estimate_displacement` inverts a whole array of excited counts in one
+call and returns one estimate per count; its quoted width is
+`theory_sigma`.
+
 Randomness contract: `simulate_readout` is the one sampler.  It draws
 each binomial count as one exact Generator.binomial draw from
 np.random.default_rng(seed), so no R-sized array is ever formed; an int
@@ -22,7 +26,6 @@ from .metrology import DISPLACEMENT, PerturbationSpec
 from .protocol import dispersive_protocol, resonant_protocol
 
 __all__ = [
-    "EstimationRun",
     "FeasibilityReport",
     "simulate_readout",
     "estimate_displacement",
@@ -31,20 +34,6 @@ __all__ = [
     "feasibility",
     "theory_sigma",
 ]
-
-@dataclass(frozen=True)
-class EstimationRun:
-    """One estimation experiment: R repetitions, r excited outcomes, the
-    inverted estimate and its quoted uncertainty."""
-
-    repetitions: int
-    excited_count: int
-    estimate: float
-    sigma: float
-
-    def __post_init__(self):
-        if not (0 <= self.excited_count <= self.repetitions):
-            raise ValueError("excited_count must lie in [0, repetitions]")
 
 
 @dataclass(frozen=True)
@@ -71,34 +60,31 @@ def theory_sigma(repetitions: int, alpha_mag: float) -> float:
 
 
 def estimate_displacement(
-    excited_count: int,
+    counts,
     repetitions: int,
     alpha_mag: float,
     convention: str = "dispersive",
-) -> EstimationRun:
-    """Invert the fringe probability on the principal arccos branch.
+) -> np.ndarray:
+    """Invert the fringe probability on the principal arccos branch, one
+    estimate per excited count in `counts` (a count or a sequence of them).
 
     The dispersive fringe P_e = [1 - cos(4|alpha|s)]/2 inverts as
     s = arccos(1 - 2 r/R) / (4 |alpha|); the resonant fringe
     P_e = [1 + cos(4|alpha|s)]/2 pairs with arccos(2 r/R - 1).  The
     frequency ratio is clamped to [-1, 1] to absorb floating-point spill
-    at the fringe extremes.
+    at the fringe extremes.  Each arccos is libm's `math.acos`, so the
+    estimates do not depend on numpy's vectorized arccos.
     """
+    counts = np.atleast_1d(counts)
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    if excited_count > repetitions:
-        raise ValueError("excited_count exceeds repetitions")
+    if not np.all((counts >= 0) & (counts <= repetitions)):
+        raise ValueError("excited counts must lie in [0, repetitions]")
     if convention not in ("dispersive", "resonant"):
         raise ValueError("convention must be 'dispersive' or 'resonant'")
-    xi = excited_count / repetitions
-    arg = 1.0 - 2.0 * xi if convention == "dispersive" else 2.0 * xi - 1.0
-    s_hat = math.acos(min(max(arg, -1.0), 1.0)) / (4.0 * alpha_mag)
-    return EstimationRun(
-        repetitions=repetitions,
-        excited_count=excited_count,
-        estimate=s_hat,
-        sigma=theory_sigma(repetitions, alpha_mag),
-    )
+    xi = counts / repetitions
+    arg = np.clip(1.0 - 2.0 * xi if convention == "dispersive" else 2.0 * xi - 1.0, -1.0, 1.0)
+    return np.array([math.acos(x) for x in arg.tolist()]) / (4.0 * alpha_mag)
 
 
 def run_trials(
@@ -119,6 +105,8 @@ def run_trials(
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    if convention not in ("dispersive", "resonant"):
+        raise ValueError("convention must be 'dispersive' or 'resonant'")
     if not 0.0 <= true_s <= math.pi / (4.0 * abs(alpha)):
         raise ValueError("true_s must lie on the principal branch [0, pi/(4|alpha|)]")
     fringe = dispersive_protocol if convention == "dispersive" else resonant_protocol
@@ -141,9 +129,7 @@ def estimator_calibration(
     if not 0.0 < true_s < np.pi / (4.0 * a_abs):
         raise ValueError("true_s must lie strictly inside the principal branch")
     counts = run_trials(true_s, alpha, repetitions, n_trials, seed, convention)
-    estimates = np.array(
-        [estimate_displacement(int(r), repetitions, a_abs, convention).estimate for r in counts]
-    )
+    estimates = estimate_displacement(counts, repetitions, a_abs, convention)
     return float(estimates.mean() - true_s), float(estimates.std(ddof=1))
 
 

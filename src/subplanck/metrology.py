@@ -19,7 +19,7 @@ Both pipelines are array kernels over the perturbation magnitude: a sweep
 of P points is one (P, M, M) stack of Gram blocks contracted with the
 weights, and one closed-form expression over the P x M(M-1)/2 pair
 phases.  The scalar `exact_overlap`, `approx_overlap` and the first-zero
-refinement are the same kernels at P = 1.
+search are the same kernels at P = 1.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import CoherentSuperposition, _gram, _moved_terms, displace, make_circular_state, mean_excitation, rotate
+from .states import CoherentSuperposition, _gram, _moved_terms, displace, make_circular_state, mean_excitation
 
 __all__ = [
     "PerturbationSpec",
@@ -85,12 +85,15 @@ class PerturbationSpec:
             raise ValueError("direction is unset and no reference amplitude was given")
         return float(np.angle(alpha) + np.pi / 2.0)
 
+    def moved_terms(self, weights: np.ndarray, amplitudes: np.ndarray, alpha: complex | None = None):
+        """Term-wise U_pert on (weights, amplitudes): R(magnitude) for
+        rotations, D(beta(alpha)) for displacements; `alpha` only resolves a
+        None direction.  Leading rows of `weights` share the amplitudes."""
+        return _perturbed_terms(self.kind, self.magnitude, _direction(self, alpha), weights, amplitudes)
+
     def apply(self, state: CoherentSuperposition, alpha: complex | None = None) -> CoherentSuperposition:
-        """U_pert|state>: R(magnitude) for rotations, D(beta(alpha)) for
-        displacements; `alpha` only resolves a None direction."""
-        if self.kind == ROTATION:
-            return rotate(state, self.magnitude)
-        return displace(state, self.beta(alpha))
+        """U_pert|state>, built by `moved_terms`."""
+        return CoherentSuperposition(*self.moved_terms(state.weights, state.amplitudes, alpha))
 
     def in_regime(self, alpha_abs: float) -> bool:
         """Validity window: s << 1 for displacements, theta << 1/(2|alpha|)."""
@@ -108,6 +111,15 @@ def _in_regime(kind: str, magnitudes, alpha_abs: float):
 def _direction(pert: PerturbationSpec, alpha: complex | None) -> float | None:
     """Absolute displacement angle of `pert`; None for rotations."""
     return None if pert.kind == ROTATION else pert.resolve_direction(alpha)
+
+
+def _perturbed_terms(kind: str, magnitude, direction: float | None, weights: np.ndarray, amplitudes: np.ndarray):
+    """The one R(theta)-or-D(beta) dispatch: R(magnitude) for rotations,
+    D(magnitude e^{i direction}) for displacements, term-wise through
+    `states._moved_terms`, so magnitude broadcasts the same way."""
+    if kind == ROTATION:
+        return _moved_terms(weights, amplitudes, theta=magnitude)
+    return _moved_terms(weights, amplitudes, beta=magnitude * np.exp(1j * direction))
 
 
 def _pair_coefficients(m: int, phi_rel: float) -> np.ndarray:
@@ -160,53 +172,14 @@ def _exact_overlaps(target: CoherentSuperposition, kind: str, direction: float |
     """|<target|U(s_p)|target>|^2 at each magnitude s_p from one stack of
     Gram blocks.  Row p holds the ket R(s_p)|target> for rotations and
     D(s_p e^{i phi})|target> for displacements, built term-wise by the
-    same code as `states.rotate` and `states.displace`."""
+    same code as `PerturbationSpec.apply`."""
     w, a = target.weights, target.amplitudes
-    s = magnitudes[:, None]
-    if kind == ROTATION:
-        ket_w, ket_a = _moved_terms(w, a, theta=s)
-    else:
-        ket_w, ket_a = _moved_terms(w, a, beta=s * np.exp(1j * direction))
+    ket_w, ket_a = _perturbed_terms(kind, magnitudes[:, None], direction, w, a)
     # per-row (1, M) @ (M, M) @ (M, 1) products sum in the order of the
     # unbatched conj(w) @ G @ w', and libm's hypot and pow square the modulus
     # as abs(z) ** 2 does, so each value is bit-identical to the scalar path
     amp = (np.conj(w)[None, :] @ _gram(a, ket_a) @ ket_w[..., None])[..., 0, 0]
     return np.float_power(np.hypot(amp.real, amp.imag), 2)
-
-
-def _enclosing_radius(points: np.ndarray) -> float:
-    """Radius of the smallest disk containing all points (center free)."""
-    pts = np.unique(np.round(points, 12))
-    if pts.size == 1:
-        return 0.0
-
-    def covers(c, r):
-        return bool(np.all(np.abs(pts - c) <= r + 1e-9))
-
-    best = math.inf
-    for i in range(pts.size):
-        for j in range(i + 1, pts.size):
-            c = (pts[i] + pts[j]) / 2.0
-            r = abs(pts[i] - pts[j]) / 2.0
-            if r < best and covers(c, r):
-                best = r
-            for k in range(j + 1, pts.size):
-                c3 = _circumcenter(pts[i], pts[j], pts[k])
-                if c3 is None:
-                    continue
-                r3 = abs(pts[i] - c3)
-                if r3 < best and covers(c3, r3):
-                    best = r3
-    return float(best)
-
-
-def _circumcenter(a: complex, b: complex, c: complex) -> complex | None:
-    d = 2.0 * ((a.real - c.real) * (b.imag - c.imag) - (b.real - c.real) * (a.imag - c.imag))
-    if abs(d) < 1e-12:
-        return None
-    ux = (abs(a) ** 2 - abs(c) ** 2) * (b.imag - c.imag) - (abs(b) ** 2 - abs(c) ** 2) * (a.imag - c.imag)
-    uy = (abs(b) ** 2 - abs(c) ** 2) * (a.real - c.real) - (abs(a) ** 2 - abs(c) ** 2) * (b.real - c.real)
-    return complex(ux / d, uy / d)
 
 
 @dataclass(frozen=True)
@@ -224,9 +197,12 @@ class SensitivityReport:
 
 def sensitivity_report(state: CoherentSuperposition) -> SensitivityReport:
     """SQL vs Heisenberg scales for the state's energy, and the sub-unit
-    interference-cell area a = 1/A from the bounding disk of amplitudes."""
+    interference-cell area a = 1/A with A = max(r, 1)^2 and r the largest
+    distance max_k |a_k - mean(a)| of an amplitude from their centroid.
+    r bounds the smallest enclosing disk's radius from above and equals it
+    for uniform circles, displaced circles and coherent states."""
     nbar = max(mean_excitation(state), 1.0)
-    r_disk = _enclosing_radius(state.amplitudes)
+    r_disk = float(np.max(np.abs(state.amplitudes - state.amplitudes.mean())))
     action = max(r_disk, 1.0) ** 2
     return SensitivityReport(
         support_action=action,
@@ -275,10 +251,10 @@ class OverlapSweep:
     in_regime: np.ndarray
     target: CoherentSuperposition = field(compare=False)
 
-    def first_fringe_zero(self, refine: bool = True) -> float:
+    def first_fringe_zero(self) -> float:
         """First overlap minimum, bracketed by the half-crossings of the
-        exact curve and optionally polished by a golden-section search of
-        the exact overlap down to a bracket of 1e-12."""
+        exact curve and polished by a golden-section search of the exact
+        overlap down to a bracket of 1e-12."""
         below = self.exact < 0.5
         if not below.any():
             raise ValueError("sweep never crosses overlap = 1/2; extend the range")
@@ -286,8 +262,6 @@ class OverlapSweep:
         after = i0 + int(np.argmax(~below[i0:])) if (~below[i0:]).any() else self.magnitudes.size - 1
         lo = float(self.magnitudes[max(i0 - 1, 0)])
         hi = float(self.magnitudes[after])
-        if not refine:
-            return 0.5 * (lo + hi)
 
         def overlap(mag: float) -> float:
             return float(_exact_overlaps(self.target, self.kind, self.direction, np.array([mag]))[0])
@@ -340,4 +314,4 @@ def locate_first_zero(
     it between half-crossings and a golden-section search narrows the
     bracket to 1e-12."""
     sweep = overlap_sweep(alpha, m, gammas, kind, direction, max_magnitude=search_max, n_points=257)
-    return sweep.first_fringe_zero(refine=True)
+    return sweep.first_fringe_zero()

@@ -3,8 +3,11 @@ level populations.
 
 The generic strategy evolves |level, alpha> under a composable unitary
 sequence U, applies the perturbation to the oscillator alone, undoes U,
-and reports P_e of the final entangled state.  Two named protocols
-implement the idealized algebra in closed form:
+and reports P_e of the final entangled state.  It holds one joint state:
+K coherent amplitudes shared by both TLS branches and a (2, K) weight
+array whose rows are the |e> and |g> branches.  Only the conditional
+phase adds terms, so K <= 4^c for c conditional phases.  Two named
+protocols implement the idealized algebra in closed form:
 
 * dispersive: pi/2 pulse, then a level-conditioned pi phase of the field
   (the operational content of the far-detuned interaction with the pulse
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrology import ROTATION, OutOfRegimeWarning, PerturbationSpec
-from .states import CoherentSuperposition, FockVector, coherent_state, displace, inner_product, rotate, vacuum
+from .states import CoherentSuperposition, FockVector, _gram, _moved_terms, coherent_state, fidelity, vacuum
 
 __all__ = [
     "HybridState",
@@ -85,9 +88,15 @@ class HybridState:
 @dataclass(frozen=True)
 class ProtocolResult:
     final: HybridState
-    p_e: float
-    p_g: float
     intermediate: HybridState | None = None
+
+    @property
+    def p_e(self) -> float:
+        return self.final.p_e
+
+    @property
+    def p_g(self) -> float:
+        return self.final.p_g
 
 
 @dataclass(frozen=True)
@@ -150,7 +159,7 @@ def dispersive_protocol(alpha: complex, pert: PerturbationSpec) -> ProtocolResul
         intermediate = HybridState(inv_sqrt2, coherent_state(2.0 * alpha), inv_sqrt2, vacuum())
     else:
         intermediate = HybridState(inv_sqrt2, coherent_state(alpha), inv_sqrt2, coherent_state(-alpha))
-    return ProtocolResult(final=final, p_e=final.p_e, p_g=final.p_g, intermediate=intermediate)
+    return ProtocolResult(final=final, intermediate=intermediate)
 
 
 def resonant_protocol(alpha: complex, pert: PerturbationSpec, dt_fraction: float = 1.0) -> ProtocolResult:
@@ -189,76 +198,45 @@ def resonant_protocol(alpha: complex, pert: PerturbationSpec, dt_fraction: float
         ).normalized()
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
         intermediate = HybridState(-1j * inv_sqrt2, cat, b * inv_sqrt2, cat)
-    return ProtocolResult(final=final, p_e=final.p_e, p_g=final.p_g, intermediate=intermediate)
+    return ProtocolResult(final=final, intermediate=intermediate)
 
 
 # --- generic composable strategy ------------------------------------------
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# pi/2 pulse on the (|e>, |g>) rows of the joint weights; its inverse is the transpose
+_PI_HALF = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
 
 
-def _consolidate(state: CoherentSuperposition) -> CoherentSuperposition:
-    """Merge identical amplitudes and drop cancelled terms."""
-    amps: list[complex] = []
-    weights: list[complex] = []
-    for w, a in zip(state.weights, state.amplitudes):
-        for i, b in enumerate(amps):
-            if abs(a - b) < 1e-12:
-                weights[i] += w
-                break
-        else:
-            amps.append(complex(a))
-            weights.append(complex(w))
-    keep = [(w, a) for w, a in zip(weights, amps) if abs(w) > 1e-14]
-    if not keep:
-        return CoherentSuperposition([0.0], [0.0])
-    return CoherentSuperposition([w for w, _ in keep], [a for _, a in keep])
-
-
-def _add(s1: CoherentSuperposition, c1: complex, s2: CoherentSuperposition, c2: complex) -> CoherentSuperposition:
-    weights = np.concatenate([c1 * s1.weights, c2 * s2.weights])
-    amps = np.concatenate([s1.amplitudes, s2.amplitudes])
-    return _consolidate(CoherentSuperposition(weights, amps))
-
-
-def _apply_op(branch_e: CoherentSuperposition, branch_g: CoherentSuperposition, op: tuple, inverse: bool):
-    """One step of the composable set on unnormalized branch vectors."""
-    name = op[0]
+def _apply_op(w: np.ndarray, a: np.ndarray, op: tuple, inverse: bool) -> tuple[np.ndarray, np.ndarray]:
+    """One step of the composable set on the joint state sum_k w[0, k] |e, a_k>
+    + w[1, k] |g, a_k>: (2, K) weights over K shared amplitudes."""
+    name = op[0] if len(op) else None
     if name == "pi_half":
-        if inverse:
-            new_e = _add(branch_e, _INV_SQRT2, branch_g, -_INV_SQRT2)
-            new_g = _add(branch_e, _INV_SQRT2, branch_g, _INV_SQRT2)
-        else:
-            new_e = _add(branch_e, _INV_SQRT2, branch_g, _INV_SQRT2)
-            new_g = _add(branch_e, -_INV_SQRT2, branch_g, _INV_SQRT2)
-        return new_e, new_g
-    if name == "conditional_phase":
-        return branch_e, rotate(branch_g, np.pi)
-    if name == "displace":
-        beta = -op[1] if inverse else op[1]
-        return displace(branch_e, beta), displace(branch_g, beta)
-    if name == "rotate":
-        theta = -op[1] if inverse else op[1]
-        return rotate(branch_e, theta), rotate(branch_g, theta)
+        return (_PI_HALF.T if inverse else _PI_HALF) @ w, a
     if name == "sigma_z":
-        return branch_e, CoherentSuperposition(-branch_g.weights, branch_g.amplitudes)
-    raise ValueError(f"unknown unitary descriptor {name!r}")
+        return w * [[1.0], [-1.0]], a
+    if name == "conditional_phase":
+        # R(pi) on the |g> branch only: |a> -> |-a>, so the terms double
+        zero = np.zeros_like(w[0])
+        return np.block([[w[0], zero], [zero, w[1]]]), np.concatenate([a, -a])
+    if name == "displace":
+        return _moved_terms(w, a, beta=-op[1] if inverse else op[1])
+    if name == "rotate":
+        return _moved_terms(w, a, theta=-op[1] if inverse else op[1])
+    raise ValueError(f"unknown or empty unitary descriptor {op!r}")
 
 
-def _normalize_op(op) -> tuple:
-    if isinstance(op, str):
-        return (op,)
-    op = tuple(op)
-    if not op:
-        raise ValueError("empty unitary descriptor")
-    return op
+def _branch_norms(w: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Norms of the |e> and |g> rows from one Gram matrix."""
+    n2 = np.sum((np.conj(w) @ _gram(a, a)) * w, axis=1).real
+    return np.sqrt(np.maximum(n2, 0.0))
 
 
-def _split(branch_e: CoherentSuperposition, branch_g: CoherentSuperposition) -> HybridState:
-    ne, ng = branch_e.norm(), branch_g.norm()
-    total = math.sqrt(ne**2 + ng**2)
-    se = CoherentSuperposition(branch_e.weights / ne, branch_e.amplitudes) if ne > 1e-12 else vacuum()
-    sg = CoherentSuperposition(branch_g.weights / ng, branch_g.amplitudes) if ng > 1e-12 else vacuum()
+def _split(w: np.ndarray, a: np.ndarray, norms: np.ndarray) -> HybridState:
+    ne, ng = norms
+    total = math.hypot(ne, ng)
+    se = CoherentSuperposition(w[0] / ne, a) if ne > 1e-12 else vacuum()
+    sg = CoherentSuperposition(w[1] / ng, a) if ng > 1e-12 else vacuum()
     return HybridState(ne / total, se, ng / total, sg)
 
 
@@ -278,42 +256,47 @@ def generic_strategy(
 ) -> ProtocolResult:
     """|Psi_f> = U^dag U_pert U |level, alpha> with exact branch algebra.
 
-    The perturbation is the exact oscillator unitary, `pert.apply` on each
-    branch, so the result keeps the Gaussian envelope the closed forms
-    drop: after `dispersive_sequence(alpha)` from |g, alpha>,
+    The joint state keeps both TLS branches on one list of K coherent
+    amplitudes with a (2, K) weight array.  The TLS gates act on the rows,
+    displacements and rotations move the shared amplitudes, and only
+    `conditional_phase` adds terms (a -> [a, -a]), so a sequence with c
+    conditional phases ends with K <= 4^c; no terms are merged.
+
+    The perturbation is the exact oscillator unitary on both rows, so the
+    result keeps the Gaussian envelope the closed forms drop: after
+    `dispersive_sequence(alpha)` from |g, alpha>,
     P_e = [1 - e^{-2 s^2} (1 - 2 P_e^closed)]/2 with P_e^closed the
-    `dispersive_protocol` value.  The TLS weights are structurally
+    `dispersive_protocol` value.  The branch norms are structurally
     unchanged by the perturbation (it acts on the oscillator only); this
     and the branch-decomposition identity
     P_e |<alpha|psi_e>|^2 = |<e, alpha|Psi_f>|^2 are verified on the fly.
     """
-    ops = [_normalize_op(op) for op in u_ops]
     if initial_level not in ("e", "g"):
         raise ValueError("initial_level must be 'e' or 'g'")
-    zero = CoherentSuperposition([0.0], [0.0])
     start = coherent_state(alpha)
-    branch_e, branch_g = (start, zero) if initial_level == "e" else (zero, start)
+    w = np.outer((1.0, 0.0) if initial_level == "e" else (0.0, 1.0), start.weights)
+    a = start.amplitudes
 
-    for op in ops:
-        branch_e, branch_g = _apply_op(branch_e, branch_g, op, inverse=False)
-    intermediate = _split(branch_e, branch_g)
+    for op in u_ops:
+        w, a = _apply_op(w, a, op, inverse=False)
+    norms = _branch_norms(w, a)
+    intermediate = _split(w, a, norms)
 
-    norms_before = (branch_e.norm(), branch_g.norm())
-    branch_e, branch_g = pert.apply(branch_e, alpha), pert.apply(branch_g, alpha)
-    norms_after = (branch_e.norm(), branch_g.norm())
+    w, a = pert.moved_terms(w, a, alpha)
     # each drift must be <= 1e-9; a NaN norm compares False and fails too
-    if not all(abs(after - before) <= 1e-9 for before, after in zip(norms_before, norms_after)):
+    if not np.all(np.abs(_branch_norms(w, a) - norms) <= 1e-9):
         raise AssertionError("perturbation leaked between TLS branches")
 
-    for op in reversed(ops):
-        branch_e, branch_g = _apply_op(branch_e, branch_g, op, inverse=True)
-    final = _split(branch_e, branch_g)
+    for op in reversed(u_ops):
+        w, a = _apply_op(w, a, op, inverse=True)
+    norms = _branch_norms(w, a)
+    final = _split(w, a, norms)
 
-    overlap_e = inner_product(coherent_state(alpha), final.state_e)
-    amp_e_alpha = final.weight_e * overlap_e
-    if not abs(abs(amp_e_alpha) ** 2 - final.p_e * abs(overlap_e) ** 2) <= 1e-10:
+    # <e, alpha|Psi_f> from the joint weights against the split branch
+    amp_e_alpha = complex(_gram(start.amplitudes, a)[0] @ w[0]) / math.hypot(*norms)
+    if not abs(abs(amp_e_alpha) ** 2 - final.p_e * fidelity(start, final.state_e)) <= 1e-10:
         raise AssertionError("branch decomposition identity violated")
-    return ProtocolResult(final=final, p_e=final.p_e, p_g=final.p_g, intermediate=intermediate)
+    return ProtocolResult(final=final, intermediate=intermediate)
 
 
 # --- numeric Jaynes-Cummings oracle ---------------------------------------

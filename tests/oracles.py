@@ -41,6 +41,44 @@ def displacement_matrix(beta: complex, dim: int) -> np.ndarray:
     return expm(beta * a.conj().T - np.conj(beta) * a)
 
 
+def generic_strategy_fock(u_ops, spec, alpha: complex, initial_level: str = "e") -> float:
+    """P_e of U^dag U_pert U |level, alpha> on a truncated joint Fock vector
+    of shape (2, dim): D(beta) by matrix exponential, diag((-1)^n) on the |g>
+    row for conditional_phase, diag(e^{i theta n}) for rotate and 2x2 gates
+    on the TLS rows.  `spec` must carry an explicit direction."""
+    shift = sum(abs(op[1]) for op in u_ops if op[0] == "displace")
+    dim = default_n_trunc(abs(alpha) + shift + spec.magnitude) + 20
+    n = np.arange(dim)
+    pi_half = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
+
+    def step(psi, op, sign):
+        name = op[0]
+        if name == "pi_half":
+            return (pi_half if sign > 0 else pi_half.T) @ psi
+        if name == "sigma_z":
+            return psi * np.array([[1.0], [-1.0]])
+        if name == "conditional_phase":
+            return np.vstack([psi[0], (-1.0) ** n * psi[1]])
+        if name == "displace":
+            return psi @ displacement_matrix(sign * op[1], dim).T
+        if name == "rotate":
+            return psi * np.exp(1j * sign * op[1] * n)
+        raise ValueError(name)
+
+    vacuum = np.eye(dim)[0]
+    coherent = displacement_matrix(alpha, dim) @ vacuum
+    psi = np.outer([1.0, 0.0] if initial_level == "e" else [0.0, 1.0], coherent)
+    for op in u_ops:
+        psi = step(psi, op, 1.0)
+    if spec.kind == "rotation":
+        psi = step(psi, ("rotate", spec.magnitude), 1.0)
+    else:
+        psi = step(psi, ("displace", spec.magnitude * np.exp(1j * spec.direction)), 1.0)
+    for op in reversed(u_ops):
+        psi = step(psi, op, -1.0)
+    return float(np.sum(np.abs(psi[0]) ** 2) / np.sum(np.abs(psi) ** 2))
+
+
 def parity_wigner_fock(alpha_k: complex, alpha_l: complex, point: complex) -> complex:
     """Displaced-parity value 2 <a_l| D(p) P D(p)^dag |a_k> with the parity
     sum (-1)^n taken over explicit Fock coefficients."""

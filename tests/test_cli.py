@@ -102,16 +102,21 @@ class TestWignerCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
 
-    def test_perturbed_field_underresolution_is_reported(self, tmp_path, capsys):
-        # the base cat is resolved at this step but the state displaced to 6i is not
+    def test_perturbed_field_underresolution_is_reported(self, tmp_path):
+        # the base cat is resolved at this step but the state displaced to 6i
+        # is not; its UnderresolvedGridWarning is the one report on stderr
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         argv = [
             "wigner", "--alpha", "0+4i", "--m", "2", "--pert", "displacement", "--s", "2",
             "--phi", "1.5707963267948966", "--bounds", "-8", "8", "-8", "8", "--nx", "201", "--ny", "201",
-            "--out", str(tmp_path / "x"),
+            "--out", "x",
         ]
-        with pytest.warns(wigner.UnderresolvedGridWarning):
-            assert main(argv) == 0
-        assert "warning: grid under-resolves the interference fringes" in capsys.readouterr().err
+        result = subprocess.run([sys.executable, "-m", "subplanck.cli", *argv], cwd=tmp_path, env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.count("under-resolve") == 1, result.stderr
+        assert "UnderresolvedGridWarning" in result.stderr
 
     def test_product_requires_pert(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -1,6 +1,7 @@
 """Static checks that keep dead code out of the package: every import is
-used in its module, and every module-level `_private` definition is
-referenced somewhere in the package outside its own body."""
+used in its module, every module-level `_private` definition is
+referenced somewhere in the package outside its own body, and every
+`__all__` entry names a module-level binding."""
 
 import ast
 from pathlib import Path
@@ -39,16 +40,30 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return unused
 
 
-def _private_names(stmt: ast.stmt) -> list[str]:
+def _bound_names(stmt: ast.stmt) -> list[str]:
+    """Names a top-level statement binds in its module."""
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        names = [stmt.name]
-    elif isinstance(stmt, ast.Assign):
-        names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
-    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-        names = [stmt.target.id]
-    else:
-        names = []
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+        return [alias.asname or alias.name.split(".")[0] for alias in stmt.names]
+    return []
+
+
+def stale_exports(tree: ast.Module) -> list[str]:
+    """`__all__` entries that no top-level statement binds: a star import or
+    a `getattr` over `__all__` would fail on them."""
+    bound = {name for stmt in tree.body for name in _bound_names(stmt)}
+    return sorted(_exported(tree) - bound)
+
+
+def _private_names(stmt: ast.stmt) -> list[str]:
+    if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+        return []
+    return [n for n in _bound_names(stmt) if n.startswith("_") and not n.startswith("__")]
 
 
 def _references(stmt: ast.stmt) -> set[str]:
@@ -82,19 +97,25 @@ def test_no_unused_imports(path):
     assert unused_imports(_parse(path)) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_export_is_bound(path):
+    assert stale_exports(_parse(path)) == []
+
+
 def test_every_private_definition_is_referenced():
     assert unreferenced_privates({path.name: _parse(path) for path in MODULES}) == []
 
 
 def test_checks_catch_dead_code():
     # the checks themselves must fire: an unused import, a private helper
-    # referenced only by itself, and a private constant nobody reads
+    # referenced only by itself, a private constant nobody reads, and an
+    # `__all__` entry left behind by a deleted class
     source = ast.parse(
         "from __future__ import annotations\n"
         "import math\n"
         "import numpy as np\n"
         "from .states import _gram, displace\n"
-        "__all__ = ['displace']\n"
+        "__all__ = ['displace', 'public', 'Removed']\n"
         "_UNUSED = 1.0\n"
         "_USED = 2.0\n"
         "def _recursive(n):\n"
@@ -106,3 +127,4 @@ def test_checks_catch_dead_code():
     )
     assert unused_imports(source) == ["math", "_gram"]
     assert unreferenced_privates({"m.py": source}) == ["m.py: _UNUSED", "m.py: _recursive"]
+    assert stale_exports(source) == ["Removed"]

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subplanck.estimation import (
-    EstimationRun,
     estimate_displacement,
     estimator_calibration,
     feasibility,
@@ -66,28 +66,38 @@ class TestSimulateReadout:
 
 class TestEstimateDisplacement:
     def test_zero_count_gives_zero(self):
-        assert estimate_displacement(0, 100, 4.0).estimate == 0.0
+        assert estimate_displacement(0, 100, 4.0).tolist() == [0.0]
 
     def test_half_count_quarter_fringe(self):
-        run = estimate_displacement(5000, 10_000, 4.0)
-        assert run.estimate == pytest.approx(np.pi / 32, abs=1e-15)
+        assert estimate_displacement(5000, 10_000, 4.0)[0] == pytest.approx(np.pi / 32, abs=1e-15)
 
     def test_quoted_sigma(self):
-        assert estimate_displacement(0, 100, 4.0).sigma == pytest.approx(1 / 320)
         assert theory_sigma(100, 4.0) == pytest.approx(0.003125)
 
     def test_resonant_convention(self):
         # resonant fringe starts bright: r = R inverts to s = 0
-        run = estimate_displacement(100, 100, 4.0, convention="resonant")
-        assert run.estimate == 0.0
-        run2 = estimate_displacement(0, 100, 4.0, convention="resonant")
-        assert run2.estimate == pytest.approx(np.pi / 16)
+        estimates = estimate_displacement([100, 0], 100, 4.0, convention="resonant")
+        assert estimates[0] == 0.0
+        assert estimates[1] == pytest.approx(np.pi / 16)
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
             estimate_displacement(11, 10, 4.0)
         with pytest.raises(ValueError):
-            EstimationRun(10, 11, 0.0, 1.0)
+            estimate_displacement([5, -1], 10, 4.0)
+
+    @pytest.mark.parametrize("convention", ["dispersive", "resonant"])
+    def test_one_libm_arccos_per_count(self, convention):
+        # numpy's arccos differs from libm's in the last bit on some ratios,
+        # so each estimate must equal the scalar math.acos inversion exactly
+        repetitions, alpha_mag = 10_000, 4.0
+        expected = []
+        for r in range(repetitions + 1):
+            xi = r / repetitions
+            arg = 1.0 - 2.0 * xi if convention == "dispersive" else 2.0 * xi - 1.0
+            expected.append(math.acos(min(max(arg, -1.0), 1.0)) / (4.0 * alpha_mag))
+        estimates = estimate_displacement(np.arange(repetitions + 1), repetitions, alpha_mag, convention)
+        np.testing.assert_array_equal(estimates, expected)
 
     @given(
         st.floats(min_value=0.15, max_value=0.85),
@@ -99,8 +109,8 @@ class TestEstimateDisplacement:
         s = branch_pos * np.pi / (4 * alpha_mag)
         p_e = dispersive_protocol(1j * alpha_mag, PerturbationSpec("displacement", s)).p_e
         r = round(repetitions * p_e)
-        run = estimate_displacement(r, repetitions, alpha_mag)
-        assert abs(run.estimate - s) <= np.pi / (4 * alpha_mag * repetitions)
+        estimate = estimate_displacement(r, repetitions, alpha_mag)[0]
+        assert abs(estimate - s) <= np.pi / (4 * alpha_mag * repetitions)
 
 
 class TestCalibration:
@@ -149,6 +159,11 @@ class TestCalibration:
         # beyond pi/(4|alpha|) the arccos inversion would alias the shift
         with pytest.raises(ValueError, match="principal branch"):
             run_trials(true_s, 4j, 1000, 4, seed=1)
+
+    def test_trials_reject_unknown_convention(self):
+        # a misspelt convention must not fall through to the resonant fringe
+        with pytest.raises(ValueError, match="convention"):
+            run_trials(0.05, 4j, 100, 2, seed=1, convention="resonnant")
 
     def test_trials_accept_both_branch_ends(self):
         assert run_trials(0.0, 4j, 100, 2, seed=1).shape == (2,)

@@ -22,7 +22,7 @@ from subplanck.states import (
     vacuum,
 )
 
-from oracles import displacement_matrix, jc_ode, resonant_blocks
+from oracles import displacement_matrix, generic_strategy_fock, jc_ode, resonant_blocks
 
 ALPHA = 4j
 
@@ -160,6 +160,33 @@ class TestGenericStrategy:
     def test_unknown_descriptor_rejected(self):
         with pytest.raises(ValueError):
             generic_strategy([("hadamard",)], displacement(0.1), ALPHA)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_fock_oracle_on_entangling_sequences(self, seed):
+        # a pi_half ahead of a conditional_phase entangles the branches in
+        # either initial level; the oracle evolves a truncated joint Fock vector
+        rng = np.random.default_rng(seed)
+
+        def random_ops():
+            return [
+                [("pi_half",), ("conditional_phase",), ("sigma_z",),
+                 ("displace", complex(*rng.normal(0, 0.7, 2))), ("rotate", float(rng.normal(0, 0.5)))][rng.integers(0, 5)]
+                for _ in range(rng.integers(0, 3))
+            ]
+
+        alpha = complex(*rng.normal(0, 1.5, 2))
+        ops = random_ops() + [("pi_half",)] + random_ops() + [("conditional_phase",), ("displace", alpha)] + random_ops()
+        kind = "rotation" if seed % 2 else "displacement"
+        pert = PerturbationSpec(kind, float(rng.uniform(0.05, 0.3)), float(rng.uniform(0.0, 2 * np.pi)))
+        for level in ("e", "g"):
+            res = generic_strategy(ops, pert, alpha, initial_level=level)
+            assert res.p_e == pytest.approx(generic_strategy_fock(ops, pert, alpha, level), abs=1e-9)
+
+    def test_empty_descriptor_and_bad_level_rejected(self):
+        with pytest.raises(ValueError):
+            generic_strategy([()], displacement(0.1), ALPHA)
+        with pytest.raises(ValueError):
+            generic_strategy([("pi_half",)], displacement(0.1), ALPHA, initial_level="x")
 
 
 class TestJCNumeric:
@@ -315,7 +342,7 @@ class TestNumericResonantProtocol:
         # insensitive direction: P_e stays near 1 instead of fringing
         alpha = 3.0
         s = np.pi / 24
-        assert resonant_protocol(alpha, displacement(s)).p_e == pytest.approx(0.5, abs=1e-12)
+        assert resonant_protocol(alpha, displacement(s, phi=np.pi / 2)).p_e == pytest.approx(1.0, abs=1e-12)
         assert self._run(alpha, 1j * s) > 0.9
 
 
