@@ -97,7 +97,7 @@ def _gammas(arg: str | None, m: int) -> np.ndarray:
         return np.zeros(m)
     vals = np.array([float(v) for v in arg.split(",")])
     if vals.size != m:
-        raise SystemExit(f"error: expected {m} gamma phases, got {vals.size}")
+        raise ValueError(f"expected {m} gamma phases, got {vals.size}")
     return vals
 
 
@@ -120,7 +120,7 @@ def _cmd_wigner(args) -> int:
         base = states.displace(base, args.displace)
     pert_state = None if args.pert is None else metrology.PerturbationSpec(args.pert, args.s, args.phi).apply(base, args.alpha)
     if args.product and pert_state is None:
-        raise SystemExit("error: --product needs --pert")
+        raise ValueError("--product needs --pert")
 
     sample_states = [base] if pert_state is None else [base, pert_state]
     if args.bounds is None:
@@ -225,9 +225,8 @@ def _add_state_args(p):
     p.add_argument("--gammas", default=None, help="comma-separated component phases (default: zeros)")
 
 
-def _add_pert_args(p, required=False, default=None):
-    p.add_argument("--pert", choices=["displacement", "rotation"], required=required, default=default,
-                   help="perturbation kind")
+def _add_pert_args(p):
+    p.add_argument("--pert", choices=["displacement", "rotation"], help="perturbation kind")
     p.add_argument("--s", type=float, default=0.0, help="perturbation magnitude (s, or theta in radians)")
     p.add_argument("--phi", type=float, default=None,
                    help="absolute displacement direction in radians (default: maximum sensitivity)")
@@ -300,8 +299,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

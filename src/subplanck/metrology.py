@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import CoherentSuperposition, _gram, _moved_terms, displace, make_circular_state, mean_excitation
+from .states import CoherentSuperposition, _moved_terms, _overlap_sq, displace, make_circular_state, mean_excitation
 
 __all__ = [
     "PerturbationSpec",
@@ -69,8 +69,10 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.kind not in (DISPLACEMENT, ROTATION):
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
-        if self.magnitude < 0:
-            raise ValueError("perturbation magnitude must be >= 0")
+        if not (math.isfinite(self.magnitude) and self.magnitude >= 0):
+            raise ValueError(f"perturbation magnitude must be finite and >= 0, got {self.magnitude!r}")
+        if self.direction is not None and not math.isfinite(self.direction):
+            raise ValueError(f"perturbation direction must be finite, got {self.direction!r}")
 
     def beta(self, alpha: complex | None = None) -> complex:
         """Displacement amplitude; resolves a None direction against alpha."""
@@ -175,11 +177,7 @@ def _exact_overlaps(target: CoherentSuperposition, kind: str, direction: float |
     same code as `PerturbationSpec.apply`."""
     w, a = target.weights, target.amplitudes
     ket_w, ket_a = _perturbed_terms(kind, magnitudes[:, None], direction, w, a)
-    # per-row (1, M) @ (M, M) @ (M, 1) products sum in the order of the
-    # unbatched conj(w) @ G @ w', and libm's hypot and pow square the modulus
-    # as abs(z) ** 2 does, so each value is bit-identical to the scalar path
-    amp = (np.conj(w)[None, :] @ _gram(a, ket_a) @ ket_w[..., None])[..., 0, 0]
-    return np.float_power(np.hypot(amp.real, amp.imag), 2)
+    return _overlap_sq(w, a, ket_w, ket_a)
 
 
 @dataclass(frozen=True)

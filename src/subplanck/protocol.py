@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrology import ROTATION, OutOfRegimeWarning, PerturbationSpec
-from .states import CoherentSuperposition, FockVector, _gram, _moved_terms, coherent_state, fidelity, vacuum
+from .states import CoherentSuperposition, FockVector, _braket, _moved_terms, _norms, coherent_state, fidelity, vacuum
 
 __all__ = [
     "HybridState",
@@ -73,7 +73,7 @@ class HybridState:
 
     def __post_init__(self):
         total = abs(self.weight_e) ** 2 + abs(self.weight_g) ** 2
-        if abs(total - 1.0) > 1e-8:
+        if not abs(total - 1.0) <= 1e-8:  # phrased so that NaN fails too
             raise ValueError(f"branch weights are not normalized (|w_e|^2+|w_g|^2 = {total})")
 
     @property
@@ -110,7 +110,10 @@ class JCParams:
     interaction_time: float
 
     def __post_init__(self):
-        if self.omega0_rabi <= 0:
+        fields = (self.omega0_rabi, self.detuning, self.nbar, self.interaction_time)
+        if not all(map(math.isfinite, fields)):
+            raise ValueError(f"Jaynes-Cummings parameters must be finite, got {fields}")
+        if not self.omega0_rabi > 0:
             raise ValueError("omega0_rabi must be positive")
 
     @property
@@ -121,7 +124,7 @@ class JCParams:
 
 def revival_time(params: JCParams) -> float:
     """Revival time T_R = 4 pi sqrt(nbar) / Omega_0 of the resonant model."""
-    if params.nbar <= 0:
+    if not params.nbar > 0:
         raise ValueError("revival time needs nbar > 0")
     return 4.0 * np.pi * math.sqrt(params.nbar) / params.omega0_rabi
 
@@ -226,12 +229,6 @@ def _apply_op(w: np.ndarray, a: np.ndarray, op: tuple, inverse: bool) -> tuple[n
     raise ValueError(f"unknown or empty unitary descriptor {op!r}")
 
 
-def _branch_norms(w: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Norms of the |e> and |g> rows from one Gram matrix."""
-    n2 = np.sum((np.conj(w) @ _gram(a, a)) * w, axis=1).real
-    return np.sqrt(np.maximum(n2, 0.0))
-
-
 def _split(w: np.ndarray, a: np.ndarray, norms: np.ndarray) -> HybridState:
     ne, ng = norms
     total = math.hypot(ne, ng)
@@ -279,21 +276,21 @@ def generic_strategy(
 
     for op in u_ops:
         w, a = _apply_op(w, a, op, inverse=False)
-    norms = _branch_norms(w, a)
+    norms = _norms(w, a)
     intermediate = _split(w, a, norms)
 
     w, a = pert.moved_terms(w, a, alpha)
     # each drift must be <= 1e-9; a NaN norm compares False and fails too
-    if not np.all(np.abs(_branch_norms(w, a) - norms) <= 1e-9):
+    if not np.all(np.abs(_norms(w, a) - norms) <= 1e-9):
         raise AssertionError("perturbation leaked between TLS branches")
 
     for op in reversed(u_ops):
         w, a = _apply_op(w, a, op, inverse=True)
-    norms = _branch_norms(w, a)
+    norms = _norms(w, a)
     final = _split(w, a, norms)
 
     # <e, alpha|Psi_f> from the joint weights against the split branch
-    amp_e_alpha = complex(_gram(start.amplitudes, a)[0] @ w[0]) / math.hypot(*norms)
+    amp_e_alpha = complex(_braket(start.weights, start.amplitudes, w[0], a)) / math.hypot(*norms)
     if not abs(abs(amp_e_alpha) ** 2 - final.p_e * fidelity(start, final.state_e)) <= 1e-10:
         raise AssertionError("branch decomposition identity violated")
     return ProtocolResult(final=final, intermediate=intermediate)

@@ -6,7 +6,9 @@ inner products are evaluated through the closed-form coherent overlap
     <b|a> = exp(-(|a|^2 + |b|^2)/2 + conj(b) * a),
 
 so displacements, rotations and overlaps are exact for any amplitude,
-with no Fock-space truncation.  A truncated number-basis conversion is
+with no Fock-space truncation.  Every bra-ket, norm and fidelity in the
+package is one contraction, `_braket`: the bra weights against a Gram
+block against the ket weights.  A truncated number-basis conversion is
 provided as the numeric bridge for cross-checks.
 """
 
@@ -41,6 +43,18 @@ def _gram(bra_amps: np.ndarray, ket_amps: np.ndarray) -> np.ndarray:
     b = bra_amps[:, None]
     k = ket_amps[..., None, :]
     return np.exp(-0.5 * (np.abs(b) ** 2 + np.abs(k) ** 2) + np.conj(b) * k)
+
+
+def _braket(bra_w: np.ndarray, bra_a: np.ndarray, ket_w: np.ndarray, ket_a: np.ndarray):
+    """<bra|ket> = conj(bra_w) G ket_w, G = _gram(bra_a, ket_a).  Leading axes
+    broadcast: (2, K) weights give both rows of a joint state, a (P, M) ket
+    P values.  A bare expression: no conversion or check per call."""
+    return (np.conj(bra_w)[..., None, :] @ _gram(bra_a, ket_a) @ ket_w[..., :, None])[..., 0, 0]
+
+
+def _norms(weights: np.ndarray, amplitudes: np.ndarray):
+    """sqrt(max(<psi|psi>, 0)) per weight row; Im and a negative Re are rounding noise."""
+    return np.sqrt(np.maximum(_braket(weights, amplitudes, weights, amplitudes).real, 0.0))
 
 
 @dataclass(frozen=True)
@@ -82,10 +96,7 @@ class CoherentSuperposition:
         return float(np.max(np.abs(self.amplitudes)))
 
     def norm(self) -> float:
-        g = _gram(self.amplitudes, self.amplitudes)
-        n2 = np.conj(self.weights) @ g @ self.weights
-        # Hermitian quadratic form; the imaginary part is rounding noise.
-        return math.sqrt(max(float(n2.real), 0.0))
+        return float(_norms(self.weights, self.amplitudes))
 
     def normalized(self) -> "CoherentSuperposition":
         n = self.norm()
@@ -147,21 +158,25 @@ def rotate(state: CoherentSuperposition, theta: float) -> CoherentSuperposition:
 
 def inner_product(a: CoherentSuperposition, b: CoherentSuperposition) -> complex:
     """<a|b> via the Gram matrix, exact up to floating point."""
-    g = _gram(a.amplitudes, b.amplitudes)
-    return complex(np.conj(a.weights) @ g @ b.weights)
+    return complex(_braket(a.weights, a.amplitudes, b.weights, b.amplitudes))
+
+
+def _overlap_sq(bra_w: np.ndarray, bra_a: np.ndarray, ket_w: np.ndarray, ket_a: np.ndarray):
+    """|<bra|ket>|^2 over `_braket`'s leading axes.  libm's hypot and pow square
+    the modulus as abs(z) ** 2 does, bit for bit, batched or not."""
+    amp = _braket(bra_w, bra_a, ket_w, ket_a)
+    return np.float_power(np.hypot(amp.real, amp.imag), 2)
 
 
 def fidelity(a: CoherentSuperposition, b: CoherentSuperposition) -> float:
     """|<a|b>|^2; global-phase-insensitive state comparison."""
-    return abs(inner_product(a, b)) ** 2
+    return float(_overlap_sq(a.weights, a.amplitudes, b.weights, b.amplitudes))
 
 
 def mean_excitation(state: CoherentSuperposition) -> float:
-    """Exact <n> through <a_k| n |a_l> = conj(a_k) a_l <a_k|a_l>."""
-    g = _gram(state.amplitudes, state.amplitudes)
-    g_n = np.conj(state.amplitudes)[:, None] * state.amplitudes[None, :] * g
-    val = np.conj(state.weights) @ g_n @ state.weights
-    return float(val.real)
+    """Exact <n> = <a psi|a psi>, with a|psi> = sum_k w_k a_k |a_k>."""
+    w_a = state.weights * state.amplitudes
+    return float(_braket(w_a, state.amplitudes, w_a, state.amplitudes).real)
 
 
 def default_n_trunc(max_amplitude: float) -> int:
@@ -215,6 +230,5 @@ def to_fock(state: CoherentSuperposition, n_trunc: int | None = None) -> FockVec
             continue
         log_mag = -0.5 * r * r + n * math.log(r) - half_log_fact
         coeffs += w * np.exp(log_mag + 1j * n * np.angle(a))
-    fv_norm2 = float(np.sum(np.abs(coeffs) ** 2))
-    leak = max(0.0, float(abs(np.conj(state.weights) @ _gram(state.amplitudes, state.amplitudes) @ state.weights).real) - fv_norm2)
+    leak = max(0.0, state.norm() ** 2 - float(np.sum(np.abs(coeffs) ** 2)))
     return FockVector(coeffs, leakage=leak)

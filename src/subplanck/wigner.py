@@ -150,16 +150,6 @@ class PhaseSpaceGrid:
         """Complex sample points, shape (nx, ny); [ix, iy] = re[ix] + i im[iy]."""
         return self.re_points[:, None] + 1j * self.im_points[None, :]
 
-    def same_geometry(self, other: "PhaseSpaceGrid") -> bool:
-        return (
-            self.nx == other.nx
-            and self.ny == other.ny
-            and math.isclose(self.re_min, other.re_min)
-            and math.isclose(self.re_max, other.re_max)
-            and math.isclose(self.im_min, other.im_min)
-            and math.isclose(self.im_max, other.im_max)
-        )
-
 
 @dataclass(frozen=True)
 class WignerField:
@@ -186,10 +176,11 @@ class WignerField:
         return total.real
 
 
-def auto_grid(*states: CoherentSuperposition, pad: float = 4.0) -> PhaseSpaceGrid:
-    """Grid sized for the given states: amplitude bounding box padded by
-    `pad` vacuum widths, step from the h <= pi/(8 |a|_max) rule, odd point
-    counts so that half-resolution quadrature shares the endpoints."""
+def auto_grid(*states: CoherentSuperposition) -> PhaseSpaceGrid:
+    """Grid sized for the given states: their amplitude bounding box padded
+    by 4 vacuum widths on every side, the step from the h <= pi/(8 |a|_max)
+    rule (floored at |a|_max = 2), and odd point counts so that the
+    half-resolution quadrature shares the endpoints."""
     if not states:
         raise ValueError("auto_grid needs at least one state")
     amps = np.concatenate([s.amplitudes for s in states])
@@ -198,6 +189,7 @@ def auto_grid(*states: CoherentSuperposition, pad: float = 4.0) -> PhaseSpaceGri
     # two fields oscillates at up to 8 a_max, and the alias-free margin
     # 2 pi / h - 8 a_max must stay a dozen inverse units for 1e-6 accuracy
     h = np.pi / (8.0 * max(a_max, 2.0))
+    pad = 4.0  # vacuum widths
     re_lo, re_hi = amps.real.min() - pad, amps.real.max() + pad
     im_lo, im_hi = amps.imag.min() - pad, amps.imag.max() + pad
 
@@ -280,10 +272,8 @@ def phase_space_overlap(w1: WignerField, w2: WignerField, with_error: bool = Fal
     The quadrature error is estimated by Richardson comparison against the
     half-resolution subgrid (odd-truncated so both share the region).
     """
-    if not w1.grid.same_geometry(w2.grid):
+    if w1.grid != w2.grid:
         raise ValueError("phase_space_overlap requires identical grids")
-    if w1.underresolved or w2.underresolved:
-        warnings.warn("overlap of under-resolved fields", UnderresolvedGridWarning, stacklevel=2)
     value = _factor_overlap(w1, w2, slice(None), slice(None))
     if not with_error:
         return value

@@ -118,9 +118,32 @@ class TestWignerCommand:
         assert result.stderr.count("under-resolve") == 1, result.stderr
         assert "UnderresolvedGridWarning" in result.stderr
 
-    def test_product_requires_pert(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["wigner", "--alpha", "0+4i", "--m", "4", "--product", "--out", str(tmp_path / "x")])
+    def test_product_requires_pert(self, tmp_path, capsys):
+        assert main(["wigner", "--alpha", "0+4i", "--m", "4", "--product", "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [["wigner"], ["overlap", "--s-max", "0.3"]])
+    def test_wrong_gamma_count_exits_nonzero(self, tmp_path, capsys, command):
+        argv = [*command, "--alpha", "0+4i", "--m", "4", "--gammas", "0,1", "--out", str(tmp_path / "x")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: expected 4 gamma phases, got 2\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_product_underresolution_reported_once_per_field(self, tmp_path):
+        # both rendered fields are under-resolved on this grid; each reports
+        # itself once and the product integral adds no report of its own
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [
+            "wigner", "--alpha", "0+4i", "--m", "4", "--product", "--pert", "displacement", "--s", "0.27",
+            "--phi", "0.78", "--bounds", "-8", "8", "-8", "8", "--nx", "41", "--ny", "41", "--out", "u",
+        ]
+        result = subprocess.run([sys.executable, "-m", "subplanck.cli", *argv], cwd=tmp_path, env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.count("UnderresolvedGridWarning") == 2, result.stderr
+        assert result.stderr.count("under-resolved") == 2, result.stderr
 
     @pytest.mark.parametrize(
         "grid_args",

@@ -1,7 +1,9 @@
 """Static checks that keep dead code out of the package: every import is
 used in its module, every module-level `_private` definition is
 referenced somewhere in the package outside its own body, and every
-`__all__` entry names a module-level binding."""
+`__all__` entry names a module-level binding.  One structural check rides
+along: only `states` touches the Gram kernel `_gram`; every other module
+contracts through the `states` helpers."""
 
 import ast
 from pathlib import Path
@@ -92,6 +94,16 @@ def unreferenced_privates(trees: dict[str, ast.Module]) -> list[str]:
     return dead
 
 
+def gram_outside_states(trees: dict[str, ast.Module]) -> list[str]:
+    """Modules other than states.py that reference `_gram` in any form: a
+    bare name, an attribute (`states._gram`) or an imported name."""
+    return [
+        module
+        for module, tree in trees.items()
+        if module != "states.py" and any("_gram" in _references(stmt) for stmt in tree.body)
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(_parse(path)) == []
@@ -104,6 +116,10 @@ def test_every_export_is_bound(path):
 
 def test_every_private_definition_is_referenced():
     assert unreferenced_privates({path.name: _parse(path) for path in MODULES}) == []
+
+
+def test_gram_stays_in_states():
+    assert gram_outside_states({path.name: _parse(path) for path in MODULES}) == []
 
 
 def test_checks_catch_dead_code():
@@ -128,3 +144,16 @@ def test_checks_catch_dead_code():
     assert unused_imports(source) == ["math", "_gram"]
     assert unreferenced_privates({"m.py": source}) == ["m.py: _UNUSED", "m.py: _recursive"]
     assert stale_exports(source) == ["Removed"]
+
+
+def test_gram_check_catches_other_modules():
+    # an import, an attribute access and a bare name each count; states.py
+    # itself is allowed, and names that merely contain "_gram" are not hits
+    trees = {
+        "states.py": ast.parse("def _gram(b, k):\n    return b\ndef _braket(w, a):\n    return _gram(a, a)\n"),
+        "metrology.py": ast.parse("from .states import _gram\n"),
+        "protocol.py": ast.parse("from . import states\ndef f(a):\n    return states._gram(a, a)\n"),
+        "wigner.py": ast.parse("def f(_gram):\n    return _gram\n"),
+        "cli.py": ast.parse("from .states import _braket\n_gram_size = 3\n"),
+    }
+    assert gram_outside_states(trees) == ["metrology.py", "protocol.py", "wigner.py"]

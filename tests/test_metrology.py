@@ -30,6 +30,16 @@ class TestPerturbationSpec:
         with pytest.raises(ValueError):
             PerturbationSpec("displacement", -0.1)
 
+    @pytest.mark.parametrize(
+        "magnitude,direction",
+        [(np.nan, None), (np.inf, None), (0.1, np.nan), (0.1, np.inf)],
+        ids=["nan_magnitude", "inf_magnitude", "nan_direction", "inf_direction"],
+    )
+    @pytest.mark.parametrize("kind", ["displacement", "rotation"])
+    def test_non_finite_inputs_rejected(self, kind, magnitude, direction):
+        with pytest.raises(ValueError):
+            PerturbationSpec(kind, magnitude, direction)
+
     def test_direction_resolution(self):
         p = PerturbationSpec("displacement", 0.1)
         assert p.resolve_direction(4j) == pytest.approx(np.pi / 2 + np.pi / 2)

@@ -36,6 +36,11 @@ class TestHybridState:
         with pytest.raises(ValueError):
             HybridState(1.0, coherent_state(1.0), 1.0, coherent_state(1.0))
 
+    @pytest.mark.parametrize("weights", [(np.nan, 0.0), (0.0, np.nan), (1.0, np.inf)])
+    def test_non_finite_weights_rejected(self, weights):
+        with pytest.raises(ValueError):
+            HybridState(weights[0], vacuum(), weights[1], vacuum())
+
     def test_probabilities(self):
         h = HybridState(0.6, vacuum(), 0.8, coherent_state(1.0))
         assert h.p_e == pytest.approx(0.36)
@@ -363,3 +368,16 @@ class TestRevivalTime:
     def test_requires_positive_nbar(self):
         with pytest.raises(ValueError):
             revival_time(JCParams(1.0, 0.0, 0.0, 0.0))
+
+    def test_nan_nbar_rejected(self):
+        with pytest.raises(ValueError):
+            revival_time(JCParams(1.0, 0.0, np.nan, 0.0))
+
+
+@pytest.mark.parametrize("field", range(4))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_jc_params_must_be_finite(field, bad):
+    values = [1.0, 0.0, 4.0, 1.0]
+    values[field] = bad
+    with pytest.raises(ValueError):
+        JCParams(*values)
