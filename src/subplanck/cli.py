@@ -175,6 +175,8 @@ def _cmd_overlap(args) -> int:
 def _cmd_protocol(args) -> int:
     if args.points < 2:
         raise ValueError("points must be >= 2")
+    # the grid runs from 0 to s_max, so checking the extreme checks every point
+    metrology.PerturbationSpec(args.pert, args.s_max, args.phi)
     mags = np.linspace(0.0, args.s_max, args.points)
     rows = []
     for mag in mags:

@@ -80,6 +80,8 @@ def estimate_displacement(
         raise ValueError("repetitions must be >= 1")
     if not np.all((counts >= 0) & (counts <= repetitions)):
         raise ValueError("excited counts must lie in [0, repetitions]")
+    if not 0.0 < alpha_mag < math.inf:  # phrased so that NaN fails too
+        raise ValueError(f"alpha_mag must be positive and finite, got {alpha_mag!r}")
     if convention not in ("dispersive", "resonant"):
         raise ValueError("convention must be 'dispersive' or 'resonant'")
     xi = counts / repetitions

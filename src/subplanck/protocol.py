@@ -146,9 +146,11 @@ def _fringe_argument(alpha: complex, pert: PerturbationSpec, orthogonal_default:
 def dispersive_protocol(alpha: complex, pert: PerturbationSpec) -> ProtocolResult:
     """Closed-form dispersive sequence; fringe law P_e = [1 - cos(Delta)]/2.
 
-    For rotations the displacement stage D(alpha) is always part of the
-    sequence (the bare cat has no rotation signal), so the intermediate
-    state is (|e, 2 alpha> + |g, 0>)/sqrt(2).
+    The idealized state at the perturbation stage is (|e, alpha> +
+    |g, -alpha>)/sqrt(2), or (|e, 2 alpha> + |g, 0>)/sqrt(2) for rotations,
+    whose sequence always ends with D(alpha) (the bare cat has no rotation
+    signal).  Only the final state is returned; `generic_strategy` with
+    `dispersive_sequence(alpha, rotation)` gives the exact intermediate.
     """
     a_abs = abs(alpha)
     if a_abs < 2.0:
@@ -156,13 +158,8 @@ def dispersive_protocol(alpha: complex, pert: PerturbationSpec) -> ProtocolResul
     delta = _fringe_argument(alpha, pert, orthogonal_default=True)
     w_e = 0.5 * (1.0 - np.exp(1j * delta))
     w_g = 0.5 * (1.0 + np.exp(1j * delta))
-    final = HybridState(w_e, coherent_state(alpha), w_g, coherent_state(alpha))
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    if pert.kind == ROTATION:
-        intermediate = HybridState(inv_sqrt2, coherent_state(2.0 * alpha), inv_sqrt2, vacuum())
-    else:
-        intermediate = HybridState(inv_sqrt2, coherent_state(alpha), inv_sqrt2, coherent_state(-alpha))
-    return ProtocolResult(final=final, intermediate=intermediate)
+    coh = coherent_state(alpha)
+    return ProtocolResult(final=HybridState(w_e, coh, w_g, coh))
 
 
 def resonant_protocol(alpha: complex, pert: PerturbationSpec, dt_fraction: float = 1.0) -> ProtocolResult:
@@ -170,11 +167,11 @@ def resonant_protocol(alpha: complex, pert: PerturbationSpec, dt_fraction: float
 
     dt_fraction = Delta_t / (T_R/2) in (0, 1] shortens both interferometer
     legs; the fringe argument picks up the factor sin(pi dt_fraction / 2).
-    At dt_fraction = 1 the intermediate state is the factorized product
+    At dt_fraction = 1 the idealized intermediate is the factorized product
     [e^{-i pi nbar/2} |-i alpha> - e^{i pi nbar/2} |i alpha>]/sqrt(2) (x)
     (e^{-i pi/2} |e> + e^{-i arg alpha} |g>)/sqrt(2); at earlier times the
-    atom is still entangled with the field and no closed product form is
-    exposed.
+    atom is still entangled with the field.  Only the final state is
+    returned; `jc_numeric_evolve` gives the exact joint state.
 
     The field cat at the perturbation stage lies along +-i alpha, so a
     displacement parallel to alpha crosses its interference fringes: a
@@ -182,26 +179,15 @@ def resonant_protocol(alpha: complex, pert: PerturbationSpec, dt_fraction: float
     """
     if not (0.0 < dt_fraction <= 1.0):
         raise ValueError("dt_fraction must lie in (0, 1]")
-    a_abs = abs(alpha)
-    nbar = a_abs**2
-    if nbar < 4.0:
+    if abs(alpha) ** 2 < 4.0:
         warnings.warn("resonant factorization assumes a mesoscopic field (nbar >= 4)", OutOfRegimeWarning, stacklevel=2)
-    kick_phase = np.pi * dt_fraction
-    scale = math.sin(kick_phase / 2.0)
+    scale = math.sin(np.pi * dt_fraction / 2.0)
     delta = scale * _fringe_argument(alpha, pert, orthogonal_default=False)
     b = np.exp(-1j * float(np.angle(alpha)))
     w_e = 0.5 * (np.exp(1j * delta) + 1.0)
     w_g = 0.5 * b * (1.0 - np.exp(1j * delta))
-    final = HybridState(w_e, coherent_state(alpha), w_g, coherent_state(alpha))
-    intermediate = None
-    if dt_fraction == 1.0:
-        cat = CoherentSuperposition(
-            [np.exp(-0.5j * np.pi * nbar), -np.exp(0.5j * np.pi * nbar)],
-            [-1j * alpha, 1j * alpha],
-        ).normalized()
-        inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        intermediate = HybridState(-1j * inv_sqrt2, cat, b * inv_sqrt2, cat)
-    return ProtocolResult(final=final, intermediate=intermediate)
+    coh = coherent_state(alpha)
+    return ProtocolResult(final=HybridState(w_e, coh, w_g, coh))
 
 
 # --- generic composable strategy ------------------------------------------
@@ -220,8 +206,10 @@ def _apply_op(w: np.ndarray, a: np.ndarray, op: tuple, inverse: bool) -> tuple[n
         return w * [[1.0], [-1.0]], a
     if name == "conditional_phase":
         # R(pi) on the |g> branch only: |a> -> |-a>, so the terms double
-        zero = np.zeros_like(w[0])
-        return np.block([[w[0], zero], [zero, w[1]]]), np.concatenate([a, -a])
+        k = a.size
+        doubled = np.zeros((2, 2 * k), dtype=w.dtype)
+        doubled[0, :k], doubled[1, k:] = w[0], w[1]
+        return doubled, np.concatenate([a, -a])
     if name == "displace":
         return _moved_terms(w, a, beta=-op[1] if inverse else op[1])
     if name == "rotate":
@@ -258,6 +246,7 @@ def generic_strategy(
     displacements and rotations move the shared amplitudes, and only
     `conditional_phase` adds terms (a -> [a, -a]), so a sequence with c
     conditional phases ends with K <= 4^c; no terms are merged.
+    `intermediate` is U |level, alpha>, the exact state the perturbation hits.
 
     The perturbation is the exact oscillator unitary on both rows, so the
     result keeps the Gaussian envelope the closed forms drop: after

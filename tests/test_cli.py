@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -263,6 +264,28 @@ class TestProtocolCommand:
         ]) == 0
         _, _, rows = _read_csv(out)
         assert rows[0, 1] == 1.0
+
+    def test_resonant_at_zero_amplitude(self, tmp_path):
+        # no fringe at alpha = 0: every row is bright, with the regime warning
+        out = tmp_path / "res0.csv"
+        with pytest.warns(UserWarning, match="mesoscopic"):
+            assert main([
+                "protocol", "--regime", "resonant", "--alpha", "0",
+                "--s-max", "0.1", "--points", "3", "--out", str(out),
+            ]) == 0
+        _, _, rows = _read_csv(out)
+        assert rows[:, 1].tolist() == [1.0, 1.0, 1.0]
+        assert rows[:, 2].tolist() == [0.0, 0.0, 0.0]
+
+    def test_infinite_s_max_rejected_before_the_sweep(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([
+                "protocol", "--regime", "dispersive", "--alpha", "0+4i",
+                "--s-max", "inf", "--points", "3", "--out", str(tmp_path / "bad.csv"),
+            ]) == 1
+        assert capsys.readouterr().err == "error: perturbation magnitude must be finite and >= 0, got inf\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEstimateCommand:

@@ -86,6 +86,11 @@ class TestEstimateDisplacement:
         with pytest.raises(ValueError):
             estimate_displacement([5, -1], 10, 4.0)
 
+    @pytest.mark.parametrize("alpha_mag", [0.0, -4.0, np.nan, np.inf])
+    def test_alpha_mag_must_be_positive_and_finite(self, alpha_mag):
+        with pytest.raises(ValueError, match="alpha_mag"):
+            estimate_displacement([3], 10, alpha_mag)
+
     @pytest.mark.parametrize("convention", ["dispersive", "resonant"])
     def test_one_libm_arccos_per_count(self, convention):
         # numpy's arccos differs from libm's in the last bit on some ratios,

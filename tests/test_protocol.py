@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from subplanck import states
 from subplanck.metrology import PerturbationSpec
 from subplanck.protocol import (
     HybridState,
@@ -68,12 +71,15 @@ class TestDispersiveProtocol:
             assert res.p_e + res.p_g == pytest.approx(1.0, abs=1e-10)
 
     def test_intermediate_states(self):
-        res = dispersive_protocol(ALPHA, displacement(0.1))
-        inter = res.intermediate
+        # the engine, not the closed form, gives the exact state at the
+        # perturbation stage
+        inter = generic_strategy(dispersive_sequence(ALPHA), displacement(0.1), ALPHA).intermediate
         assert inter.p_e == pytest.approx(0.5)
         assert fidelity(inter.state_e, coherent_state(ALPHA)) == pytest.approx(1.0)
         assert fidelity(inter.state_g, coherent_state(-ALPHA)) == pytest.approx(1.0)
-        rot = dispersive_protocol(ALPHA, PerturbationSpec("rotation", 1e-3)).intermediate
+        rotation = PerturbationSpec("rotation", 1e-3)
+        rot = generic_strategy(dispersive_sequence(ALPHA, rotation=True), rotation, ALPHA).intermediate
+        assert rot.p_e == pytest.approx(0.5)
         assert fidelity(rot.state_e, coherent_state(2 * ALPHA)) == pytest.approx(1.0)
         assert fidelity(rot.state_g, vacuum()) == pytest.approx(1.0)
 
@@ -111,15 +117,34 @@ class TestResonantProtocol:
         with pytest.raises(ValueError):
             resonant_protocol(ALPHA, displacement(0.1), dt_fraction=1.5)
 
-    def test_intermediate_is_product_state(self):
-        res = resonant_protocol(ALPHA, displacement(0.05))
-        inter = res.intermediate
-        # both branches share one oscillator state: genuinely factorized
-        assert fidelity(inter.state_e, inter.state_g) == pytest.approx(1.0, abs=1e-12)
-        assert inter.p_e == pytest.approx(0.5, abs=1e-12)
-        amps = set(np.round(inter.state_e.amplitudes, 9))
-        assert amps == {complex(np.round(-1j * ALPHA, 9)), complex(np.round(1j * ALPHA, 9))}
-        assert resonant_protocol(ALPHA, displacement(0.05), dt_fraction=0.7).intermediate is None
+
+@pytest.mark.parametrize(
+    "closed_form",
+    [
+        lambda: dispersive_protocol(ALPHA, displacement(0.1)),
+        lambda: dispersive_protocol(ALPHA, PerturbationSpec("rotation", 1e-3)),
+        lambda: resonant_protocol(ALPHA, displacement(0.1)),
+        lambda: resonant_protocol(ALPHA, displacement(0.1), dt_fraction=0.7),
+    ],
+    ids=["dispersive", "dispersive_rotation", "resonant", "resonant_early"],
+)
+def test_closed_form_returns_only_its_fringe(monkeypatch, closed_form):
+    # one |alpha> for the final state, no intermediate and no Gram block
+    calls = Counter()
+    gram, init = states._gram, CoherentSuperposition.__init__
+
+    def counted_gram(*args):
+        calls["gram"] += 1
+        return gram(*args)
+
+    def counted_init(self, *args):
+        calls["state"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(states, "_gram", counted_gram)
+    monkeypatch.setattr(CoherentSuperposition, "__init__", counted_init)
+    assert closed_form().intermediate is None
+    assert dict(calls) == {"state": 1}
 
 
 class TestGenericStrategy:

@@ -21,12 +21,13 @@ from oracles import fock_inner, fock_mean_n
 # small |alpha| so the Fock oracle stays cheap inside hypothesis loops
 amplitudes = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
 angles = st.floats(min_value=-np.pi, max_value=np.pi)
+CLI_MS = (1, 2, 3, 4, 6, 8, 16)
 
 
 @st.composite
-def circular_states(draw):
-    m = draw(st.sampled_from([1, 2, 3, 4, 6]))
-    radius = draw(st.floats(min_value=0.2, max_value=3.0))
+def circular_states(draw, ms=(1, 2, 3, 4, 6), max_radius=3.0):
+    m = draw(st.sampled_from(ms))
+    radius = draw(st.floats(min_value=0.2, max_value=max_radius))
     phase = draw(angles)
     gammas = draw(st.lists(angles, min_size=m, max_size=m))
     return make_circular_state(radius * np.exp(1j * phase), m, gammas)
@@ -132,7 +133,7 @@ class TestFock:
         assert np.max(np.abs(f.coefficients[1::2])) < 1e-14
 
     def test_default_truncation_leakage(self):
-        for alpha in [0.5, 2.0, 5.0]:
+        for alpha in [0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 40.0]:
             f = to_fock(coherent_state(alpha))
             assert f.dimension == default_n_trunc(alpha)
             assert 0.0 <= f.leakage < 1e-10
@@ -178,7 +179,8 @@ class TestProperties:
         rhs = abs(inner_product(probe, one_step))
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
-    @given(circular_states(), circular_states())
+    # the CLI's range: one Fock expansion stays cheap up to radius 40, M = 16
+    @given(circular_states(CLI_MS, 40.0), circular_states(CLI_MS, 40.0))
     @settings(max_examples=30, deadline=None)
     def test_fock_oracle_agreement(self, a, b):
         dim = default_n_trunc(max(a.max_amplitude, b.max_amplitude))
