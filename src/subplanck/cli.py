@@ -178,16 +178,9 @@ def _cmd_protocol(args) -> int:
     # the grid runs from 0 to s_max, so checking the extreme checks every point
     metrology.PerturbationSpec(args.pert, args.s_max, args.phi)
     mags = np.linspace(0.0, args.s_max, args.points)
-    rows = []
-    for mag in mags:
-        spec = metrology.PerturbationSpec(args.pert, float(mag), args.phi)
-        if args.regime == "dispersive":
-            result = protocol.dispersive_protocol(args.alpha, spec)
-        else:
-            result = protocol.resonant_protocol(args.alpha, spec, dt_fraction=args.dt_fraction)
-        rows.append((float(mag), result.p_e, result.p_g))
+    weights = protocol._fringe_weights(args.regime, args.alpha, args.pert, args.phi, mags, args.dt_fraction)
     config = _config_string(args, ["regime", "alpha", "pert", "phi", "s_max", "points", "dt_fraction"])
-    _atomic_write(args.out, _csv_bytes(config, ["s", "p_e", "p_g"], zip(*rows)))
+    _atomic_write(args.out, _csv_bytes(config, ["s", "p_e", "p_g"], [mags, *map(states._abs_sq, weights)]))
     return 0
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrology import DISPLACEMENT, PerturbationSpec
-from .protocol import dispersive_protocol, resonant_protocol
+from .metrology import DISPLACEMENT
+from .protocol import _fringe_weights
 
 __all__ = [
     "FeasibilityReport",
@@ -111,8 +111,7 @@ def run_trials(
         raise ValueError("convention must be 'dispersive' or 'resonant'")
     if not 0.0 <= true_s <= math.pi / (4.0 * abs(alpha)):
         raise ValueError("true_s must lie on the principal branch [0, pi/(4|alpha|)]")
-    fringe = dispersive_protocol if convention == "dispersive" else resonant_protocol
-    p_e = fringe(alpha, PerturbationSpec(DISPLACEMENT, true_s)).p_e
+    p_e = abs(_fringe_weights(convention, alpha, DISPLACEMENT, None, true_s, 1.0)[0]) ** 2
     children = np.random.SeedSequence(seed).spawn(n_trials)
     return np.array([simulate_readout(p_e, repetitions, child) for child in children], dtype=np.int64)
 
@@ -126,7 +125,9 @@ def estimator_calibration(
     convention: str = "dispersive",
 ) -> tuple[float, float]:
     """Empirical (mean bias, standard deviation) of the estimator over
-    n_trials full protocol->readout->inversion pipelines."""
+    n_trials >= 2 full protocol->readout->inversion pipelines."""
+    if n_trials < 2:
+        raise ValueError("n_trials must be >= 2 for a standard deviation")
     a_abs = abs(alpha)
     if not 0.0 < true_s < np.pi / (4.0 * a_abs):
         raise ValueError("true_s must lie strictly inside the principal branch")

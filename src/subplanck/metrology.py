@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import CoherentSuperposition, _moved_terms, _overlap_sq, displace, make_circular_state, mean_excitation
+from .states import CoherentSuperposition, _abs_sq, _braket, _moved_terms, displace, make_circular_state, mean_excitation
 
 __all__ = [
     "PerturbationSpec",
@@ -74,13 +74,12 @@ class PerturbationSpec:
         if self.direction is not None and not math.isfinite(self.direction):
             raise ValueError(f"perturbation direction must be finite, got {self.direction!r}")
 
-    def beta(self, alpha: complex | None = None) -> complex:
-        """Displacement amplitude; resolves a None direction against alpha."""
-        if self.kind != DISPLACEMENT:
-            raise ValueError("beta() only applies to displacement perturbations")
-        return self.magnitude * np.exp(1j * self.resolve_direction(alpha))
-
-    def resolve_direction(self, alpha: complex | None = None) -> float:
+    def resolve_direction(self, alpha: complex | None = None) -> float | None:
+        """Absolute displacement angle: `direction`, else the overlap fringes'
+        maximum-sensitivity angle arg(alpha) + pi/2 (ValueError without
+        alpha).  None for rotations, which have no direction."""
+        if self.kind == ROTATION:
+            return None
         if self.direction is not None:
             return self.direction
         if alpha is None:
@@ -89,9 +88,9 @@ class PerturbationSpec:
 
     def moved_terms(self, weights: np.ndarray, amplitudes: np.ndarray, alpha: complex | None = None):
         """Term-wise U_pert on (weights, amplitudes): R(magnitude) for
-        rotations, D(beta(alpha)) for displacements; `alpha` only resolves a
-        None direction.  Leading rows of `weights` share the amplitudes."""
-        return _perturbed_terms(self.kind, self.magnitude, _direction(self, alpha), weights, amplitudes)
+        rotations, D(magnitude e^{i resolve_direction(alpha)}) for
+        displacements.  Leading rows of `weights` share the amplitudes."""
+        return _perturbed_terms(self.kind, self.magnitude, self.resolve_direction(alpha), weights, amplitudes)
 
     def apply(self, state: CoherentSuperposition, alpha: complex | None = None) -> CoherentSuperposition:
         """U_pert|state>, built by `moved_terms`."""
@@ -108,11 +107,6 @@ def _in_regime(kind: str, magnitudes, alpha_abs: float):
     if kind == DISPLACEMENT:
         return magnitudes <= 0.2
     return magnitudes * 2.0 * alpha_abs <= 0.2
-
-
-def _direction(pert: PerturbationSpec, alpha: complex | None) -> float | None:
-    """Absolute displacement angle of `pert`; None for rotations."""
-    return None if pert.kind == ROTATION else pert.resolve_direction(alpha)
 
 
 def _perturbed_terms(kind: str, magnitude, direction: float | None, weights: np.ndarray, amplitudes: np.ndarray):
@@ -145,7 +139,7 @@ def approx_overlap(m: int, alpha: complex, pert: PerturbationSpec) -> float:
         warnings.warn("perturbation outside closed-form validity regime", OutOfRegimeWarning, stacklevel=2)
     if a_abs < 2.0:
         warnings.warn("closed-form overlap assumes well-separated components (|alpha| >= 2)", OutOfRegimeWarning, stacklevel=2)
-    return float(_approx_overlaps(m, alpha, pert.kind, _direction(pert, alpha), np.array([pert.magnitude]))[0])
+    return float(_approx_overlaps(m, alpha, pert.kind, pert.resolve_direction(alpha), np.array([pert.magnitude]))[0])
 
 
 def _approx_overlaps(m: int, alpha: complex, kind: str, direction: float | None, magnitudes: np.ndarray) -> np.ndarray:
@@ -167,7 +161,7 @@ def exact_overlap(state: CoherentSuperposition, pert: PerturbationSpec, alpha: c
 
     `alpha` is only consulted to resolve a None displacement direction.
     """
-    return float(_exact_overlaps(state, pert.kind, _direction(pert, alpha), np.array([pert.magnitude]))[0])
+    return float(_exact_overlaps(state, pert.kind, pert.resolve_direction(alpha), np.array([pert.magnitude]))[0])
 
 
 def _exact_overlaps(target: CoherentSuperposition, kind: str, direction: float | None, magnitudes: np.ndarray) -> np.ndarray:
@@ -177,7 +171,7 @@ def _exact_overlaps(target: CoherentSuperposition, kind: str, direction: float |
     same code as `PerturbationSpec.apply`."""
     w, a = target.weights, target.amplitudes
     ket_w, ket_a = _perturbed_terms(kind, magnitudes[:, None], direction, w, a)
-    return _overlap_sq(w, a, ket_w, ket_a)
+    return _abs_sq(_braket(w, a, ket_w, ket_a))
 
 
 @dataclass(frozen=True)
@@ -239,10 +233,10 @@ def _golden_minimum(f, lo: float, hi: float, xtol: float) -> float:
 class OverlapSweep:
     """Exact and closed-form overlap of `target` with its perturbed copies,
     sampled on a magnitude grid.  `direction` is the absolute displacement
-    angle, already resolved against alpha (rotations ignore it)."""
+    angle, already resolved against alpha (None for rotations)."""
 
     kind: str
-    direction: float
+    direction: float | None
     magnitudes: np.ndarray
     exact: np.ndarray
     approx: np.ndarray

@@ -129,18 +129,34 @@ def revival_time(params: JCParams) -> float:
     return 4.0 * np.pi * math.sqrt(params.nbar) / params.omega0_rabi
 
 
-def _fringe_argument(alpha: complex, pert: PerturbationSpec, orthogonal_default: bool) -> float:
-    """Phase difference 2 Im(beta (A_1* - A_2*)) between the two cat
-    branches; rotations enter through the mapping s = theta |alpha|."""
+def _fringe_weights(regime: str, alpha: complex, kind: str, direction: float | None, magnitudes, dt_fraction: float):
+    """Idealized final branch weights (w_e, w_g) of the closed-form "dispersive"
+    or "resonant" sequence at a float magnitude (scalars) or an array of them.
+    Delta = 4 |alpha| s cos(phi - axis), or 4 |alpha|^2 theta for rotations,
+    with the sensitive axis (a None direction's default) orthogonal to alpha
+    for dispersive and along it for resonant; dt_fraction (1 for dispersive)
+    scales Delta by sin(pi dt_fraction / 2)."""
+    dispersive = regime == "dispersive"
+    if not (0.0 < dt_fraction <= 1.0) or (dispersive and dt_fraction != 1.0):
+        raise ValueError(f"dt_fraction must lie in (0, 1], and be 1 for the dispersive sequence, got {dt_fraction!r}")
     a_abs = abs(alpha)
-    if pert.kind == ROTATION:
-        return 4.0 * a_abs**2 * pert.magnitude
-    if pert.direction is None:
-        phi_rel = np.pi / 2.0 if orthogonal_default else 0.0
+    if a_abs < 2.0:  # nbar = |alpha|^2 < 4
+        warnings.warn("dispersive protocol assumes a mesoscopic amplitude (|alpha| >= 2)" if dispersive else
+                      "resonant factorization assumes a mesoscopic field (nbar >= 4)", OutOfRegimeWarning, stacklevel=3)
+    if kind == ROTATION:
+        delta = 4.0 * a_abs**2 * magnitudes
     else:
-        phi_rel = pert.direction - float(np.angle(alpha))
-    projection = np.sin(phi_rel) if orthogonal_default else np.cos(phi_rel)
-    return float(4.0 * a_abs * pert.magnitude * projection)
+        phi_rel = direction - float(np.angle(alpha)) if direction is not None else np.pi / 2.0 if dispersive else 0.0
+        delta = 4.0 * a_abs * magnitudes * (np.sin(phi_rel) if dispersive else np.cos(phi_rel))
+    turn = np.exp(1j * (delta * math.sin(np.pi * dt_fraction / 2.0)))
+    if dispersive:
+        return 0.5 * (1.0 - turn), 0.5 * (1.0 + turn)
+    # w_g = 0.5 e^{-i arg alpha} (1 - turn) in real parts, as numpy's vectorized
+    # complex product can round unlike its scalar one; [()] unwraps a 0-d result
+    h, g = 0.5 * np.exp(-1j * float(np.angle(alpha))), 1.0 - turn
+    w_g = np.empty(np.shape(g), complex)
+    w_g.real, w_g.imag = h.real * g.real - h.imag * g.imag, h.real * g.imag + h.imag * g.real
+    return 0.5 * (turn + 1.0), w_g[()]
 
 
 def dispersive_protocol(alpha: complex, pert: PerturbationSpec) -> ProtocolResult:
@@ -152,12 +168,7 @@ def dispersive_protocol(alpha: complex, pert: PerturbationSpec) -> ProtocolResul
     signal).  Only the final state is returned; `generic_strategy` with
     `dispersive_sequence(alpha, rotation)` gives the exact intermediate.
     """
-    a_abs = abs(alpha)
-    if a_abs < 2.0:
-        warnings.warn("dispersive protocol assumes a mesoscopic amplitude (|alpha| >= 2)", OutOfRegimeWarning, stacklevel=2)
-    delta = _fringe_argument(alpha, pert, orthogonal_default=True)
-    w_e = 0.5 * (1.0 - np.exp(1j * delta))
-    w_g = 0.5 * (1.0 + np.exp(1j * delta))
+    w_e, w_g = _fringe_weights("dispersive", alpha, pert.kind, pert.direction, pert.magnitude, 1.0)
     coh = coherent_state(alpha)
     return ProtocolResult(final=HybridState(w_e, coh, w_g, coh))
 
@@ -177,15 +188,7 @@ def resonant_protocol(alpha: complex, pert: PerturbationSpec, dt_fraction: float
     displacement parallel to alpha crosses its interference fringes: a
     None direction resolves to arg(alpha) here (not arg(alpha) + pi/2).
     """
-    if not (0.0 < dt_fraction <= 1.0):
-        raise ValueError("dt_fraction must lie in (0, 1]")
-    if abs(alpha) ** 2 < 4.0:
-        warnings.warn("resonant factorization assumes a mesoscopic field (nbar >= 4)", OutOfRegimeWarning, stacklevel=2)
-    scale = math.sin(np.pi * dt_fraction / 2.0)
-    delta = scale * _fringe_argument(alpha, pert, orthogonal_default=False)
-    b = np.exp(-1j * float(np.angle(alpha)))
-    w_e = 0.5 * (np.exp(1j * delta) + 1.0)
-    w_g = 0.5 * b * (1.0 - np.exp(1j * delta))
+    w_e, w_g = _fringe_weights("resonant", alpha, pert.kind, pert.direction, pert.magnitude, dt_fraction)
     coh = coherent_state(alpha)
     return ProtocolResult(final=HybridState(w_e, coh, w_g, coh))
 

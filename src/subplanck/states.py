@@ -99,9 +99,15 @@ class CoherentSuperposition:
         return float(_norms(self.weights, self.amplitudes))
 
     def normalized(self) -> "CoherentSuperposition":
+        """This state over its Gram norm.  The norm^2 sums M^2 terms of moduli
+        |w_k w_l| e^{-|a_k - a_l|^2/2}; its rounding error is estimated as M^2 eps
+        times their sum.  ValueError unless that estimate is below 1e-8 of the
+        norm^2: a zero norm, or overlapping components that cancel."""
         n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize a zero-norm superposition")
+        w, a = np.abs(self.weights), self.amplitudes
+        error = self.n_terms**2 * np.finfo(float).eps * (w @ np.exp(-0.5 * np.abs(a[:, None] - a) ** 2) @ w)
+        if not error < 1e-8 * n * n:  # phrased so that NaN fails too
+            raise ValueError(f"cannot normalize: norm^2 {n * n:.3g} is zero or lost to cancellation (rounding error ~{error:.3g})")
         return CoherentSuperposition(self.weights / n, self.amplitudes)
 
 
@@ -161,16 +167,16 @@ def inner_product(a: CoherentSuperposition, b: CoherentSuperposition) -> complex
     return complex(_braket(a.weights, a.amplitudes, b.weights, b.amplitudes))
 
 
-def _overlap_sq(bra_w: np.ndarray, bra_a: np.ndarray, ket_w: np.ndarray, ket_a: np.ndarray):
-    """|<bra|ket>|^2 over `_braket`'s leading axes.  libm's hypot and pow square
-    the modulus as abs(z) ** 2 does, bit for bit, batched or not."""
-    amp = _braket(bra_w, bra_a, ket_w, ket_a)
-    return np.float_power(np.hypot(amp.real, amp.imag), 2)
+def _abs_sq(z):
+    """|z|^2 elementwise, as |<bra|ket>|^2 of `_braket` values or |w|^2 of branch
+    weights.  libm's hypot and pow square the modulus as abs(z) ** 2 does,
+    bit for bit, batched or not."""
+    return np.float_power(np.hypot(z.real, z.imag), 2)
 
 
 def fidelity(a: CoherentSuperposition, b: CoherentSuperposition) -> float:
     """|<a|b>|^2; global-phase-insensitive state comparison."""
-    return float(_overlap_sq(a.weights, a.amplitudes, b.weights, b.amplitudes))
+    return float(_abs_sq(_braket(a.weights, a.amplitudes, b.weights, b.amplitudes)))
 
 
 def mean_excitation(state: CoherentSuperposition) -> float:

@@ -5,12 +5,13 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from subplanck import wigner
+from subplanck import protocol, states, wigner
 from subplanck.cli import main, parse_complex
 
 
@@ -287,6 +288,30 @@ class TestProtocolCommand:
         assert capsys.readouterr().err == "error: perturbation magnitude must be finite and >= 0, got inf\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("regime", ["dispersive", "resonant"])
+    def test_grid_is_one_evaluation(self, tmp_path, monkeypatch, regime):
+        # the sweep builds no state and no protocol result per point
+        calls = Counter()
+        init, result_init = states.CoherentSuperposition.__init__, protocol.ProtocolResult.__init__
+
+        def counted_state(self, *args):
+            calls["state"] += 1
+            init(self, *args)
+
+        def counted_result(self, *args, **kwargs):
+            calls["result"] += 1
+            result_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(states.CoherentSuperposition, "__init__", counted_state)
+        monkeypatch.setattr(protocol.ProtocolResult, "__init__", counted_result)
+        counts = []
+        for points in (3, 2000):
+            calls.clear()
+            assert main(["protocol", "--regime", regime, "--alpha", "0+4i", "--s-max", "0.2", "--points", str(points),
+                         "--out", str(tmp_path / f"{points}.csv")]) == 0
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+
 
 class TestEstimateCommand:
     def test_summary_and_rows(self, tmp_path, capsys):
@@ -375,8 +400,17 @@ class TestDeterminismAndErrors:
             ["protocol", "--regime", "dispersive", "--alpha", "0+4i", "--s-max", "0.3", "--points", "0",
              "--out", "bad.csv"],
             ["overlap", "--alpha", "0+4i", "--m", "2", "--s-max", "-0.1", "--out", "bad.csv"],
+            # the dispersive sequence has no interaction time; the flag was
+            # ignored but recorded in the CSV header
+            ["protocol", "--regime", "dispersive", "--alpha", "0+4i", "--dt-fraction", "0.3", "--s-max", "0.1",
+             "--points", "3", "--out", "bad.csv"],
+            # 16 components at radius 0.2 cancel in the Gram norm, which gave
+            # an overlap of 1.0549 at s = 0
+            ["overlap", "--alpha", "0.2", "--m", "16", "--gammas", ",".join(["0", repr(math.pi)] * 8),
+             "--s-max", "0.1", "--points", "3", "--out", "bad.csv"],
         ],
-        ids=["feasibility_nan_omega0", "estimate_s_beyond_branch", "protocol_zero_points", "overlap_negative_s_max"],
+        ids=["feasibility_nan_omega0", "estimate_s_beyond_branch", "protocol_zero_points", "overlap_negative_s_max",
+             "protocol_dispersive_dt_fraction", "overlap_norm_lost_to_cancellation"],
     )
     def test_invalid_input_exits_nonzero(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)

@@ -151,6 +151,11 @@ class TestCalibration:
         with pytest.raises(ValueError):
             estimator_calibration(np.pi / 16, 4j, 100, 10, seed=0)
 
+    def test_single_trial_has_no_spread(self):
+        # one trial has no sample standard deviation (it was a NaN)
+        with pytest.raises(ValueError, match="n_trials"):
+            estimator_calibration(0.05, 4j, 1000, 1, 3)
+
     def test_trials_deterministic_and_order_independent(self):
         a = run_trials(np.pi / 32, 4j, 1000, 32, seed=555)
         b = run_trials(np.pi / 32, 4j, 1000, 32, seed=555)

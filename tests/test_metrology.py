@@ -43,9 +43,11 @@ class TestPerturbationSpec:
     def test_direction_resolution(self):
         p = PerturbationSpec("displacement", 0.1)
         assert p.resolve_direction(4j) == pytest.approx(np.pi / 2 + np.pi / 2)
-        assert p.beta(4j) == pytest.approx(-0.1)
         with pytest.raises(ValueError):
             p.resolve_direction()
+        # a rotation has no direction, with or without a reference amplitude
+        assert PerturbationSpec("rotation", 0.1, 0.3).resolve_direction(4j) is None
+        assert PerturbationSpec("rotation", 0.1).resolve_direction() is None
 
     def test_regime_flags(self):
         assert PerturbationSpec("displacement", 0.1).in_regime(4.0)

@@ -2,6 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subplanck import states
 from subplanck.metrology import PerturbationSpec
@@ -14,6 +15,7 @@ from subplanck.protocol import (
     jc_numeric_evolve,
     resonant_protocol,
     revival_time,
+    _fringe_weights,
 )
 from subplanck.states import (
     CoherentSuperposition,
@@ -145,6 +147,39 @@ def test_closed_form_returns_only_its_fringe(monkeypatch, closed_form):
     monkeypatch.setattr(CoherentSuperposition, "__init__", counted_init)
     assert closed_form().intermediate is None
     assert dict(calls) == {"state": 1}
+
+
+@st.composite
+def closed_form_sweeps(draw):
+    """(regime, alpha, kind, phi, magnitude grid, dt_fraction) in the CLI's range."""
+    regime = draw(st.sampled_from(["dispersive", "resonant"]))
+    kind = draw(st.sampled_from(["displacement", "rotation"]))
+    alpha = draw(st.floats(0.0, 30.0)) * np.exp(1j * draw(st.floats(-np.pi, np.pi)))
+    phi = draw(st.none() | st.floats(-7.0, 7.0))
+    s_max = draw(st.floats(0.0, 0.5 if kind == "displacement" else 0.05))
+    mags = np.linspace(0.0, s_max, draw(st.integers(2, 40)))
+    early = st.floats(0.0, 1.0, exclude_min=True)
+    dt_fraction = 1.0 if regime == "dispersive" else draw(st.just(1.0) | early)
+    return regime, alpha, kind, phi, mags, dt_fraction
+
+
+@pytest.mark.filterwarnings("ignore::subplanck.metrology.OutOfRegimeWarning")
+@given(closed_form_sweeps())
+@settings(max_examples=100, deadline=None)
+def test_fringe_kernel_on_a_grid_matches_the_closed_forms(sweep):
+    # one array call of the kernel gives, bit for bit, the weights of the
+    # per-point public closed forms, and the shared |w|^2 rule their abs()**2
+    regime, alpha, kind, phi, mags, dt_fraction = sweep
+    w_e, w_g = _fringe_weights(regime, alpha, kind, phi, mags, dt_fraction)
+    results = [
+        dispersive_protocol(alpha, PerturbationSpec(kind, float(x), phi)) if regime == "dispersive"
+        else resonant_protocol(alpha, PerturbationSpec(kind, float(x), phi), dt_fraction)
+        for x in mags
+    ]
+    assert w_e.tolist() == [r.final.weight_e for r in results]
+    assert w_g.tolist() == [r.final.weight_g for r in results]
+    assert states._abs_sq(w_e).tolist() == [r.p_e for r in results]
+    assert states._abs_sq(w_g).tolist() == [r.p_g for r in results]
 
 
 class TestGenericStrategy:

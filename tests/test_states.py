@@ -59,6 +59,16 @@ class TestConstruction:
         assert s.norm() == pytest.approx(1.0, abs=1e-12)
         assert abs(s.weights[0]) * np.sqrt(2.0) != pytest.approx(1.0, abs=1e-3)
 
+    @pytest.mark.parametrize(
+        "gammas", [[0.0, np.pi] * 8, [0.0, np.pi / 2, np.pi, -np.pi / 2] * 4], ids=["alternating", "quarter_turns"]
+    )
+    def test_norm_lost_to_cancellation_raises(self, gammas):
+        # at radius 0.2 the 16 components overlap so heavily that the Gram
+        # norm^2 (~5e-14 or 0) is below the rounding error of its 256 terms;
+        # its Fock expansion disagreed with the Gram norm by 16 %
+        with pytest.raises(ValueError, match="cancellation"):
+            make_circular_state(0.2, 16, gammas)
+
     def test_rejects_empty_and_mismatched(self):
         with pytest.raises(ValueError):
             CoherentSuperposition([], [])
