@@ -7,6 +7,7 @@ argument list and seed, and are written atomically (temp file + rename).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -67,17 +68,165 @@ def _csv_bytes(comment: str, header: list[str], columns, trailing_comments=()) -
     return ("\n".join(lines) + "\n").encode()
 
 
+# A sample's text is cut from a template of six 8-byte words,
+#   [s 0 . 0 0 0 d0 .] [d1 . d2 . d3 . d4 .] ... [d13 . d14 . d15 . d16 .] [e - x x x _ _ _]
+# with s the sign or a NUL, d the 17 significant digits, x the three digits
+# of a negative decimal exponent and _ a NUL.  Every _FLOAT_FMT text of a
+# normal double below 1e16 is a subsequence of it, so a byte mask per
+# (exponent class, kept digits) picks the text out, and dropping the NULs
+# closes it up.
+_G17_BYTES = 48
+
+
+def _text_rows(values, width: int | None = None) -> np.ndarray:
+    """_FLOAT_FMT text of each value, NUL-padded to `width` (default: the
+    longest), as the rows of a uint8 matrix."""
+    texts = [(_FLOAT_FMT % v).encode() for v in values]
+    width = max(map(len, texts), default=0) if width is None else width
+    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts), np.uint8).reshape(len(texts), width)
+
+
+def _kept_bytes(cls: int, kept: int) -> list[int]:
+    """Template offsets of the text, after the sign, of a value with `kept`
+    significant digits (trailing zeros dropped) in exponent class `cls`:
+    f-style for decimal exponents -4..15 (classes 0..19), e-style with a
+    two- or three-digit negative exponent (20, 21)."""
+    digits = list(range(6, 6 + 2 * kept, 2))  # digit j at 6 + 2j, its '.' next
+    if cls >= 20:
+        fraction = [7, *digits[1:]] if kept > 1 else []
+        return [6, *fraction, 40, 41, *range(43 - (cls == 21), 45)]
+    point = cls - 4  # the decimal exponent
+    if point < 0:
+        return [1, 2, *range(3, 2 - point), *digits]  # 0. and -point - 1 zeros
+    whole = list(range(6, 8 + 2 * point, 2))  # zeros up to the point stay
+    return whole + ([whole[-1] + 1, *digits[point + 1 :]] if kept > point + 1 else [])
+
+
+@functools.cache
+def _g17_tables():
+    """Tables of `_g17_text`, built on first use from numpy arithmetic and
+    Python ints in a few milliseconds.
+
+    For k = 0..324, 10^k = (hi_h + hi_l + lo) 2^shift with hi = hi_h + hi_l
+    the correctly rounded double in [1, 2), hi_h and hi_l its exact 26-bit
+    halves for Dekker's product, and lo the correctly rounded remainder.
+    As template words: heads[10 s + d] is the first word of sign s (1 for
+    minus) and leading digit d, quads[q] the four digits of q < 10^4 and
+    exps[e] the exponent of 10^-e; zeros[q] counts the trailing zeros of
+    q's four digits, and masks[17 cls + kept - 1] is the mask of the sign
+    and `_kept_bytes`."""
+    powers = []
+    for k in range(325):
+        power = 10**k
+        shift = power.bit_length() - 1
+        mantissa = int(power / (1 << shift) * (1 << 52))  # hi 2^52, exactly
+        top = (mantissa + (1 << 26)) >> 27 << 27
+        lo = (power * (1 << 52) - mantissa * (1 << shift)) / (1 << (shift + 52))
+        powers.append((shift, top / (1 << 52), (mantissa - top) / (1 << 52), lo))
+    shift, hi_h, hi_l, lo = (np.array(col) for col in zip(*powers))
+    heads = np.zeros((20, 8), dtype=np.uint8)  # row 10 s + d
+    heads[10:, 0] = ord("-")
+    heads[:, 1:6] = np.frombuffer(b"0.000", np.uint8)
+    heads[:, 6] = 48 + np.arange(20) % 10
+    heads[:, 7] = ord(".")
+    q = np.arange(10000)
+    quads = np.full((q.size, 8), ord("."), dtype=np.uint8)
+    quads[:, ::2] = 48 + np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1)
+    zeros = sum(q % 10**i == 0 for i in range(1, 5))
+    e = np.arange(309)
+    exps = np.zeros((e.size, 8), dtype=np.uint8)
+    exps[:, :2] = np.frombuffer(b"e-", np.uint8)
+    exps[:, 2:5] = 48 + np.stack([e // 100, e // 10 % 10, e % 10], axis=1)
+    masks = np.zeros((22 * 17, _G17_BYTES), dtype=np.uint8)
+    for cls in range(22):
+        for kept in range(1, 18):
+            masks[17 * cls + kept - 1, [0, *_kept_bytes(cls, kept)]] = 0xFF
+    tables = (shift, hi_h, hi_l, lo, zeros, *(t.view(np.uint64).ravel() for t in (heads, quads, exps)), masks.view(np.uint64))
+    for table in tables:
+        table.flags.writeable = False  # shared by every call
+    return tables
+
+
+def _g17_text(x: np.ndarray) -> np.ndarray:
+    """_FLOAT_FMT text of each double in x, byte for byte, as the rows of an
+    (x.size, 48) uint8 matrix with NULs between and after the characters.
+
+    The digits are exact.  For normal |x| < 1e16, with e = floor(log10|x|)
+    and k = 16 - e, V = |x| 10^k is formed as a double p plus a remainder r
+    from Dekker's exact product of |x| 2^shift with hi and the rounded
+    product with lo (see `_g17_tables`): p is an integer above 2^53, and r
+    is within 1e-14 of V - p.  The 17 digits are p + rint(r), V rounded
+    half to even, unless the fraction of r lies within 1e-6 of 1/2.  A
+    log10 that misses e by one shows as V >= 10^17 - 1/2 or V < 10^16, and
+    those go to `%` too (V within 1e-14 below 10^16 gives the same text at
+    both exponents).  Zero, subnormals, |x| >= 1e16 and non-finite values
+    go to `%` as well; no float warning fires on any input."""
+    shift, hi_h, hi_l, lo, zeros, heads, quads, exps, masks = _g17_tables()
+    x = np.asarray(x, dtype=float).ravel()
+    mag = np.abs(x)
+    fast = (mag >= np.finfo(float).tiny) & (mag < 1e16)  # False for NaN
+    mag = np.where(fast, mag, 1.0)
+    exp10 = np.floor(np.log10(mag)).astype(np.intp)  # -308..16
+    k = 16 - exp10
+    scaled = np.ldexp(mag, shift[k])  # exact, in [5e15, 1.2e17)
+    big = scaled * 134217729.0  # Veltkamp's split at 2^27 + 1
+    top = big - (big - scaled)
+    low = scaled - top
+    p = scaled * (hi_h[k] + hi_l[k])
+    r = (((top * hi_h[k] - p) + top * hi_l[k] + low * hi_h[k]) + low * hi_l[k]) + scaled * lo[k]
+    whole = np.rint(r)
+    digits = p.astype(np.int64) + whole.astype(np.int64)
+    fast &= (np.abs(r - whole) < 0.5 - 1e-6) & ((p - 1e16) + r >= 0.0) & (digits < 10**17)
+
+    head = digits // 10**8  # below 2^31, as is the tail: int32 divides faster
+    tail = (digits - head * 10**8).astype(np.int32)
+    head = head.astype(np.int32)
+    # the leading digit mod 10 keeps the index in range where p overshoots (those go to `%`)
+    chunks = np.stack([head // 10**8 % 10, head // 10**4 % 10**4, head % 10**4, tail // 10**4, tail % 10**4])
+    trailing = np.zeros(x.size, dtype=np.intp)
+    for chunk in chunks[1:]:
+        trailing = np.where(chunk == 0, trailing + 4, zeros[chunk])
+    cls = np.where(exp10 >= -4, exp10 + 4, np.where(exp10 >= -99, 20, 21))
+    words = np.empty((x.size, _G17_BYTES // 8), dtype=np.uint64)
+    words[:, 0] = heads[10 * np.signbit(x) + chunks[0]]
+    words[:, 1:5] = quads[chunks[1:].T]
+    words[:, 5] = exps[np.abs(exp10)]
+    words &= np.take(masks, 17 * cls + 16 - trailing, axis=0)  # take: 4x faster than masks[rows] here
+    text = words.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text[slow] = _text_rows(x[slow].tolist(), _G17_BYTES)
+    return text
+
+
 def _field_csv_bytes(comment: str, grid: wigner.PhaseSpaceGrid, values: np.ndarray) -> bytes:
     """CSV text of re,im,w rows for samples values[ix, iy]: rows run from
-    im_max down to im_min, re ascending within a row.  Each coordinate is
-    formatted once per axis; a row of the grid is one format string with
-    its re and im text filled in and one slot per sample."""
-    re_text = list(map(_FLOAT_FMT.__mod__, grid.re_points.tolist()))
-    blocks = [f"# subplanck {comment}\nre,im,w\n"]
-    for im_text, row in zip(map(_FLOAT_FMT.__mod__, grid.im_points[::-1].tolist()), values[:, ::-1].T.tolist()):
-        tail = f",{im_text},{_FLOAT_FMT}\n"
-        blocks.append((tail.join(re_text) + tail) % tuple(row))
-    return "".join(blocks).encode()
+    im_max down to im_min, re ascending within a row.
+
+    Each coordinate is formatted once per axis by `%`.  The samples are
+    formatted by `_g17_text`, which is exact: it decides the rounding of 17
+    significant digits from a product accurate to 1e-14 and leaves to `%`
+    the values within 1e-6 of a rounding tie and those outside
+    2.2e-308 <= |x| < 1e16 (zero, subnormals, large and non-finite values).
+    Whole lines are laid out NUL-padded in a uint8 matrix, a block of grid
+    rows at a time, and the NULs are dropped: no Python object per sample."""
+    re_text = _text_rows(grid.re_points.tolist())
+    im_text = _text_rows(grid.im_points[::-1].tolist())
+    samples = values[:, ::-1].T  # [row, column]: im descending, re ascending
+    ny, nx = samples.shape
+    cols = np.cumsum([re_text.shape[1], 1, im_text.shape[1], 1, _G17_BYTES])
+    blocks = [f"# subplanck {comment}\nre,im,w\n".encode()]
+    step = max(1, 16384 // nx)  # grid rows a block: about 16k samples, 1.5 MB of lines
+    for start in range(0, ny, step):
+        rows = samples[start : start + step]
+        lines = np.empty((*rows.shape, cols[-1] + 1), dtype=np.uint8)
+        lines[..., : cols[0]] = re_text
+        lines[..., cols[0]] = lines[..., cols[2]] = ord(",")
+        lines[..., cols[1] : cols[2]] = im_text[start : start + step, None]
+        lines[..., cols[3] : cols[4]] = _g17_text(rows).reshape(*rows.shape, _G17_BYTES)
+        lines[..., cols[4]] = ord("\n")
+        blocks.append(lines.tobytes().translate(None, b"\0"))  # 3x faster than lines[lines != 0]
+    return b"".join(blocks)
 
 
 def _pgm_bytes(values: np.ndarray, grid: wigner.PhaseSpaceGrid) -> bytes:

@@ -100,12 +100,12 @@ class CoherentSuperposition:
 
     def normalized(self) -> "CoherentSuperposition":
         """This state over its Gram norm.  The norm^2 sums M^2 terms of moduli
-        |w_k w_l| e^{-|a_k - a_l|^2/2}; its rounding error is estimated as M^2 eps
+        |w_k w_l| e^{-|a_k - a_l|^2/2}; its rounding error is estimated as eps
         times their sum.  ValueError unless that estimate is below 1e-8 of the
         norm^2: a zero norm, or overlapping components that cancel."""
         n = self.norm()
         w, a = np.abs(self.weights), self.amplitudes
-        error = self.n_terms**2 * np.finfo(float).eps * (w @ np.exp(-0.5 * np.abs(a[:, None] - a) ** 2) @ w)
+        error = np.finfo(float).eps * (w @ np.exp(-0.5 * np.abs(a[:, None] - a) ** 2) @ w)
         if not error < 1e-8 * n * n:  # phrased so that NaN fails too
             raise ValueError(f"cannot normalize: norm^2 {n * n:.3g} is zero or lost to cancellation (rounding error ~{error:.3g})")
         return CoherentSuperposition(self.weights / n, self.amplitudes)

@@ -26,9 +26,10 @@ is not, so the only large phase is phi_kl itself.
 
 The factors separate over the two axes: a field on an nx x ny grid is
 Re(G diag(c) H^T) with G (nx x M^2) and H (ny x M^2) the stacked 1-d
-factors and c_kl = 2 w_k conj(w_l) e^{i phi_kl}.  A WignerField stores
-exactly these factors, which cost M^2 (nx + ny) exponentials; its
-`values` are formed by the one matrix product on first read and cached.
+factors and c_kl = 2 w_k conj(w_l) e^{i phi_kl}.  Column (l, k) of G and
+H is the complex conjugate of column (k, l), so a WignerField's factors
+cost M (M + 1)/2 (nx + ny) exponentials; its `values` are formed by the
+one matrix product on first read and cached.
 
 Phase-space integrals never form the nx x ny samples.  With trapezoid
 weight vectors w_x, w_y on the two axes,
@@ -105,11 +106,17 @@ def cross_wigner(alpha_k: complex, alpha_l: complex, point) -> complex:
     return val
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class PhaseSpaceGrid:
     """Rectangular sampling grid for the complex plane.
 
-    The grid holds only its bounds and point counts.  `resolves(a)` reports
+    The grid holds its bounds and point counts; the points of each axis are
+    computed once, on first read, as read-only arrays.  `resolves(a)` reports
     whether the step obeys h <= pi / (8 a) for a largest coherent
     amplitude a; `wigner_field` asks it about the state it samples.
     """
@@ -127,13 +134,13 @@ class PhaseSpaceGrid:
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("grid bounds must be ordered")
 
-    @property
+    @functools.cached_property
     def re_points(self) -> np.ndarray:
-        return np.linspace(self.re_min, self.re_max, self.nx)
+        return _read_only(np.linspace(self.re_min, self.re_max, self.nx))
 
-    @property
+    @functools.cached_property
     def im_points(self) -> np.ndarray:
-        return np.linspace(self.im_min, self.im_max, self.ny)
+        return _read_only(np.linspace(self.im_min, self.im_max, self.ny))
 
     @property
     def step(self) -> float:
@@ -200,11 +207,31 @@ def auto_grid(*states: CoherentSuperposition) -> PhaseSpaceGrid:
     return PhaseSpaceGrid(re_lo, re_hi, im_lo, im_hi, _count(re_lo, re_hi), _count(im_lo, im_hi))
 
 
+@functools.cache
+def _upper_terms(m: int):
+    """The cross terms k <= l of m components as index arrays (k, l), and for
+    every term k m + l the column of [upper, conj(upper)] that holds it: its
+    own for k <= l, the conjugate of (l, k) below the diagonal."""
+    k, l = np.triu_indices(m)
+    column = np.empty((m, m), dtype=np.intp)
+    column[l, k] = np.arange(k.size) + k.size
+    column[k, l] = np.arange(k.size)  # the diagonal keeps its own column
+    return _read_only(k), _read_only(l), _read_only(column.ravel())
+
+
 def _axis_factors(points: np.ndarray, centres: np.ndarray, wavenumbers: np.ndarray) -> np.ndarray:
     """exp(-2 u^2 + i wavenumber u), u = t - centre, for every sample t (rows)
-    and cross term (columns); each entry has modulus at most 1."""
-    u = points[:, None] - centres
-    return np.exp(u * (-2.0 * u + 1j * wavenumbers))
+    and cross term k, l (columns k M + l of the M x M centres and
+    wavenumbers); each entry has modulus at most 1.
+
+    The centres are symmetric and the wavenumbers antisymmetric in (k, l),
+    so column (l, k) is the complex conjugate of column (k, l), bit for bit.
+    Only the M (M + 1) / 2 columns with k <= l are exponentiated, and the
+    diagonal is never conjugated, so its imaginary zeros keep their sign."""
+    k, l, column = _upper_terms(centres.shape[0])
+    u = points[:, None] - centres[k, l]
+    upper = np.exp(u * (-2.0 * u + 1j * wavenumbers[k, l]))
+    return np.concatenate([upper, np.conj(upper)], axis=1).take(column, axis=1)
 
 
 def wigner_field(state: CoherentSuperposition, grid: PhaseSpaceGrid) -> WignerField:
@@ -213,8 +240,8 @@ def wigner_field(state: CoherentSuperposition, grid: PhaseSpaceGrid) -> WignerFi
     factor or coefficient raises FloatingPointError."""
     w = state.weights
     amps = state.amplitudes
-    mid, kx, ky, phi = (v.ravel() for v in _cross_terms(amps[:, None], amps[None, :]))
-    coeffs = 2.0 * np.outer(w, np.conj(w)).ravel() * np.exp(1j * phi)
+    mid, kx, ky, phi = _cross_terms(amps[:, None], amps[None, :])
+    coeffs = 2.0 * np.outer(w, np.conj(w)).ravel() * np.exp(1j * phi.ravel())
     g = _axis_factors(grid.re_points, mid.real, kx)
     h = _axis_factors(grid.im_points, mid.imag, ky)
     bad = sum(int(np.count_nonzero(~np.isfinite(part))) for part in (g, coeffs, h))

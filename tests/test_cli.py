@@ -10,8 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from subplanck import protocol, states, wigner
+from subplanck import cli, protocol, states, wigner
 from subplanck.cli import main, parse_complex
 
 
@@ -25,6 +26,104 @@ def _read_csv(path):
         else:
             rows.append([float(v) for v in line.split(",")])
     return comments, header, np.array(rows)
+
+
+def _kernel_text(values):
+    """The field writer's text of each value, NULs dropped."""
+    rows = cli._g17_text(np.asarray(values, dtype=float))
+    return [row.tobytes().replace(b"\0", b"").decode() for row in rows]
+
+
+def _format_text(values):
+    return [cli._FLOAT_FMT % v for v in values]
+
+
+class TestSampleText:
+    """The vectorized %.17g kernel of the field writer, byte for byte
+    against the format it replaces."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    def test_matches_format_on_any_finite_double(self, values):
+        assert _kernel_text(values) == _format_text(values)
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (1234567890123456.75, "1234567890123456.8"),
+            (1234567890123456.25, "1234567890123456.2"),
+            (4503599627370495.5, "4503599627370495.5"),
+            (9.9999999999999991e-05, "9.9999999999999991e-05"),
+            (0.0001, "0.0001"),
+            (1e16, "10000000000000000"),
+            (1e17, "1e+17"),
+            (5e-324, "4.9406564584124654e-324"),
+            (2.2250738585072014e-308, "2.2250738585072014e-308"),
+            (1.7976931348623157e308, "1.7976931348623157e+308"),
+            (-0.0, "-0"),
+            (0.0, "0"),
+        ],
+        ids=["tie_up", "tie_down", "half", "below_switch", "switch", "1e16", "1e17", "min_subnormal",
+             "min_normal", "max", "neg_zero", "zero"],
+    )
+    def test_ties_switches_and_extremes(self, value, text):
+        assert _format_text([value]) == [text]
+        assert _kernel_text([value, -value]) == _format_text([value, -value])
+
+    def test_near_ties_and_neighbours_of_powers_of_ten(self):
+        # x = m 2^-(s + k) with m 5^k = 2^(s-1) + d (mod 2^s) puts x 10^k, a
+        # 17-digit integer part, d 2^-s from a rounding tie: closer than the
+        # kernel's product can tell apart for large s, so only its tie guard
+        # gets these right.  Around each power of ten the log10 estimate of
+        # the exponent may be off by one, and 17 digits may carry up to it
+        near_ties = []
+        for k in range(23, 325):
+            for s in range(2 * k, 3 * k):
+                if 1.2 < 5**k / 2**s < 20:
+                    inverse = pow(5**k, -1, 2**s)
+                    for d in (*range(-16, 0), *range(1, 17)):
+                        m = (2 ** (s - 1) + d) * inverse % 2**s
+                        m -= (m - 2**52) // 2**s * 2**s  # the smallest such m >= 2^52
+                        if m < 2**53 and 10**16 * 2**s <= m * 5**k < 10**17 * 2**s:
+                            near_ties.append(math.ldexp(m, -(s + k)))
+        powers = [float(f"1e{p}") for p in range(-307, 17)]
+        neighbours = [*powers, *np.nextafter(powers, 0.0), *np.nextafter(np.nextafter(powers, 0.0), 0.0), *np.nextafter(powers, 1.0)]
+        values = [*near_ties, *neighbours]
+        assert len(near_ties) > 100
+        assert _kernel_text(values) == _format_text(values)
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(2001).integers(0, 2**64, size=200_000, dtype=np.uint64)
+        values = bits.view(float)
+        values = values[np.isfinite(values)]
+        assert _kernel_text(values) == _format_text(values.tolist())
+
+    def test_kernel_formats_in_range_values_itself(self, monkeypatch):
+        # the format is only the fallback: normal values below 1e16 stay in
+        # numpy unless they lie within 1e-6 of a rounding tie.  Exact ties
+        # are common among large doubles (1/128 of those near 3e12 end in a
+        # 5 at the 18th digit); below 1e7 a random double is one with odds
+        # under 1e-8, as are the field samples (|W| <= 2)
+        formatted = []
+        text_rows = cli._text_rows
+
+        def spy(values, width=None):
+            formatted.extend(values)
+            return text_rows(values, width)
+
+        monkeypatch.setattr(cli, "_text_rows", spy)
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal(20_000) * 10.0 ** rng.integers(-300, 6, 20_000)
+        assert _kernel_text(values) == _format_text(values.tolist())
+        assert len(formatted) <= 2
+
+    def test_field_csv_layout(self):
+        grid = wigner.PhaseSpaceGrid(-1.0, 2.0, -0.5, 0.25, 4, 3)
+        values = np.arange(12.0).reshape(4, 3) * -1e-7
+        lines = cli._field_csv_bytes("t", grid, values).decode().splitlines()
+        want = [f"{cli._FLOAT_FMT % x},{cli._FLOAT_FMT % y},{cli._FLOAT_FMT % values[ix, iy]}"
+                for iy, y in reversed(list(enumerate(grid.im_points))) for ix, x in enumerate(grid.re_points)]
+        assert lines == ["# subplanck t", "re,im,w", *want]
 
 
 class TestParseComplex:
@@ -542,6 +641,12 @@ class TestPinnedOutputs:
              "--s", "0.2776801836348979", "--phi", "0.7853981633974483"],
             "41e7b06f9eda6f950b82ade230441aa991396bbbd71827cd0f0e9c1d1bbb802c",
             "eed9dd2f0feb948248a46edc0c732da5259ef104865087e8af92e3165608b85b",
+        ),
+        # 491 x 491 samples spanning 114 decimal exponents (1e-113 to 1.9)
+        "compass_a8": (
+            ["wigner", "--alpha", "0+8i", "--m", "4"],
+            "0145305ae4e0083b01c07a54863b9abd547245e1401c0dc023056f7f863724a3",
+            "bb6553693e30437cba22cc8a178848a2998f34be08ff4d3a26f35f7f7ac71b30",
         ),
     }
 

@@ -3,7 +3,8 @@ used in its module, every module-level `_private` definition is
 referenced somewhere in the package outside its own body, and every
 `__all__` entry names a module-level binding.  One structural check rides
 along: only `states` touches the Gram kernel `_gram`; every other module
-contracts through the `states` helpers."""
+contracts through the `states` helpers.  And the 17-digit float format is
+spelled once, as `cli._FLOAT_FMT`."""
 
 import ast
 from pathlib import Path
@@ -104,6 +105,28 @@ def gram_outside_states(trees: dict[str, ast.Module]) -> list[str]:
     ]
 
 
+def float_format_spellings(trees: dict[str, ast.Module]) -> list[str]:
+    """`module: name` for each string constant that spells the 17-digit
+    float format (a `%.17g` literal, a `.17g` spec for `format` or
+    `str.format`, or the spec of an f-string field `{x:.17g}`, which is a
+    constant inside the f-string), named by the top-level assignment it is
+    the value of, or by its line."""
+    owners = {
+        id(stmt.value): target.id
+        for tree in trees.values()
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign)
+        for target in stmt.targets
+        if isinstance(target, ast.Name)
+    }
+    return sorted(
+        f"{module}: {owners.get(id(node), f'line {node.lineno}')}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and ".17g" in node.value
+    )
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(_parse(path)) == []
@@ -120,6 +143,21 @@ def test_every_private_definition_is_referenced():
 
 def test_gram_stays_in_states():
     assert gram_outside_states({path.name: _parse(path) for path in MODULES}) == []
+
+
+def test_float_format_is_spelled_once():
+    assert float_format_spellings({path.name: _parse(path) for path in MODULES}) == ["cli.py: _FLOAT_FMT"]
+
+
+def test_float_format_check_catches_second_spellings():
+    # a second literal, a format() spec and an f-string field each count;
+    # other precisions and the name itself do not
+    trees = {
+        "cli.py": ast.parse('_FLOAT_FMT = "%.17g"\n_SHORT = "%.6g"\ndef f(x):\n    return _FLOAT_FMT % x\n'),
+        "wigner.py": ast.parse('_OTHER = "%.17g"\ndef g(x):\n    return f"{x:.17g}"\n'),
+        "metrology.py": ast.parse('def h(x):\n    return format(x, ".17g") + "{:.6e}".format(x)\n'),
+    }
+    assert float_format_spellings(trees) == ["cli.py: _FLOAT_FMT", "metrology.py: line 2", "wigner.py: _OTHER", "wigner.py: line 3"]
 
 
 def test_checks_catch_dead_code():

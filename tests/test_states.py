@@ -69,6 +69,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="cancellation"):
             make_circular_state(0.2, 16, gammas)
 
+    @pytest.mark.parametrize("radius, j", [(1.5, 3), (1.0, 7)], ids=["j3_r1.5", "j7_r1.0"])
+    def test_structured_phases_that_keep_their_norm_normalize(self, radius, j):
+        # gamma_k = 2 pi j k / 16 cancels part of the Gram sum, but its norm^2
+        # stays accurate (to ~1e-11 against the Fock expansion); the rounding
+        # estimate is ~1e-10 of the norm^2, well inside the 1e-8 threshold
+        gammas = 2.0 * np.pi * j * np.arange(1, 17) / 16
+        state = make_circular_state(radius, 16, gammas)
+        fock = to_fock(state, 120).coefficients
+        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(np.abs(fock) ** 2) == pytest.approx(1.0, abs=1e-10)
+
     def test_rejects_empty_and_mismatched(self):
         with pytest.raises(ValueError):
             CoherentSuperposition([], [])

@@ -95,6 +95,15 @@ class TestGrid:
         assert g.resolves(cat.max_amplitude)
         assert g.nx % 2 == 1 and g.ny % 2 == 1
 
+    def test_points_are_computed_once_and_read_only(self):
+        g = PhaseSpaceGrid(-2, 3, -1, 1, 11, 5)
+        assert g.re_points is g.re_points and g.im_points is g.im_points
+        assert np.array_equal(g.re_points, np.linspace(-2, 3, 11))
+        assert np.array_equal(g.im_points, np.linspace(-1, 1, 5))
+        with pytest.raises(ValueError):
+            g.re_points[0] = 0.0
+        assert g == PhaseSpaceGrid(-2, 3, -1, 1, 11, 5)  # cached points are not fields
+
 
 class TestWignerField:
     def test_vacuum_peak_and_mass(self):
@@ -144,6 +153,24 @@ class TestWignerField:
         with pytest.warns(UnderresolvedGridWarning):
             f = wigner_field(cat, coarse)
         assert f.underresolved
+
+    @pytest.mark.parametrize(
+        "alpha, m, shift", [(1.5, 1, 0.0), (4j, 2, 0.0), (3 + 1j, 3, 0.0), (4j, 4, 1 - 2j), (8j, 8, 0.0), (2.5, 16, -0.5j)]
+    )
+    def test_factor_columns_mirror_bit_for_bit(self, alpha, m, shift):
+        # column (l, k) of G and H is the conjugate of column (k, l), exactly
+        # as if it had been exponentiated itself: compare against the full set
+        state = displace(_random_state(np.random.default_rng(m), m, abs(alpha)), shift)
+        grid = auto_grid(state)
+        field = wigner_field(state, grid)
+        mid, kx, ky, _ = wigner._cross_terms(state.amplitudes[:, None], state.amplitudes[None, :])
+        for points, centres, wavenumbers, got in ((grid.re_points, mid.real, kx, field.g), (grid.im_points, mid.imag, ky, field.h)):
+            u = points[:, None] - centres.ravel()
+            full = np.exp(u * (-2.0 * u + 1j * wavenumbers.ravel()))
+            assert got.tobytes() == full.tobytes()
+            upper = np.triu_indices(m, 1)
+            square = got.reshape(-1, m, m)
+            assert square[:, upper[1], upper[0]].tobytes() == np.conj(square[:, upper[0], upper[1]]).tobytes()
 
     def test_values_bounded(self):
         comp = make_circular_state(3j, 4, np.zeros(4))
