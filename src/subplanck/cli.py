@@ -53,21 +53,6 @@ def _atomic_write(path: str, data: bytes):
         raise
 
 
-def _csv_bytes(comment: str, header: list[str], columns, trailing_comments=()) -> bytes:
-    """CSV text from equal-length columns: integer columns as %d, all
-    others with 17 significant digits.  A non-finite value raises
-    FloatingPointError, so it never reaches a file."""
-    columns = [np.asarray(col) for col in columns]
-    for name, col in zip(header, columns):
-        if not np.all(np.isfinite(col)):
-            raise FloatingPointError(f"non-finite value in column {name!r}")
-    row_fmt = ",".join("%d" if np.issubdtype(col.dtype, np.integer) else _FLOAT_FMT for col in columns)
-    lines = [f"# subplanck {comment}", ",".join(header)]
-    lines.extend(map(row_fmt.__mod__, zip(*(col.tolist() for col in columns))))
-    lines.extend(f"# {c}" for c in trailing_comments)
-    return ("\n".join(lines) + "\n").encode()
-
-
 # A sample's text is cut from a template of six 8-byte words,
 #   [s 0 . 0 0 0 d0 .] [d1 . d2 . d3 . d4 .] ... [d13 . d14 . d15 . d16 .] [e - x x x _ _ _]
 # with s the sign or a NUL, d the 17 significant digits, x the three digits
@@ -199,46 +184,57 @@ def _g17_text(x: np.ndarray) -> np.ndarray:
     return text
 
 
-def _field_csv_bytes(comment: str, grid: wigner.PhaseSpaceGrid, values: np.ndarray) -> bytes:
-    """CSV text of re,im,w rows for samples values[ix, iy]: rows run from
-    im_max down to im_min, re ascending within a row.
+def _csv_bytes(comment: str, header: list[str], columns, trailing_comments=()) -> bytearray:
+    """CSV text, one line per point of the grid the columns broadcast to, in
+    C order: a table passes P-row columns, a field its (1, nx) re row,
+    (ny, 1) im column and (ny, nx) samples.  Integers are written as numpy's
+    %d, exact over int64, everything else as _FLOAT_FMT, byte for byte: a
+    float column smaller than the grid by `%` once, the full ones by the
+    exact `_g17_text`, into NUL-padded lines about 8k at a time.  A
+    non-finite value raises FloatingPointError before any text is made."""
+    columns = [np.asarray(col) for col in columns]
+    for name, col in zip(header, columns):
+        if not np.all(np.isfinite(col)):
+            raise FloatingPointError(f"non-finite value in column {name!r}")
+    shape = np.broadcast_shapes(*(col.shape for col in columns))
+    texts = []  # uint8 text rows, or a full float column to format a block at a time
+    for col in columns:
+        if np.issubdtype(col.dtype, np.integer):
+            col = col.astype("S")[..., None].view(np.uint8)
+        elif col.size < math.prod(shape):
+            col = _text_rows(col.ravel().tolist()).reshape(*col.shape, -1)
+        texts.append(np.broadcast_to(col, (*shape, col.shape[-1]) if col.dtype == np.uint8 else shape))
+    full = [i for i, text in enumerate(texts) if text.dtype != np.uint8]
+    widths = [_G17_BYTES if i in full else text.shape[-1] for i, text in enumerate(texts)]
+    ends = np.cumsum([width + 1 for width in widths])  # one past each value's separator
+    out = bytearray(f"# subplanck {comment}\n{','.join(header)}\n".encode())
+    step = max(1, 8192 // math.prod(shape[1:]))  # grid rows a block
+    for start in range(0, shape[0], step):
+        block = (min(step, shape[0] - start), *shape[1:])
+        parts = [text[start : start + step] for text in texts]
+        if full:  # one `_g17_text` call a block: its fixed cost dominates short tables
+            text = _g17_text(np.stack([parts[i] for i in full], axis=-1)).reshape(*block, len(full), _G17_BYTES)
+            for j, i in enumerate(full):
+                parts[i] = text[..., j, :]
+        lines = np.empty((*block, ends[-1]), dtype=np.uint8)
+        lines[..., ends - 1] = ord(",")
+        lines[..., -1] = ord("\n")
+        for part, end, width in zip(parts, ends, widths):
+            lines[..., end - 1 - width : end - 1] = part
+        out += lines.tobytes().translate(None, b"\0")  # 3x faster than lines[lines != 0]
+    out += "".join(f"# {c}\n" for c in trailing_comments).encode()
+    return out
 
-    Each coordinate is formatted once per axis by `%`.  The samples are
-    formatted by `_g17_text`, which is exact: it decides the rounding of 17
-    significant digits from a product accurate to 1e-14 and leaves to `%`
-    the values within 1e-6 of a rounding tie and those outside
-    2.2e-308 <= |x| < 1e16 (zero, subnormals, large and non-finite values).
-    Whole lines are laid out NUL-padded in a uint8 matrix, a block of grid
-    rows at a time, and the NULs are dropped: no Python object per sample."""
-    re_text = _text_rows(grid.re_points.tolist())
-    im_text = _text_rows(grid.im_points[::-1].tolist())
-    samples = values[:, ::-1].T  # [row, column]: im descending, re ascending
-    ny, nx = samples.shape
-    cols = np.cumsum([re_text.shape[1], 1, im_text.shape[1], 1, _G17_BYTES])
-    blocks = [f"# subplanck {comment}\nre,im,w\n".encode()]
-    step = max(1, 16384 // nx)  # grid rows a block: about 16k samples, 1.5 MB of lines
-    for start in range(0, ny, step):
-        rows = samples[start : start + step]
-        lines = np.empty((*rows.shape, cols[-1] + 1), dtype=np.uint8)
-        lines[..., : cols[0]] = re_text
-        lines[..., cols[0]] = lines[..., cols[2]] = ord(",")
-        lines[..., cols[1] : cols[2]] = im_text[start : start + step, None]
-        lines[..., cols[3] : cols[4]] = _g17_text(rows).reshape(*rows.shape, _G17_BYTES)
-        lines[..., cols[4]] = ord("\n")
-        blocks.append(lines.tobytes().translate(None, b"\0"))  # 3x faster than lines[lines != 0]
-    return b"".join(blocks)
 
-
-def _pgm_bytes(values: np.ndarray, grid: wigner.PhaseSpaceGrid) -> bytes:
-    """Binary 8-bit graymap, symmetric diverging map: W = 0 -> gray 128,
-    +-max|W| -> 255/0.  Rows run from im_max down to im_min."""
-    scale = float(np.max(np.abs(values)))
+def _pgm_bytes(raster: np.ndarray) -> bytes:
+    """Binary 8-bit graymap of raster[row, column], symmetric diverging
+    map: W = 0 -> gray 128, +-max|W| -> 255/0."""
+    scale = float(np.max(np.abs(raster)))
     if scale == 0.0:
         scale = 1.0
-    pixels = np.clip(np.rint(127.5 + 127.5 * values / scale), 0, 255).astype(np.uint8)
-    raster = pixels[:, ::-1].T  # rows: im descending; columns: re ascending
-    header = f"P5\n{grid.nx} {grid.ny}\n255\n".encode()
-    return header + raster.tobytes()
+    pixels = np.clip(np.rint(127.5 + 127.5 * raster / scale), 0, 255).astype(np.uint8)
+    ny, nx = raster.shape
+    return f"P5\n{nx} {ny}\n255\n".encode() + pixels.tobytes()
 
 
 def _gammas(arg: str | None, m: int) -> np.ndarray:
@@ -289,8 +285,10 @@ def _cmd_wigner(args) -> int:
 
     config = _config_string(args, ["alpha", "m", "gammas", "displace", "pert", "s", "phi", "product"])
     config += f" grid=({_fmt(grid.re_min)},{_fmt(grid.re_max)},{_fmt(grid.im_min)},{_fmt(grid.im_max)}) nx={grid.nx} ny={grid.ny}"
-    _atomic_write(args.out + ".csv", _field_csv_bytes(config, grid, out_values))
-    _atomic_write(args.out + ".pgm", _pgm_bytes(out_values, grid))
+    raster = out_values[:, ::-1].T  # rows: im descending; columns: re ascending
+    columns = [grid.re_points[None, :], grid.im_points[::-1, None], raster]
+    _atomic_write(args.out + ".csv", _csv_bytes(config, ["re", "im", "w"], columns))
+    _atomic_write(args.out + ".pgm", _pgm_bytes(raster))
     return 0
 
 

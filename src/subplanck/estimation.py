@@ -102,15 +102,16 @@ def run_trials(
     The protocol's excited-state probability is computed once; each trial
     then draws its count with `simulate_readout` from its own child of
     SeedSequence(seed).spawn(n_trials).  true_s
-    must lie on the principal branch [0, pi/(4|alpha|)], the only range the
-    arccos inversion can return, so no larger shift is silently aliased.
+    must be finite and lie on the principal branch [0, pi/(4|alpha|)], the
+    only range the arccos inversion can return, so no larger shift is
+    silently aliased.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if convention not in ("dispersive", "resonant"):
         raise ValueError("convention must be 'dispersive' or 'resonant'")
-    if not 0.0 <= true_s <= math.pi / (4.0 * abs(alpha)):
-        raise ValueError("true_s must lie on the principal branch [0, pi/(4|alpha|)]")
+    if not 0.0 <= true_s <= math.pi / (4.0 * abs(alpha)) or true_s == math.inf:
+        raise ValueError("true_s must be finite and lie on the principal branch [0, pi/(4|alpha|)]")
     p_e = abs(_fringe_weights(convention, alpha, DISPLACEMENT, None, true_s, 1.0)[0]) ** 2
     children = np.random.SeedSequence(seed).spawn(n_trials)
     return np.array([simulate_readout(p_e, repetitions, child) for child in children], dtype=np.int64)
@@ -152,7 +153,11 @@ def feasibility(omega0: float, nbar: float, decoherence_budget: float, regime: s
         raise ValueError("regime must be 'cavity' or 'ion'")
     interaction_time = 2.0 * np.pi * math.sqrt(nbar) / omega0
     threshold = interaction_time * nbar if regime == "cavity" else interaction_time
+    if not 0.0 < threshold < math.inf:  # then so is T, since nbar is positive and finite
+        raise FloatingPointError("interaction time or decoherence threshold is not a finite positive double")
     ratio = decoherence_budget / threshold
+    if ratio == math.inf:
+        raise FloatingPointError("budget to threshold ratio overflows")
     return FeasibilityReport(
         interaction_time=interaction_time,
         decoherence_threshold=threshold,

@@ -118,12 +118,32 @@ class TestSampleText:
         assert len(formatted) <= 2
 
     def test_field_csv_layout(self):
+        # the field's axes broadcast against its raster: one line per sample,
+        # im descending, re ascending within a row
         grid = wigner.PhaseSpaceGrid(-1.0, 2.0, -0.5, 0.25, 4, 3)
         values = np.arange(12.0).reshape(4, 3) * -1e-7
-        lines = cli._field_csv_bytes("t", grid, values).decode().splitlines()
+        columns = [grid.re_points[None, :], grid.im_points[::-1, None], values[:, ::-1].T]
+        lines = cli._csv_bytes("t", ["re", "im", "w"], columns).decode().splitlines()
         want = [f"{cli._FLOAT_FMT % x},{cli._FLOAT_FMT % y},{cli._FLOAT_FMT % values[ix, iy]}"
                 for iy, y in reversed(list(enumerate(grid.im_points))) for ix, x in enumerate(grid.re_points)]
         assert lines == ["# subplanck t", "re,im,w", *want]
+
+    def test_table_csv_integers_and_floats(self):
+        # integers are %d over all of int64, above 2^53 too, next to exact
+        # %.17g floats; blocks of lines join with none lost or repeated
+        big = 2**63 - 1
+        ints = np.array([big, -big, 2**53 + 1, 0, -1] * 4000, dtype=np.int64)
+        rng = np.random.default_rng(3)
+        floats = rng.standard_normal(ints.size) * 10.0 ** rng.integers(-300, 300, ints.size)
+        lines = cli._csv_bytes("t", ["n", "x", "y"], [ints, floats, -floats], ["end"]).decode().splitlines()
+        want = [f"{n:d},{cli._FLOAT_FMT % x},{cli._FLOAT_FMT % -x}" for n, x in zip(ints.tolist(), floats.tolist())]
+        assert lines == ["# subplanck t", "n,x,y", *want, "# end"]
+
+    def test_non_finite_raster_raises(self):
+        raster = np.zeros((3, 4))
+        raster[1, 2] = np.nan
+        with pytest.raises(FloatingPointError, match="'w'"):
+            cli._csv_bytes("t", ["re", "im", "w"], [np.zeros((1, 4)), np.zeros((3, 1)), raster])
 
 
 class TestParseComplex:
@@ -201,6 +221,19 @@ class TestWignerCommand:
         out = tmp_path / "nan"
         assert main(["wigner", "--alpha", "0+2i", "--m", "2", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_samples_reach_no_file(self, tmp_path, monkeypatch, capsys):
+        # the writer is the last guard: samples that slip past the field's
+        # own check stop the command before either file is written
+        def values(field):
+            out = np.zeros((field.grid.nx, field.grid.ny))
+            out[3, 5] = np.nan
+            return out
+
+        monkeypatch.setattr(wigner.WignerField, "values", property(values))
+        assert main(["wigner", "--alpha", "0+2i", "--m", "2", "--out", str(tmp_path / "nan")]) == 1
+        assert capsys.readouterr().err == "error: non-finite value in column 'w'\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_perturbed_field_underresolution_is_reported(self, tmp_path):
@@ -495,6 +528,10 @@ class TestDeterminismAndErrors:
         "argv",
         [
             ["feasibility", "--omega0", "nan", "--nbar", "20", "--budget", "1"],
+            # finite inputs whose interaction time, threshold or ratio overflow
+            ["feasibility", "--omega0", "1e-320", "--nbar", "1", "--budget", "1"],
+            ["feasibility", "--omega0", "1", "--nbar", "1e308", "--budget", "1e308"],
+            ["feasibility", "--omega0", "1e300", "--nbar", "1", "--budget", "1e300"],
             ["estimate", "--alpha", "0+4i", "--s", "5", "--out", "bad.csv"],
             ["protocol", "--regime", "dispersive", "--alpha", "0+4i", "--s-max", "0.3", "--points", "0",
              "--out", "bad.csv"],
@@ -508,7 +545,8 @@ class TestDeterminismAndErrors:
             ["overlap", "--alpha", "0.2", "--m", "16", "--gammas", ",".join(["0", repr(math.pi)] * 8),
              "--s-max", "0.1", "--points", "3", "--out", "bad.csv"],
         ],
-        ids=["feasibility_nan_omega0", "estimate_s_beyond_branch", "protocol_zero_points", "overlap_negative_s_max",
+        ids=["feasibility_nan_omega0", "feasibility_time_overflows", "feasibility_threshold_overflows",
+             "feasibility_ratio_overflows", "estimate_s_beyond_branch", "protocol_zero_points", "overlap_negative_s_max",
              "protocol_dispersive_dt_fraction", "overlap_norm_lost_to_cancellation"],
     )
     def test_invalid_input_exits_nonzero(self, tmp_path, monkeypatch, capsys, argv):
@@ -517,6 +555,20 @@ class TestDeterminismAndErrors:
         out, err = capsys.readouterr()
         assert err.startswith("error: ")
         assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_subnormal_alpha_exits_without_numpy_warning(self, tmp_path):
+        # pi/(8|alpha|), the default true displacement, overflows to inf; it
+        # must be refused as off the branch before the fringe's exp sees it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = ["estimate", "--alpha", "1e-320", "--out", "bad.csv"]
+        result = subprocess.run([sys.executable, "-m", "subplanck.cli", *argv], cwd=tmp_path, env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and "principal branch" in result.stderr, result.stderr
+        assert "RuntimeWarning" not in result.stderr
         assert list(tmp_path.iterdir()) == []
 
     def test_output_mode_follows_umask(self, tmp_path):

@@ -4,7 +4,8 @@ referenced somewhere in the package outside its own body, and every
 `__all__` entry names a module-level binding.  One structural check rides
 along: only `states` touches the Gram kernel `_gram`; every other module
 contracts through the `states` helpers.  And the 17-digit float format is
-spelled once, as `cli._FLOAT_FMT`."""
+spelled once, as `cli._FLOAT_FMT`, and read only by `cli._fmt` and
+`cli._text_rows`, so every CSV value goes through the one writer."""
 
 import ast
 from pathlib import Path
@@ -127,6 +128,18 @@ def float_format_spellings(trees: dict[str, ast.Module]) -> list[str]:
     )
 
 
+def float_format_readers(trees: dict[str, ast.Module]) -> list[str]:
+    """`module: name` for each top-level statement that reads `_FLOAT_FMT`
+    in any form (a bare name, `cli._FLOAT_FMT` or an imported name), named
+    by what it defines, or by its line."""
+    return sorted(
+        f"{module}: {', '.join(_bound_names(stmt)) or f'line {stmt.lineno}'}"
+        for module, tree in trees.items()
+        for stmt in tree.body
+        if "_FLOAT_FMT" in _references(stmt)
+    )
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(_parse(path)) == []
@@ -158,6 +171,28 @@ def test_float_format_check_catches_second_spellings():
         "metrology.py": ast.parse('def h(x):\n    return format(x, ".17g") + "{:.6e}".format(x)\n'),
     }
     assert float_format_spellings(trees) == ["cli.py: _FLOAT_FMT", "metrology.py: line 2", "wigner.py: _OTHER", "wigner.py: line 3"]
+
+
+def test_float_format_is_read_by_the_one_writer():
+    assert float_format_readers({path.name: _parse(path) for path in MODULES}) == ["cli.py: _fmt", "cli.py: _text_rows"]
+
+
+def test_float_format_reader_check_catches_third_readers():
+    # a second row formatter in cli, an attribute read and an import
+    # elsewhere each count; the definition itself and a docstring do not
+    trees = {
+        "cli.py": ast.parse(
+            '_FLOAT_FMT = "%.17g"\n'
+            "def _fmt(x):\n    return _FLOAT_FMT % x\n"
+            "def _text_rows(v):\n    return [_FLOAT_FMT % x for x in v]\n"
+            'def _csv_bytes(rows):\n    """Rows as _FLOAT_FMT."""\n    return [",".join([_FLOAT_FMT] * len(r)) % r for r in rows]\n'
+        ),
+        "wigner.py": ast.parse("from . import cli\ndef dump(x):\n    return cli._FLOAT_FMT % x\n"),
+        "metrology.py": ast.parse("from .cli import _FLOAT_FMT\n"),
+    }
+    assert float_format_readers(trees) == [
+        "cli.py: _csv_bytes", "cli.py: _fmt", "cli.py: _text_rows", "metrology.py: _FLOAT_FMT", "wigner.py: dump",
+    ]
 
 
 def test_checks_catch_dead_code():

@@ -170,6 +170,12 @@ class TestCalibration:
         with pytest.raises(ValueError, match="principal branch"):
             run_trials(true_s, 4j, 1000, 4, seed=1)
 
+    def test_trials_reject_infinite_s_where_the_branch_overflows(self):
+        # pi/(4|alpha|) overflows for a subnormal |alpha|, so an infinite
+        # true_s passed the branch test and reached the fringe's exp
+        with pytest.raises(ValueError, match="finite"):
+            run_trials(math.inf, 1e-320, 100, 2, seed=1)
+
     def test_trials_reject_unknown_convention(self):
         # a misspelt convention must not fall through to the resonant fringe
         with pytest.raises(ValueError, match="convention"):
@@ -206,6 +212,13 @@ class TestFeasibility:
             feasibility(-1.0, 20.0, 1e-3)
         with pytest.raises(ValueError):
             feasibility(1e5, 20.0, 1e-3, regime="atom")
+
+    @pytest.mark.parametrize("inputs", [(1e-320, 1.0, 1.0), (1.0, 1e308, 1e308), (1e300, 1.0, 1e300), (1e308, 1e-300, 1.0)],
+                             ids=["time_overflows", "threshold_overflows", "ratio_overflows", "time_underflows"])
+    def test_non_finite_results_rejected(self, inputs):
+        # finite inputs whose interaction time, threshold or ratio leave the doubles
+        with pytest.raises(FloatingPointError):
+            feasibility(*inputs)
 
     @pytest.mark.parametrize("inputs", [(np.nan, 20.0, 1e-3), (1e5, np.inf, 1e-3), (1e5, 20.0, np.nan), (np.inf, 20.0, 1e-3)])
     def test_non_finite_inputs_rejected(self, inputs):
