@@ -7,6 +7,7 @@ argument list and seed, and are written atomically (temp file + rename).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -36,12 +37,15 @@ def _fmt(x: float) -> str:
     return _FLOAT_FMT % x
 
 
-def _atomic_write(path: str, data: bytes):
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """Binary handle on a temp file beside `path`, renamed to `path` when the
+    block ends and deleted when it raises."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".subplanck-")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            yield handle
         # mkstemp creates 0600; give the output the mode open() would
         umask = os.umask(0)
         os.umask(umask)
@@ -51,6 +55,11 @@ def _atomic_write(path: str, data: bytes):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path: str, data: bytes):
+    with _atomic_file(path) as handle:
+        handle.write(data)
 
 
 # A sample's text is cut from a template of six 8-byte words,
@@ -184,57 +193,71 @@ def _g17_text(x: np.ndarray) -> np.ndarray:
     return text
 
 
-def _csv_bytes(comment: str, header: list[str], columns, trailing_comments=()) -> bytearray:
-    """CSV text, one line per point of the grid the columns broadcast to, in
-    C order: a table passes P-row columns, a field its (1, nx) re row,
-    (ny, 1) im column and (ny, nx) samples.  Integers are written as numpy's
-    %d, exact over int64, everything else as _FLOAT_FMT, byte for byte: a
-    float column smaller than the grid by `%` once, the full ones by the
-    exact `_g17_text`, into NUL-padded lines about 8k at a time.  A
-    non-finite value raises FloatingPointError before any text is made."""
-    columns = [np.asarray(col) for col in columns]
-    for name, col in zip(header, columns):
-        if not np.all(np.isfinite(col)):
-            raise FloatingPointError(f"non-finite value in column {name!r}")
-    shape = np.broadcast_shapes(*(col.shape for col in columns))
-    texts = []  # uint8 text rows, or a full float column to format a block at a time
-    for col in columns:
-        if np.issubdtype(col.dtype, np.integer):
-            col = col.astype("S")[..., None].view(np.uint8)
-        elif col.size < math.prod(shape):
-            col = _text_rows(col.ravel().tolist()).reshape(*col.shape, -1)
-        texts.append(np.broadcast_to(col, (*shape, col.shape[-1]) if col.dtype == np.uint8 else shape))
-    full = [i for i, text in enumerate(texts) if text.dtype != np.uint8]
-    widths = [_G17_BYTES if i in full else text.shape[-1] for i, text in enumerate(texts)]
-    ends = np.cumsum([width + 1 for width in widths])  # one past each value's separator
-    out = bytearray(f"# subplanck {comment}\n{','.join(header)}\n".encode())
-    step = max(1, 8192 // math.prod(shape[1:]))  # grid rows a block
-    for start in range(0, shape[0], step):
-        block = (min(step, shape[0] - start), *shape[1:])
-        parts = [text[start : start + step] for text in texts]
-        if full:  # one `_g17_text` call a block: its fixed cost dominates short tables
-            text = _g17_text(np.stack([parts[i] for i in full], axis=-1)).reshape(*block, len(full), _G17_BYTES)
-            for j, i in enumerate(full):
-                parts[i] = text[..., j, :]
-        lines = np.empty((*block, ends[-1]), dtype=np.uint8)
-        lines[..., ends - 1] = ord(",")
-        lines[..., -1] = ord("\n")
-        for part, end, width in zip(parts, ends, widths):
-            lines[..., end - 1 - width : end - 1] = part
-        out += lines.tobytes().translate(None, b"\0")  # 3x faster than lines[lines != 0]
-    out += "".join(f"# {c}\n" for c in trailing_comments).encode()
-    return out
+def _csv_chunks(comment: str, header: list[str], blocks, trailing_comments=()):
+    """CSV text in chunks: the comment and header, then for each block of
+    columns in `blocks` one line per point of the grid they broadcast to, in
+    C order (a table passes P-row columns, a field its (1, nx) re row, and
+    a block's im column and samples), then the trailing comments.  Integers
+    are written as numpy's %d, exact over int64, everything else as
+    _FLOAT_FMT, byte for byte: a float column smaller than its grid by `%`
+    once, the full ones by the exact `_g17_text`, into NUL-padded lines
+    about 8k at a time, one chunk each.  A non-finite value raises
+    FloatingPointError before its block makes any text."""
+    yield f"# subplanck {comment}\n{','.join(header)}\n".encode()
+    for columns in blocks:
+        columns = [np.asarray(col) for col in columns]
+        for name, col in zip(header, columns):
+            if not np.all(np.isfinite(col)):
+                raise FloatingPointError(f"non-finite value in column {name!r}")
+        shape = np.broadcast_shapes(*(col.shape for col in columns))
+        texts = []  # uint8 text rows, or a full float column to format a block at a time
+        for col in columns:
+            if np.issubdtype(col.dtype, np.integer):
+                col = col.astype("S")[..., None].view(np.uint8)
+            elif col.size < math.prod(shape):
+                col = _text_rows(col.ravel().tolist()).reshape(*col.shape, -1)
+            texts.append(np.broadcast_to(col, (*shape, col.shape[-1]) if col.dtype == np.uint8 else shape))
+        full = [i for i, text in enumerate(texts) if text.dtype != np.uint8]
+        widths = [_G17_BYTES if i in full else text.shape[-1] for i, text in enumerate(texts)]
+        ends = np.cumsum([width + 1 for width in widths])  # one past each value's separator
+        step = max(1, 8192 // math.prod(shape[1:]))  # grid rows a chunk
+        for start in range(0, shape[0], step):
+            block = (min(step, shape[0] - start), *shape[1:])
+            parts = [text[start : start + step] for text in texts]
+            if full:  # one `_g17_text` call a chunk: its fixed cost dominates short tables
+                text = _g17_text(np.stack([parts[i] for i in full], axis=-1)).reshape(*block, len(full), _G17_BYTES)
+                for j, i in enumerate(full):
+                    parts[i] = text[..., j, :]
+            lines = np.empty((*block, ends[-1]), dtype=np.uint8)
+            lines[..., ends - 1] = ord(",")
+            lines[..., -1] = ord("\n")
+            for part, end, width in zip(parts, ends, widths):
+                lines[..., end - 1 - width : end - 1] = part
+            yield lines.tobytes().translate(None, b"\0")  # 3x faster than lines[lines != 0]
+    yield "".join(f"# {c}\n" for c in trailing_comments).encode()
 
 
-def _pgm_bytes(raster: np.ndarray) -> bytes:
+def _csv_bytes(comment: str, header: list[str], columns, trailing_comments=()) -> bytes:
+    """The whole CSV text of one block of columns (see `_csv_chunks`)."""
+    return b"".join(_csv_chunks(comment, header, [columns], trailing_comments))
+
+
+def _pgm_bytes(raster: np.ndarray) -> bytearray:
     """Binary 8-bit graymap of raster[row, column], symmetric diverging
-    map: W = 0 -> gray 128, +-max|W| -> 255/0."""
-    scale = float(np.max(np.abs(raster)))
+    map: W = 0 -> gray 128, +-max|W| -> 255/0.  Rows are quantized about
+    8k pixels at a time, so no float temporary grows with the raster."""
+    scale = max(float(raster.max()), -float(raster.min()))
     if scale == 0.0:
         scale = 1.0
-    pixels = np.clip(np.rint(127.5 + 127.5 * raster / scale), 0, 255).astype(np.uint8)
     ny, nx = raster.shape
-    return f"P5\n{nx} {ny}\n255\n".encode() + pixels.tobytes()
+    head = f"P5\n{nx} {ny}\n255\n".encode()
+    out = bytearray(len(head) + raster.size)
+    out[: len(head)] = head
+    pixels = np.frombuffer(out, np.uint8, offset=len(head)).reshape(ny, nx)
+    step = max(1, 8192 // nx)
+    for start in range(0, ny, step):
+        pixels[start : start + step] = np.clip(np.rint(127.5 + 127.5 * raster[start : start + step] / scale), 0, 255)
+    return out
 
 
 def _gammas(arg: str | None, m: int) -> np.ndarray:
@@ -254,6 +277,10 @@ def _config_string(args, keys) -> str:
 
 
 # --- subcommands ------------------------------------------------------------
+
+# samples `wigner` forms at a time: a 491 x 491 field (|alpha| = 8 on its
+# auto grid) is one block, the 2447 x 2447 grid of |alpha| = 20 seven
+_BLOCK_SAMPLES = 1 << 20
 
 
 def _cmd_wigner(args) -> int:
@@ -277,17 +304,31 @@ def _cmd_wigner(args) -> int:
     # an under-resolved field reports itself once, as an UnderresolvedGridWarning
     fields = [wigner.wigner_field(state, grid) for state in rendered]
     if args.product:
-        out_values = fields[0].values * fields[1].values
         integral = wigner.phase_space_overlap(*fields)
         print(f"product_integral={_fmt(integral)}")
-    else:
-        out_values = fields[0].values
 
     config = _config_string(args, ["alpha", "m", "gammas", "displace", "pert", "s", "phi", "product"])
     config += f" grid=({_fmt(grid.re_min)},{_fmt(grid.re_max)},{_fmt(grid.im_min)},{_fmt(grid.im_max)}) nx={grid.nx} ny={grid.ny}"
-    raster = out_values[:, ::-1].T  # rows: im descending; columns: re ascending
-    columns = [grid.re_points[None, :], grid.im_points[::-1, None], raster]
-    _atomic_write(args.out + ".csv", _csv_bytes(config, ["re", "im", "w"], columns))
+    nx, ny = grid.nx, grid.ny
+    raster = np.empty((ny, nx))  # rows: im descending; columns: re ascending
+    # blocks of im columns start at multiples of 64, as in the whole product,
+    # so their samples keep its bits (see `WignerField.samples`); a last
+    # column alone joins the block below
+    width = max(64, _BLOCK_SAMPLES // nx // 64 * 64)
+    edges = [*range(0, ny - 1, width), ny]
+
+    def blocks():  # the raster's rows from the top, each block written before the next is formed
+        for start, stop in reversed(list(zip(edges, edges[1:]))):
+            columns = slice(start, stop)
+            samples = fields[0].samples(columns)
+            for field in fields[1:]:  # --product
+                samples *= field.samples(columns)
+            rows = raster[ny - stop : ny - start]
+            rows[...] = samples[:, ::-1].T
+            yield [grid.re_points[None, :], grid.im_points[columns][::-1, None], rows]
+
+    with _atomic_file(args.out + ".csv") as handle:
+        handle.writelines(_csv_chunks(config, ["re", "im", "w"], blocks()))
     _atomic_write(args.out + ".pgm", _pgm_bytes(raster))
     return 0
 
@@ -441,7 +482,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, ArithmeticError) as exc:
+    except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -28,8 +28,10 @@ The factors separate over the two axes: a field on an nx x ny grid is
 Re(G diag(c) H^T) with G (nx x M^2) and H (ny x M^2) the stacked 1-d
 factors and c_kl = 2 w_k conj(w_l) e^{i phi_kl}.  Column (l, k) of G and
 H is the complex conjugate of column (k, l), so a WignerField's factors
-cost M (M + 1)/2 (nx + ny) exponentials; its `values` are formed by the
-one matrix product on first read and cached.
+cost M (M + 1)/2 (nx + ny) exponentials.  `samples(columns)` forms the
+samples of a slice of im columns, (G diag(c)) H[columns]^T, so a caller
+can hold a block of the field at a time; `values` is that product over
+every column, formed on first read and cached.
 
 Phase-space integrals never form the nx x ny samples.  With trapezoid
 weight vectors w_x, w_y on the two axes,
@@ -47,9 +49,10 @@ with the half-resolution weights; its odd-truncated full-resolution term
 is the value itself when both point counts are odd, as on auto grids.
 
 Checks run where numbers are made: `wigner_field` raises
-FloatingPointError on a non-finite factor or coefficient; reading
-`values` raises on a non-finite sample or an imaginary residue above
-1e-10 (the double sum is Hermitian, so the residue is rounding noise);
+FloatingPointError on a non-finite factor or coefficient; every block of
+`samples` (and so `values`) raises on a non-finite sample or an imaginary
+residue above 1e-10 (the double sum is Hermitian, so the residue is
+rounding noise);
 every quadrature scalar raises on a non-finite value or an imaginary part
 above 1e-10.
 
@@ -170,17 +173,26 @@ class WignerField:
     h: np.ndarray
     underresolved: bool = False
 
-    @functools.cached_property
-    def values(self) -> np.ndarray:
-        """Real samples, shape (nx, ny), formed and checked on first read."""
-        total = (self.g * self.coeffs) @ self.h.T
+    def samples(self, columns: slice) -> np.ndarray:
+        """Real samples of the im columns `columns`, shape (nx, width), in an
+        array of their own (the complex product is dropped), checked.  With
+        OpenBLAS, blocks that start at multiples of 64 columns reproduce the
+        whole product bit for bit (tests/test_cli.py checks it); blocks that
+        start elsewhere, and single columns, which numpy multiplies as a
+        matrix-vector product, need not."""
+        total = (self.g * self.coeffs) @ self.h[columns].T
         bad = int(np.count_nonzero(~np.isfinite(total)))
         if bad:
             raise FloatingPointError(f"Wigner sum has {bad} non-finite samples")
         residue = float(np.max(np.abs(total.imag)))
         if not residue <= 1e-10:  # phrased so that NaN fails too
             raise FloatingPointError(f"Wigner sum lost Hermiticity (imag residue {residue:.3e})")
-        return total.real
+        return total.real.copy()
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """Real samples, shape (nx, ny), formed and checked on first read."""
+        return self.samples(slice(None))
 
 
 def auto_grid(*states: CoherentSuperposition) -> PhaseSpaceGrid:

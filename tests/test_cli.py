@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subplanck import cli, protocol, states, wigner
+from subplanck import cli, metrology, protocol, states, wigner
 from subplanck.cli import main, parse_complex
 
 
@@ -223,18 +224,101 @@ class TestWignerCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
 
-    def test_non_finite_samples_reach_no_file(self, tmp_path, monkeypatch, capsys):
-        # the writer is the last guard: samples that slip past the field's
-        # own check stop the command before either file is written
-        def values(field):
-            out = np.zeros((field.grid.nx, field.grid.ny))
-            out[3, 5] = np.nan
+    @pytest.mark.parametrize("poisoned_start", [192, 0], ids=["first_block", "last_block"])
+    def test_non_finite_samples_reach_no_file(self, tmp_path, monkeypatch, capsys, poisoned_start):
+        # the writer is the last guard: samples that slip past the block
+        # kernel's own check stop the command with no file left behind, also
+        # when only the last of the four blocks carries one
+        samples = wigner.WignerField.samples
+
+        def poisoned(field, columns):
+            out = samples(field, columns)
+            if columns.start == poisoned_start:
+                out[3, 5] = np.nan
             return out
 
-        monkeypatch.setattr(wigner.WignerField, "values", property(values))
-        assert main(["wigner", "--alpha", "0+2i", "--m", "2", "--out", str(tmp_path / "nan")]) == 1
+        monkeypatch.setattr(cli, "_BLOCK_SAMPLES", 1)  # blocks of 64 im columns
+        monkeypatch.setattr(wigner.WignerField, "samples", poisoned)
+        argv = ["wigner", "--alpha", "0+2i", "--m", "2", "--bounds", "-4", "4", "-6", "6", "--nx", "43", "--ny", "201"]
+        assert main([*argv, "--out", str(tmp_path / "nan")]) == 1
         assert capsys.readouterr().err == "error: non-finite value in column 'w'\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_memory_error_exits_nonzero_and_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        # a grid whose arrays cannot be allocated is an error line and exit 1,
+        # not a traceback, and the half-written CSV's temp file is removed
+        samples = wigner.WignerField.samples
+
+        def exhausted(field, columns):
+            if columns.start == 0:  # the last block, after three were written
+                raise MemoryError("Unable to allocate the last block")
+            return samples(field, columns)
+
+        monkeypatch.setattr(cli, "_BLOCK_SAMPLES", 1)
+        monkeypatch.setattr(wigner.WignerField, "samples", exhausted)
+        argv = ["wigner", "--alpha", "0+2i", "--m", "2", "--bounds", "-4", "4", "-6", "6", "--nx", "43", "--ny", "201"]
+        assert main([*argv, "--out", str(tmp_path / "big")]) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate the last block\n"
+        assert list(tmp_path.iterdir()) == []
+
+    # (nx, ny, im columns a block or None for the default budget, M, --product):
+    # nx from 2 to above 16 384, and last blocks of 1 (joined to the block
+    # below), 2, 63, 64 and 65 columns
+    STREAM_CASES = [
+        (2, 130, None, 1, False),
+        (2, 130, 64, 1, True),
+        (33, 65, 64, 4, False),
+        (33, 66, 64, 8, True),
+        (33, 127, 64, 16, False),
+        (33, 128, 64, 2, False),
+        (40, 193, 128, 4, True),
+        (16385, 65, None, 2, False),
+    ]
+
+    @pytest.mark.filterwarnings("ignore::subplanck.wigner.UnderresolvedGridWarning")
+    @pytest.mark.parametrize("nx,ny,width,m,product", STREAM_CASES)
+    def test_streamed_output_matches_whole_array(self, tmp_path, monkeypatch, nx, ny, width, m, product):
+        # blocks of im columns, written from the top as they are formed, give
+        # the bytes of one product over the whole grid, formatted at once
+        if width is not None:
+            monkeypatch.setattr(cli, "_BLOCK_SAMPLES", width * nx)
+        base = states.make_circular_state(2j, m, np.zeros(m))
+        grid = wigner.PhaseSpaceGrid(-4.0, 4.0, -6.0, 6.0, nx, ny)
+        argv = ["wigner", "--alpha", "0+2i", "--m", str(m), "--bounds", "-4", "4", "-6", "6", "--nx", str(nx), "--ny", str(ny)]
+        values = wigner.wigner_field(base, grid).values
+        if product:
+            argv += ["--product", "--pert", "displacement", "--s", "0.3", "--phi", "0.7"]
+            moved = metrology.PerturbationSpec("displacement", 0.3, 0.7).apply(base, 2j)
+            values = values * wigner.wigner_field(moved, grid).values
+        raster = values[:, ::-1].T
+        csv = cli._csv_bytes("reference", ["re", "im", "w"], [grid.re_points[None, :], grid.im_points[::-1, None], raster])
+        scale = float(np.max(np.abs(raster))) or 1.0
+        pixels = np.clip(np.rint(127.5 + 127.5 * raster / scale), 0, 255).astype(np.uint8)
+        pgm = f"P5\n{nx} {ny}\n255\n".encode() + pixels.tobytes()
+
+        assert main([*argv, "--out", str(tmp_path / "f")]) == 0
+        assert (tmp_path / "f.csv").read_bytes().split(b"\n", 1)[1] == csv.split(b"\n", 1)[1]
+        assert (tmp_path / "f.pgm").read_bytes() == pgm
+
+    def test_memory_grows_by_the_raster_alone(self, tmp_path, monkeypatch):
+        # with blocks of a fixed size, 1792 more rows of 257 samples add the
+        # 8 B raster and 1 B graymap a sample; the CSV text (~60 B a sample) never
+        # is held whole
+        monkeypatch.setattr(cli, "_BLOCK_SAMPLES", 1 << 16)  # 192 im columns a block at nx = 257
+
+        def peak(ny):
+            argv = ["wigner", "--alpha", "0+2i", "--m", "4", "--bounds", "-6", "6", "-6", "6", "--nx", "257",
+                    "--ny", str(ny), "--out", str(tmp_path / f"r{ny}")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(256)  # tables built on first use
+        growth = peak(2048) - peak(256)
+        assert growth <= 1.5 * 8 * 257 * (2048 - 256), growth
 
     def test_perturbed_field_underresolution_is_reported(self, tmp_path):
         # the base cat is resolved at this step but the state displaced to 6i

@@ -5,7 +5,9 @@ referenced somewhere in the package outside its own body, and every
 along: only `states` touches the Gram kernel `_gram`; every other module
 contracts through the `states` helpers.  And the 17-digit float format is
 spelled once, as `cli._FLOAT_FMT`, and read only by `cli._fmt` and
-`cli._text_rows`, so every CSV value goes through the one writer."""
+`cli._text_rows`, so every CSV value goes through the one writer.  And
+no function in `cli` reads a whole field's `.values`: `wigner` renders
+stream the field a block of columns at a time."""
 
 import ast
 from pathlib import Path
@@ -140,6 +142,16 @@ def float_format_readers(trees: dict[str, ast.Module]) -> list[str]:
     )
 
 
+def values_readers(tree: ast.Module) -> list[str]:
+    """Top-level definitions of a module that read a `.values` attribute
+    anywhere in their body, named by what they define, or by their line."""
+    return sorted(
+        ", ".join(_bound_names(stmt)) or f"line {stmt.lineno}"
+        for stmt in tree.body
+        if any(isinstance(node, ast.Attribute) and node.attr == "values" for node in ast.walk(stmt))
+    )
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(_parse(path)) == []
@@ -193,6 +205,22 @@ def test_float_format_reader_check_catches_third_readers():
     assert float_format_readers(trees) == [
         "cli.py: _csv_bytes", "cli.py: _fmt", "cli.py: _text_rows", "metrology.py: _FLOAT_FMT", "wigner.py: dump",
     ]
+
+
+def test_cli_reads_no_whole_field():
+    assert values_readers(_parse(PACKAGE / "cli.py")) == []
+
+
+def test_values_reader_check_catches_readers():
+    # a direct read, one inside a nested generator and one in a module-level
+    # statement each count; a `values` name, string or keyword does not
+    tree = ast.parse(
+        "def _cmd_a(fields):\n    return fields[0].values * fields[1].values\n"
+        "def _cmd_b(field):\n    def blocks():\n        yield field.values[:, :64]\n    return list(blocks())\n"
+        "def _cmd_c(values, field):\n    return dict(values=values, name='values', f=field.samples(slice(None)))\n"
+        "RASTER = wigner.field.values.T\n"
+    )
+    assert values_readers(tree) == ["RASTER", "_cmd_a", "_cmd_b"]
 
 
 def test_checks_catch_dead_code():
