@@ -224,25 +224,25 @@ class TestWignerCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("poisoned_start", [192, 0], ids=["first_block", "last_block"])
-    def test_non_finite_samples_reach_no_file(self, tmp_path, monkeypatch, capsys, poisoned_start):
+    def test_non_finite_samples_reach_no_file(self, tmp_path, monkeypatch, capsys):
         # the writer is the last guard: samples that slip past the block
-        # kernel's own check stop the command with no file left behind, also
-        # when only the last of the four blocks carries one
+        # kernel's own check stop the command with no file left behind, in
+        # the first of the four blocks formed or only in the last
         samples = wigner.WignerField.samples
-
-        def poisoned(field, columns):
-            out = samples(field, columns)
-            if columns.start == poisoned_start:
-                out[3, 5] = np.nan
-            return out
-
         monkeypatch.setattr(cli, "_BLOCK_SAMPLES", 1)  # blocks of 64 im columns
-        monkeypatch.setattr(wigner.WignerField, "samples", poisoned)
         argv = ["wigner", "--alpha", "0+2i", "--m", "2", "--bounds", "-4", "4", "-6", "6", "--nx", "43", "--ny", "201"]
-        assert main([*argv, "--out", str(tmp_path / "nan")]) == 1
-        assert capsys.readouterr().err == "error: non-finite value in column 'w'\n"
-        assert list(tmp_path.iterdir()) == []
+        for poisoned_start in (192, 0):
+
+            def poisoned(field, columns, poisoned_start=poisoned_start):
+                out = samples(field, columns)
+                if columns.start == poisoned_start:
+                    out[3, 5] = np.nan
+                return out
+
+            monkeypatch.setattr(wigner.WignerField, "samples", poisoned)
+            assert main([*argv, "--out", str(tmp_path / "nan")]) == 1
+            assert capsys.readouterr().err == "error: non-finite value in column 'w'\n"
+            assert list(tmp_path.iterdir()) == []
 
     def test_memory_error_exits_nonzero_and_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         # a grid whose arrays cannot be allocated is an error line and exit 1,
