@@ -269,6 +269,27 @@ def _gammas(arg: str | None, m: int) -> np.ndarray:
     return vals
 
 
+# the largest amplitude modulus a command may form: below it every |a|^2,
+# |a_k - a_l|^2 and sum of two |a|^2 in a Gram exponent is a finite double
+_MAX_AMPLITUDE = 2.0**510
+
+
+def _check_amplitudes(*moves):
+    """Before any arithmetic, ValueError naming the first flag of `moves`
+    whose amplitudes pass _MAX_AMPLITUDE: each (flag, modulus) moves the
+    amplitudes up to `modulus` further from the origin, in the order the
+    command applies them."""
+    reach = 0.0
+    for flag, modulus in moves:
+        reach += modulus
+        if reach > _MAX_AMPLITUDE:
+            raise ValueError(f"{flag} gives amplitudes of modulus up to {reach:.3g}, beyond {_MAX_AMPLITUDE:.3g}")
+
+
+def _modulus(z: complex) -> float:
+    return math.hypot(z.real, z.imag)  # abs() raises OverflowError where this is inf
+
+
 def _config_string(args, keys) -> str:
     parts = [args.command]
     for key in keys:
@@ -287,6 +308,8 @@ def _cmd_wigner(args) -> int:
     given = [flag is not None for flag in (args.bounds, args.nx, args.ny)]
     if any(given) and not all(given):
         raise ValueError("--bounds, --nx and --ny go together: give all three or none")
+    _check_amplitudes(("--alpha", _modulus(args.alpha)), ("--displace", _modulus(args.displace or 0j)),
+                      ("--s", args.s if args.pert == "displacement" else 0.0))
     base = states.make_circular_state(args.alpha, args.m, _gammas(args.gammas, args.m))
     if args.displace is not None:
         base = states.displace(base, args.displace)
@@ -334,6 +357,10 @@ def _cmd_wigner(args) -> int:
 
 
 def _cmd_overlap(args) -> int:
+    if args.pert == "rotation":  # rotations act on the circle displaced by alpha
+        _check_amplitudes(("--alpha", 2.0 * _modulus(args.alpha)))
+    else:
+        _check_amplitudes(("--alpha", _modulus(args.alpha)), ("--s-max", args.s_max))
     sweep = metrology.overlap_sweep(
         args.alpha,
         args.m,
@@ -346,13 +373,13 @@ def _cmd_overlap(args) -> int:
     header = ["magnitude", "exact", "approx"]
     columns = [sweep.magnitudes, sweep.exact, sweep.approx]
     if args.quadrature:
-        perturbed = [
-            metrology.PerturbationSpec(sweep.kind, float(mag), sweep.direction).apply(sweep.target)
-            for mag in sweep.magnitudes
-        ]
-        grid = wigner.auto_grid(sweep.target, perturbed[-1])
-        w_base = wigner.wigner_field(sweep.target, grid)
-        quad = [wigner.phase_space_overlap(w_base, wigner.wigner_field(state, grid)) for state in perturbed]
+        target = sweep.target
+        # the kets of the exact column, row p moved by magnitudes[p]
+        ket_w, ket_a = np.broadcast_arrays(*metrology._perturbed_terms(
+            sweep.kind, sweep.magnitudes[:, None], sweep.direction, target.weights, target.amplitudes))
+        grid = wigner.auto_grid(target, states.CoherentSuperposition(ket_w[-1], ket_a[-1]))
+        w_base = wigner.wigner_field(target, grid)
+        quad = [wigner.phase_space_overlap(w_base, field) for field in wigner._stacked_fields(ket_w, ket_a, grid)]
         header.append("quadrature")
         columns.append(np.array(quad))
     config = _config_string(args, ["alpha", "m", "gammas", "pert", "phi", "s_max", "points", "quadrature"])
@@ -373,7 +400,12 @@ def _cmd_protocol(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    a_abs = abs(args.alpha)
+    a_abs = _modulus(args.alpha)
+    if a_abs == 0.0:
+        raise ValueError("--alpha must be nonzero: the fringe and its inversion divide by |alpha|")
+    _check_amplitudes(("--alpha", a_abs))
+    if args.repetitions > np.iinfo(np.int64).max:
+        raise ValueError(f"--repetitions must be at most {np.iinfo(np.int64).max}, got {args.repetitions}")
     true_s = args.s if args.s is not None else np.pi / (8.0 * a_abs)
     counts = estimation.run_trials(true_s, args.alpha, args.repetitions, args.trials, args.seed, args.convention)
     estimates = estimation.estimate_displacement(counts, args.repetitions, a_abs, args.convention)
@@ -389,6 +421,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_feasibility(args) -> int:
+    if args.period is not None and not 0.0 < args.period < math.inf:  # phrased so that NaN fails too
+        raise ValueError(f"--period must be positive and finite, got {args.period!r}")
     omega0 = args.omega0 if args.omega0 is not None else 2.0 * math.pi / args.period
     report = estimation.feasibility(omega0, args.nbar, args.budget, args.regime)
     print(f"regime={args.regime}")

@@ -28,10 +28,13 @@ The factors separate over the two axes: a field on an nx x ny grid is
 Re(G diag(c) H^T) with G (nx x M^2) and H (ny x M^2) the stacked 1-d
 factors and c_kl = 2 w_k conj(w_l) e^{i phi_kl}.  Column (l, k) of G and
 H is the complex conjugate of column (k, l), so a WignerField's factors
-cost M (M + 1)/2 (nx + ny) exponentials.  `samples(columns)` forms the
-samples of a slice of im columns, (G diag(c)) H[columns]^T, so a caller
-can hold a block of the field at a time; `values` is that product over
-every column, formed on first read and cached.
+cost M (M + 1)/2 (nx + ny) exponentials.  The factor kernel broadcasts
+over a leading axis of kets, so the P perturbed states of a quadrature
+column have their fields formed a few kets at a time, bit for bit as one
+state's.  `samples(columns)` forms the samples of a slice of im columns,
+(G diag(c)) H[columns]^T, so a caller can hold a block of the field at a
+time; `values` is that product over every column, formed on first read
+and cached.
 
 Phase-space integrals never form the nx x ny samples.  With trapezoid
 weight vectors w_x, w_y on the two axes,
@@ -47,6 +50,10 @@ for |a| >~ 8 at M = 16.  The mass is
 `phase_space_overlap` contracts the even-index rows of the same factors
 with the half-resolution weights; its odd-truncated full-resolution term
 is the value itself when both point counts are odd, as on auto grids.
+A grid forms the weights of these rules once, and a field on the left of
+repeated overlaps keeps G1^T diag(w_x) and H1^T diag(w_y) from its second
+use on, so a column of overlaps against one base field costs the
+perturbed fields' exponentials and two matrix products per rule and point.
 
 Checks run where numbers are made: `wigner_field` raises
 FloatingPointError on a non-finite factor or coefficient; every block of
@@ -160,6 +167,20 @@ class PhaseSpaceGrid:
         """Complex sample points, shape (nx, ny); [ix, iy] = re[ix] + i im[iy]."""
         return self.re_points[:, None] + 1j * self.im_points[None, :]
 
+    @functools.cached_property
+    def _trapezoid_rules(self) -> tuple:
+        """The trapezoid rules `phase_space_overlap` and `quadrature_mass`
+        use, as (rows_x, rows_y, w_x, w_y): the whole grid, the grid
+        odd-truncated to mx x my points, and the half-resolution subgrid of
+        that.  The weights are formed once per grid, on first read."""
+        mx = self.nx if self.nx % 2 else self.nx - 1
+        my = self.ny if self.ny % 2 else self.ny - 1
+        rows = ((slice(None), slice(None)), (slice(mx), slice(my)), (slice(0, mx, 2), slice(0, my, 2)))
+        return tuple(
+            (rx, ry, _read_only(_trapezoid_weights(self.re_points[rx])), _read_only(_trapezoid_weights(self.im_points[ry])))
+            for rx, ry in rows
+        )
+
 
 @dataclass(frozen=True)
 class WignerField:
@@ -193,6 +214,15 @@ class WignerField:
     def values(self) -> np.ndarray:
         """Real samples, shape (nx, ny), formed and checked on first read."""
         return self.samples(slice(None))
+
+    @functools.cached_property
+    def _weighted_factors(self) -> dict:
+        """Trapezoid rule index -> (G[rows_x]^T diag(w_x), H[rows_y]^T diag(w_y))
+        for `_factor_overlap`: None after the field's first use on the left
+        under that rule, the pair from its second use on.  So a field on the
+        left of many overlaps forms them twice, and one used once, as a
+        `wigner --product` render's is, keeps no memory for them."""
+        return {}
 
 
 def auto_grid(*states: CoherentSuperposition) -> PhaseSpaceGrid:
@@ -234,40 +264,72 @@ def _upper_terms(m: int):
 def _axis_factors(points: np.ndarray, centres: np.ndarray, wavenumbers: np.ndarray) -> np.ndarray:
     """exp(-2 u^2 + i wavenumber u), u = t - centre, for every sample t (rows)
     and cross term k, l (columns k M + l of the M x M centres and
-    wavenumbers); each entry has modulus at most 1.
+    wavenumbers); each entry has modulus at most 1.  Leading axes of the
+    centres and wavenumbers stack kets: (..., M, M) gives (..., n, M^2).
 
     The centres are symmetric and the wavenumbers antisymmetric in (k, l),
     so column (l, k) is the complex conjugate of column (k, l), bit for bit.
     Only the M (M + 1) / 2 columns with k <= l are exponentiated, and the
     diagonal is never conjugated, so its imaginary zeros keep their sign."""
-    k, l, column = _upper_terms(centres.shape[0])
-    u = points[:, None] - centres[k, l]
-    upper = np.exp(u * (-2.0 * u + 1j * wavenumbers[k, l]))
-    return np.concatenate([upper, np.conj(upper)], axis=1).take(column, axis=1)
+    k, l, column = _upper_terms(centres.shape[-1])
+    # terms by samples until the last copy, so each step runs along the
+    # samples; the operands keep their order and dtypes, so every entry its bits
+    u = points - centres[..., k, l, None]
+    upper = -2.0 * u + 1j * wavenumbers[..., k, l, None]
+    np.multiply(u, upper, out=upper)
+    np.exp(upper, out=upper)
+    terms = np.concatenate([upper, np.conj(upper)], axis=-2).take(column, axis=-2)
+    return np.ascontiguousarray(np.swapaxes(terms, -1, -2))
+
+
+def _raise_non_finite(*parts):
+    """FloatingPointError counting the non-finite entries of `parts`, if any."""
+    bad = sum(int(np.count_nonzero(~np.isfinite(part))) for part in parts)
+    if bad:
+        raise FloatingPointError(f"Wigner factors have {bad} non-finite entries")
+
+
+# factor entries M^2 (nx + ny) `_stacked_fields` forms at a time: one ket on
+# the rotation column of the M = 4, |alpha| = 4 compass (a 335 x 327 grid),
+# two on its displacement column; larger chunks ran slower there
+_CHUNK_ENTRIES = 1 << 14
+
+
+def _stacked_fields(weights: np.ndarray, amplitudes: np.ndarray, grid: PhaseSpaceGrid):
+    """The WignerField of each ket of a stack of (P, M) weights and
+    amplitudes, in order; `wigner_field` is this kernel at P = 1.  The
+    coefficients of all P kets are formed at once and the factors a chunk of
+    kets, about _CHUNK_ENTRIES entries, at a time, each entry with the
+    arithmetic of its ket alone.  A non-finite coefficient raises
+    FloatingPointError before any field is yielded, a non-finite factor
+    before its chunk's fields are."""
+    mid, kx, ky, phi = _cross_terms(amplitudes[:, :, None], amplitudes[:, None, :])
+    coeffs = (2.0 * (weights[:, :, None] * np.conj(weights)[:, None, :]) * np.exp(1j * phi)).reshape(len(amplitudes), -1)
+    _raise_non_finite(coeffs)
+    max_amplitudes = np.max(np.abs(amplitudes), axis=1).tolist()
+    step = max(1, _CHUNK_ENTRIES // (coeffs.shape[1] * (grid.nx + grid.ny)))
+    for start in range(0, len(amplitudes), step):
+        rows = slice(start, start + step)
+        gs = _axis_factors(grid.re_points, mid.real[rows], kx[rows])
+        hs = _axis_factors(grid.im_points, mid.imag[rows], ky[rows])
+        if not np.isfinite(gs.sum() + hs.sum()):  # finite factors have modulus <= 1: their sum is finite
+            _raise_non_finite(gs, hs)
+        for g, c, h, a_max in zip(gs, coeffs[rows], hs, max_amplitudes[rows]):
+            resolved = grid.resolves(a_max)
+            if not resolved:  # reported to the caller of `wigner_field`
+                warnings.warn(
+                    f"grid step {grid.step:.4f} exceeds pi/(8*{a_max:.3f}); interference fringes are under-resolved",
+                    UnderresolvedGridWarning,
+                    stacklevel=3,
+                )
+            yield WignerField(grid, g, c, h, not resolved)
 
 
 def wigner_field(state: CoherentSuperposition, grid: PhaseSpaceGrid) -> WignerField:
     """W(p) = sum_{k,l} w_k conj(w_l) W_kl(p) on the grid, as the per-axis
     factors of all M^2 cross terms (see the module docstring).  A non-finite
     factor or coefficient raises FloatingPointError."""
-    w = state.weights
-    amps = state.amplitudes
-    mid, kx, ky, phi = _cross_terms(amps[:, None], amps[None, :])
-    coeffs = 2.0 * np.outer(w, np.conj(w)).ravel() * np.exp(1j * phi.ravel())
-    g = _axis_factors(grid.re_points, mid.real, kx)
-    h = _axis_factors(grid.im_points, mid.imag, ky)
-    bad = sum(int(np.count_nonzero(~np.isfinite(part))) for part in (g, coeffs, h))
-    if bad:
-        raise FloatingPointError(f"Wigner factors have {bad} non-finite entries")
-    resolved = grid.resolves(state.max_amplitude)
-    if not resolved:
-        warnings.warn(
-            f"grid step {grid.step:.4f} exceeds pi/(8*{state.max_amplitude:.3f}); "
-            "interference fringes are under-resolved",
-            UnderresolvedGridWarning,
-            stacklevel=2,
-        )
-    return WignerField(grid=grid, g=g, coeffs=coeffs, h=h, underresolved=not resolved)
+    return next(_stacked_fields(state.weights[None], state.amplitudes[None], grid))
 
 
 def _trapezoid_weights(points: np.ndarray) -> np.ndarray:
@@ -289,18 +351,23 @@ def _real_scalar(value: complex, what: str) -> float:
 
 def quadrature_mass(field: WignerField) -> float:
     """(1/pi) * trapezoid integral of the field; ~1 when the grid covers the state."""
-    grid = field.grid
-    x_sums = _trapezoid_weights(grid.re_points) @ field.g
-    y_sums = _trapezoid_weights(grid.im_points) @ field.h
-    return _real_scalar((x_sums * y_sums) @ field.coeffs / np.pi, "quadrature mass")
+    _, _, w_x, w_y = field.grid._trapezoid_rules[0]
+    return _real_scalar(((w_x @ field.g) * (w_y @ field.h)) @ field.coeffs / np.pi, "quadrature mass")
 
 
-def _factor_overlap(w1: WignerField, w2: WignerField, rows_x: slice, rows_y: slice) -> float:
-    """(1/pi) * trapezoid integral of W1 W2 over the grid rows selected on
-    each axis, contracted in factor space."""
-    grid = w1.grid
-    gx = (w1.g[rows_x].T * _trapezoid_weights(grid.re_points[rows_x])) @ w2.g[rows_x]
-    hy = (w1.h[rows_y].T * _trapezoid_weights(grid.im_points[rows_y])) @ w2.h[rows_y]
+def _factor_overlap(w1: WignerField, w2: WignerField, rule: int) -> float:
+    """(1/pi) * trapezoid integral of W1 W2 by the grid's trapezoid rule
+    `rule` (see `PhaseSpaceGrid._trapezoid_rules`), contracted in factor
+    space, with W1's weighted factors (see `WignerField._weighted_factors`)."""
+    rows_x, rows_y, w_x, w_y = w1.grid._trapezoid_rules[rule]
+    weighted = w1._weighted_factors
+    pair = weighted.get(rule)
+    if pair is None:
+        pair = (w1.g[rows_x].T * w_x, w1.h[rows_y].T * w_y)
+        weighted[rule] = pair if rule in weighted else None
+    g1, h1 = pair
+    gx = g1 @ w2.g[rows_x]
+    hy = h1 @ w2.h[rows_y]
     return _real_scalar(w1.coeffs @ (gx * hy) @ w2.coeffs / np.pi, "phase-space overlap")
 
 
@@ -313,14 +380,11 @@ def phase_space_overlap(w1: WignerField, w2: WignerField, with_error: bool = Fal
     """
     if w1.grid != w2.grid:
         raise ValueError("phase_space_overlap requires identical grids")
-    value = _factor_overlap(w1, w2, slice(None), slice(None))
+    value = _factor_overlap(w1, w2, 0)
     if not with_error:
         return value
-    grid = w1.grid
-    mx = grid.nx if grid.nx % 2 == 1 else grid.nx - 1
-    my = grid.ny if grid.ny % 2 == 1 else grid.ny - 1
     # the odd-truncated grid is the whole grid when both counts are odd
-    full = value if (mx, my) == (grid.nx, grid.ny) else _factor_overlap(w1, w2, slice(mx), slice(my))
-    half = _factor_overlap(w1, w2, slice(0, mx, 2), slice(0, my, 2))
+    full = value if w1.grid.nx % 2 and w1.grid.ny % 2 else _factor_overlap(w1, w2, 1)
+    half = _factor_overlap(w1, w2, 2)
     err = abs(full - half) / 3.0 + abs(value - full)
     return value, err

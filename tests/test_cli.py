@@ -440,6 +440,25 @@ class TestOverlapCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("kind,s_max", [("rotation", "0.1"), ("displacement", "0.4")])
+    def test_quadrature_is_one_checked_overlap_per_point(self, tmp_path, monkeypatch, kind, s_max):
+        # a stand-in for phase_space_overlap that forces the error estimate,
+        # as a profiler's probe does, sees every point of the column
+        argv = ["overlap", "--alpha", "0+4i", "--m", "4", "--pert", kind, "--s-max", s_max, "--points", "9",
+                "--quadrature", "--out"]
+        assert main([*argv, str(tmp_path / "plain.csv")]) == 0
+        original, errors = wigner.phase_space_overlap, []
+
+        def counting(w1, w2, with_error=False):
+            value, err = original(w1, w2, with_error=True)
+            errors.append(err)
+            return (value, err) if with_error else value
+
+        monkeypatch.setattr(wigner, "phase_space_overlap", counting)
+        assert main([*argv, str(tmp_path / "probed.csv")]) == 0
+        assert len(errors) == 9 and np.all(np.isfinite(errors))
+        assert (tmp_path / "probed.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
     def test_rotation_zeros(self, tmp_path):
         out = tmp_path / "rot.csv"
         assert main([
@@ -655,6 +674,32 @@ class TestDeterminismAndErrors:
         assert "RuntimeWarning" not in result.stderr
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["overlap", "--alpha", "4i", "--m", "4", "--s-max", "1e300", "--points", "3", "--out", "bad.csv"], "--s-max"),
+            (["overlap", "--alpha", "1e200", "--m", "2", "--s-max", "0.1", "--out", "bad.csv"], "--alpha"),
+            (["wigner", "--alpha", "4i", "--pert", "displacement", "--s", "1e300", "--out", "bad"], "--s"),
+            (["estimate", "--alpha", "0", "--out", "bad.csv"], "--alpha"),
+            (["estimate", "--alpha", "1e300", "--out", "bad.csv"], "--alpha"),
+            (["estimate", "--alpha", "4i", "--repetitions", "10000000000000000000", "--out", "bad.csv"], "--repetitions"),
+            (["feasibility", "--period", "0", "--nbar", "20", "--budget", "1"], "--period"),
+        ],
+        ids=["overlap_s_max_overflows", "overlap_alpha_overflows", "wigner_s_overflows", "estimate_zero_alpha",
+             "estimate_alpha_overflows", "estimate_repetitions_beyond_int64", "feasibility_zero_period"],
+    )
+    def test_out_of_range_input_names_its_flag(self, tmp_path, argv, flag):
+        # one error line that names the flag: no numpy warning, no traceback
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-m", "subplanck.cli", *argv], cwd=tmp_path, env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {flag} "), result.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_output_mode_follows_umask(self, tmp_path):
         out = tmp_path / "pe.csv"
         previous = os.umask(0o022)
@@ -748,6 +793,18 @@ class TestPinnedOutputs:
         "overlap_quadrature": (
             ["overlap", "--alpha", "0+4i", "--m", "2", "--s-max", "0.4", "--points", "33", "--quadrature"],
             "4fea0d324026aca64483859d8eeab04f5246aa71b2fa19b714b7cf62337ffd94",
+        ),
+        # the compass's quadrature columns, as the benchmark's phase_space
+        # jobs run them, at 33 points
+        "overlap_quadrature_rotation": (
+            ["overlap", "--alpha", "0+4i", "--m", "4", "--gammas", "0.3,1.7,2.9,5.1", "--pert", "rotation",
+             "--s-max", "0.1", "--points", "33", "--quadrature"],
+            "a9dc3599f05a9a4e2d78b17f3beb9d1a65e71c1828be96c2438acf673ca83f20",
+        ),
+        "overlap_quadrature_displacement": (
+            ["overlap", "--alpha", "0+4i", "--m", "4", "--gammas", "0.3,1.7,2.9,5.1", "--pert", "displacement",
+             "--s-max", "0.4", "--points", "33", "--quadrature"],
+            "578d36b6fce32202db69ed458e03d3be823cc373d7f9995eca15095b22187116",
         ),
     }
 

@@ -7,7 +7,9 @@ contracts through the `states` helpers.  And the 17-digit float format is
 spelled once, as `cli._FLOAT_FMT`, and read only by `cli._fmt` and
 `cli._text_rows`, so every CSV value goes through the one writer.  And
 no function in `cli` reads a whole field's `.values`: `wigner` renders
-stream the field a block of columns at a time."""
+stream the field a block of columns at a time.  And only the grid's cached
+trapezoid rules call `wigner._trapezoid_weights`, so quadratures do not
+form weights per call."""
 
 import ast
 from pathlib import Path
@@ -152,6 +154,22 @@ def values_readers(tree: ast.Module) -> list[str]:
     )
 
 
+def trapezoid_weight_callers(trees: dict[str, ast.Module]) -> list[str]:
+    """`module: name` for each top-level statement, or statement of a class
+    body (named `Class.name`), that reads `_trapezoid_weights` in any form:
+    a call, an attribute (`wigner._trapezoid_weights`) or an imported name.
+    Unnamed statements are named by their line."""
+    found = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            inner = isinstance(stmt, ast.ClassDef)
+            for node in stmt.body if inner else [stmt]:
+                if "_trapezoid_weights" in _references(node):
+                    name = ", ".join(_bound_names(node)) or f"line {node.lineno}"
+                    found.append(f"{module}: {stmt.name + '.' if inner else ''}{name}")
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(_parse(path)) == []
@@ -221,6 +239,32 @@ def test_values_reader_check_catches_readers():
         "RASTER = wigner.field.values.T\n"
     )
     assert values_readers(tree) == ["RASTER", "_cmd_a", "_cmd_b"]
+
+
+def test_trapezoid_weights_are_formed_once_per_grid():
+    assert trapezoid_weight_callers({path.name: _parse(path) for path in MODULES}) == [
+        "wigner.py: PhaseSpaceGrid._trapezoid_rules",
+    ]
+
+
+def test_trapezoid_weight_check_catches_other_callers():
+    # a quadrature that forms its own weights, a method of another class, an
+    # attribute call from another module and an import each count; the
+    # definition itself does not
+    trees = {
+        "wigner.py": ast.parse(
+            "def _trapezoid_weights(points):\n    return points\n"
+            "class PhaseSpaceGrid:\n    def _trapezoid_rules(self):\n        return _trapezoid_weights(self.re)\n"
+            "class WignerField:\n    def mass(self):\n        return _trapezoid_weights(self.grid.re) @ self.g\n"
+            "def _factor_overlap(w1, w2):\n    return _trapezoid_weights(w1.grid.re) @ w2.g\n"
+        ),
+        "cli.py": ast.parse("from . import wigner\ndef _cmd(grid):\n    return wigner._trapezoid_weights(grid.im)\n"),
+        "metrology.py": ast.parse("from .wigner import _trapezoid_weights\n"),
+    }
+    assert trapezoid_weight_callers(trees) == [
+        "cli.py: _cmd", "metrology.py: _trapezoid_weights", "wigner.py: PhaseSpaceGrid._trapezoid_rules",
+        "wigner.py: WignerField.mass", "wigner.py: _factor_overlap",
+    ]
 
 
 def test_checks_catch_dead_code():

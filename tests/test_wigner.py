@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subplanck import wigner
+from subplanck import metrology, wigner
 from subplanck.states import (
     CoherentSuperposition,
     displace,
@@ -233,6 +233,45 @@ class TestFieldOracles:
         state = _random_state(np.random.default_rng(16), 16, radius)
         field = wigner_field(state, auto_grid(state))
         assert quadrature_mass(field) == pytest.approx(1.0, abs=1e-6)
+
+
+class TestStackedFields:
+    """The quadrature column's kernel: the fields of a stack of perturbed
+    kets, formed a chunk at a time."""
+
+    @pytest.mark.parametrize("kind", ["displacement", "rotation"])
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    @pytest.mark.filterwarnings("ignore::subplanck.wigner.UnderresolvedGridWarning")
+    def test_match_the_fields_of_states_moved_one_by_one(self, monkeypatch, kind, m):
+        # bit for bit, on the auto grid and on a grid so far out that most
+        # factors underflow to signed zeros; chunks of 3 kets leave a partial one
+        sweep = metrology.overlap_sweep(3j, m, np.random.default_rng(m).uniform(0, 6, m), kind=kind,
+                                        max_magnitude=0.3 if kind == "displacement" else 0.05, n_points=7)
+        target = sweep.target
+        ket_w, ket_a = np.broadcast_arrays(*metrology._perturbed_terms(
+            kind, sweep.magnitudes[:, None], sweep.direction, target.weights, target.amplitudes))
+        for grid in (auto_grid(target, CoherentSuperposition(ket_w[-1], ket_a[-1])), PhaseSpaceGrid(9, 30, -31, -8, 41, 37)):
+            monkeypatch.setattr(wigner, "_CHUNK_ENTRIES", 3 * m * m * (grid.nx + grid.ny))
+            stacked = list(wigner._stacked_fields(ket_w, ket_a, grid))
+            assert len(stacked) == sweep.magnitudes.size
+            for mag, field in zip(sweep.magnitudes, stacked):
+                want = wigner_field(metrology.PerturbationSpec(kind, float(mag), sweep.direction).apply(target), grid)
+                for part in ("g", "h", "coeffs", "underresolved"):
+                    assert np.asarray(getattr(field, part)).tobytes() == np.asarray(getattr(want, part)).tobytes(), part
+
+    def test_left_factors_are_kept_from_their_second_use(self):
+        # a field on the left of one overlap (a --product render's) keeps no
+        # weighted factors; one on the left of many reuses them unchanged
+        cat = make_circular_state(2j, 2, [0.0, 0.0])
+        other = displace(cat, 0.1)
+        grid = auto_grid(cat, other)
+        base, moved = wigner_field(cat, grid), wigner_field(other, grid)
+        first = phase_space_overlap(base, moved)
+        assert base._weighted_factors == {0: None}
+        assert [phase_space_overlap(base, moved) for _ in range(3)] == [first] * 3
+        assert isinstance(base._weighted_factors[0], tuple)
+        assert phase_space_overlap(base, moved, with_error=True) == phase_space_overlap(
+            wigner_field(cat, grid), moved, with_error=True)
 
 
 class TestNonFiniteGuard:
