@@ -322,13 +322,13 @@ def _cmd_wigner(args) -> int:
         grid = wigner.auto_grid(*sample_states)
     else:
         grid = wigner.PhaseSpaceGrid(*args.bounds, args.nx, args.ny)
-    # the fields this command renders: the base, the perturbed state, or both for --product
-    rendered = sample_states if args.product or pert_state is None else [pert_state]
-    # an under-resolved field reports itself once, as an UnderresolvedGridWarning
-    fields = [wigner.wigner_field(state, grid) for state in rendered]
+    # the fields this command renders: the base, the perturbed state, or both for
+    # --product; an under-resolved field reports itself once, as an UnderresolvedGridWarning
+    fields = [wigner.wigner_field(base, grid)] if args.product or pert_state is None else []
+    if pert_state is not None:
+        fields.append(wigner.wigner_field(pert_state, grid))
     if args.product:
-        integral = wigner.phase_space_overlap(*fields)
-        print(f"product_integral={_fmt(integral)}")
+        print(f"product_integral={_fmt(wigner.phase_space_overlap(*fields))}")
 
     config = _config_string(args, ["alpha", "m", "gammas", "displace", "pert", "s", "phi", "product"])
     config += f" grid=({_fmt(grid.re_min)},{_fmt(grid.re_max)},{_fmt(grid.im_min)},{_fmt(grid.im_max)}) nx={grid.nx} ny={grid.ny}"
@@ -357,31 +357,25 @@ def _cmd_wigner(args) -> int:
 
 
 def _cmd_overlap(args) -> int:
-    if args.pert == "rotation":  # rotations act on the circle displaced by alpha
-        _check_amplitudes(("--alpha", 2.0 * _modulus(args.alpha)))
-    else:
-        _check_amplitudes(("--alpha", _modulus(args.alpha)), ("--s-max", args.s_max))
-    sweep = metrology.overlap_sweep(
-        args.alpha,
-        args.m,
-        _gammas(args.gammas, args.m),
-        kind=args.pert,
-        direction=args.phi,
-        max_magnitude=args.s_max,
-        n_points=args.points,
-    )
+    rotation = args.pert == "rotation"  # rotations act on the circle displaced by alpha
+    _check_amplitudes(("--alpha", (2.0 if rotation else 1.0) * _modulus(args.alpha)), ("--s-max", 0.0 if rotation else args.s_max))
+    sweep = metrology.overlap_sweep(args.alpha, args.m, _gammas(args.gammas, args.m), kind=args.pert, direction=args.phi,
+                                    max_magnitude=args.s_max, n_points=args.points)
     header = ["magnitude", "exact", "approx"]
     columns = [sweep.magnitudes, sweep.exact, sweep.approx]
     if args.quadrature:
-        target = sweep.target
-        # the kets of the exact column, row p moved by magnitudes[p]
-        ket_w, ket_a = np.broadcast_arrays(*metrology._perturbed_terms(
-            sweep.kind, sweep.magnitudes[:, None], sweep.direction, target.weights, target.amplitudes))
-        grid = wigner.auto_grid(target, states.CoherentSuperposition(ket_w[-1], ket_a[-1]))
-        w_base = wigner.wigner_field(target, grid)
-        quad = [wigner.phase_space_overlap(w_base, field) for field in wigner._stacked_fields(ket_w, ket_a, grid)]
+        # |Tr(rho U)|^2 from the target's one field and U's Weyl symbols
+        target, magnitudes = sweep.target, sweep.magnitudes
+        grid = wigner.auto_grid(target, metrology.PerturbationSpec(sweep.kind, float(magnitudes[-1]), sweep.direction).apply(target))
+        symbols = metrology._weyl_symbols(sweep.kind, magnitudes, sweep.direction)
+        resolved = wigner._resolves_symbols(target, grid, *symbols[1:])
+        if not resolved.all():
+            thetas = np.linspace(0.0, np.pi, 4097)
+            kept = wigner._resolves_symbols(target, grid, *metrology._weyl_symbols(metrology.ROTATION, thetas, None)[1:])
+            raise ValueError(f"--s-max {args.s_max:g}: the quadrature grid aliases U at {magnitudes[~resolved][0]:.6g}; "
+                             f"it resolves rotations up to {np.max(thetas[kept], initial=0.0):.3f} rad (mod 2 pi)")
         header.append("quadrature")
-        columns.append(np.array(quad))
+        columns.append(states._abs_sq(wigner._unitary_traces(wigner.wigner_field(target, grid), *symbols)))
     config = _config_string(args, ["alpha", "m", "gammas", "pert", "phi", "s_max", "points", "quadrature"])
     _atomic_write(args.out, _csv_bytes(config, header, columns))
     return 0
@@ -392,6 +386,7 @@ def _cmd_protocol(args) -> int:
         raise ValueError("points must be >= 2")
     # the grid runs from 0 to s_max, so checking the extreme checks every point
     metrology.PerturbationSpec(args.pert, args.s_max, args.phi)
+    _check_amplitudes(("--alpha", _modulus(args.alpha)), ("--s-max", args.s_max if args.pert == "displacement" else 0.0))
     mags = np.linspace(0.0, args.s_max, args.points)
     weights = protocol._fringe_weights(args.regime, args.alpha, args.pert, args.phi, mags, args.dt_fraction)
     config = _config_string(args, ["regime", "alpha", "pert", "phi", "s_max", "points", "dt_fraction"])
@@ -511,9 +506,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # one parser a process
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, ArithmeticError, MemoryError) as exc:

@@ -55,8 +55,10 @@ def simulate_readout(p_e: float, repetitions: int, seed) -> int:
 
 
 def theory_sigma(repetitions: int, alpha_mag: float) -> float:
-    """Quoted Gaussian width of the estimator, 1 / (8 sqrt(R nbar))."""
-    return 1.0 / (8.0 * math.sqrt(repetitions * alpha_mag**2))
+    """Quoted Gaussian width of the estimator, 1 / (8 sqrt(R nbar)); as
+    1 / (8 sqrt(R) |alpha|) where R |alpha|^2 overflows or underflows."""
+    sigma = 1.0 / (8.0 * math.sqrt(repetitions * alpha_mag**2)) if 1e-150 < alpha_mag < 1e150 else 0.0
+    return sigma or 1.0 / (8.0 * math.sqrt(repetitions) * alpha_mag)
 
 
 def estimate_displacement(

@@ -118,6 +118,20 @@ def _perturbed_terms(kind: str, magnitude, direction: float | None, weights: np.
     return _moved_terms(weights, amplitudes, beta=magnitude * np.exp(1j * direction))
 
 
+def _weyl_symbols(kind: str, magnitudes, direction: float | None):
+    """U's Weyl symbol at each magnitude as the (scale, kx, ky, t) arrays of
+    `wigner._unitary_traces`: e^{2i(Im beta x - Re beta y)} for D(beta),
+    e^{-i theta/2} sec(theta/2) e^{2i tan(theta/2) |p|^2} for R(theta), theta
+    as arg e^{i theta}, which libm reduces exactly (R has period 2 pi)."""
+    mags = np.asarray(magnitudes, dtype=float)
+    zeros = np.zeros_like(mags)
+    if kind == ROTATION:
+        half = 0.5 * np.angle(np.exp(1j * mags))
+        return np.exp(-1j * half) / np.cos(half), zeros, zeros, np.tan(half)
+    beta = mags * np.exp(1j * direction)
+    return np.ones_like(mags), 2.0 * beta.imag, -2.0 * beta.real, zeros
+
+
 def _pair_coefficients(m: int, phi_rel: float) -> np.ndarray:
     """a_kl = sin(phi - phi_k) - sin(phi - phi_l) over pairs k < l."""
     k = np.arange(1, m + 1)

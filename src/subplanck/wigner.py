@@ -1,18 +1,13 @@
 """Wigner functions of coherent-state superpositions on phase-space grids.
 
-Convention: W is normalized so that (1/pi) * integral W d^2a = 1 and a
-coherent state peaks at 2.  The cross term for |a_k><a_l| is
+Convention: (1/pi) * integral W d^2a = 1 and a coherent state peaks at 2.
+The cross term of |a_k><a_l|,
 
     W_kl(p) = 2 * exp(-2 (p - a_k)(conj(p) - conj(a_l))) * <a_l|a_k>,
 
-which reduces to 2 exp(-2|p - a|^2) on the diagonal and integrates to
-<a_l|a_k> under (1/pi) d^2p.  With this choice the state overlap equals
-the phase-space overlap integral of the two Wigner functions with the
-same measure, so quadrature results compare directly against the exact
-Gram-matrix inner products.
-
-Expanding the exponent around the midpoint m = (a_k + a_l)/2 puts it in
-bounded form,
+integrates to <a_l|a_k> under (1/pi) d^2p, so (1/pi) integral W1 W2 is
+|<psi1|psi2>|^2 and quadratures compare directly with the Gram algebra.
+Expanded around the midpoint m = (a_k + a_l)/2 it is bounded,
 
     W_kl(x + iy) = 2 e^{i phi_kl} g_kl(x) h_kl(y),
     g_kl(x) = exp(-2 (x - Re m)^2 + 2i (Im a_k - Im a_l) (x - Re m)),
@@ -20,53 +15,35 @@ bounded form,
     phi_kl  = Im(a_k conj(a_l))   (the exponent's phase at p = m),
 
 so no factor exceeds 1 in modulus and there is no amplitude ceiling (the
-unreduced product exp(+2|a|^2) * <a_l|a_k> overflows near |a| ~ 19).
-Measuring the linear phases from m keeps them small wherever the envelope
-is not, so the only large phase is phi_kl itself.
+unreduced exp(+2|a|^2) * <a_l|a_k> overflows near |a| ~ 19), and the
+linear phases are small wherever the envelope is not.
 
-The factors separate over the two axes: a field on an nx x ny grid is
-Re(G diag(c) H^T) with G (nx x M^2) and H (ny x M^2) the stacked 1-d
-factors and c_kl = 2 w_k conj(w_l) e^{i phi_kl}.  Column (l, k) of G and
-H is the complex conjugate of column (k, l), so a WignerField's factors
-cost M (M + 1)/2 (nx + ny) exponentials.  The factor kernel broadcasts
-over a leading axis of kets, so the P perturbed states of a quadrature
-column have their fields formed a few kets at a time, bit for bit as one
-state's.  `samples(columns)` forms the samples of a slice of im columns,
-(G diag(c)) H[columns]^T, so a caller can hold a block of the field at a
-time; `values` is that product over every column, formed on first read
-and cached.
+A field on an nx x ny grid is Re(G diag(c) H^T): G (nx x M^2) and H
+(ny x M^2) stack the factors, c_kl = 2 w_k conj(w_l) e^{i phi_kl}, and
+column (l, k) is the conjugate of column (k, l), so the factors cost
+M (M + 1)/2 (nx + ny) exponentials.  `samples(columns)` forms a slice of
+im columns, (G diag(c)) H[columns]^T; `values` is every column, cached.
 
-Phase-space integrals never form the nx x ny samples.  With trapezoid
-weight vectors w_x, w_y on the two axes,
-
-    sum_ij w_x[i] w_y[j] W1[i, j] W2[i, j]
-        = c1^T [(G1^T diag(w_x) G2) o (H1^T diag(w_y) H2)] c2
-
-(o the elementwise product).  It costs M^4 (nx + ny) against the
-M^2 nx ny of forming both fields, so it is the cheaper one while
-M^2 < nx ny / (nx + ny): on auto grids for |a| >~ 3.5 at M = 8, but only
-for |a| >~ 8 at M = 16.  The mass is
-(w_x^T G) o (w_y^T H) contracted with c.  The Richardson error estimate of
-`phase_space_overlap` contracts the even-index rows of the same factors
-with the half-resolution weights; its odd-truncated full-resolution term
-is the value itself when both point counts are odd, as on auto grids.
-A grid forms the weights of these rules once, and a field on the left of
-repeated overlaps keeps G1^T diag(w_x) and H1^T diag(w_y) from its second
-use on, so a column of overlaps against one base field costs the
-perturbed fields' exponentials and two matrix products per rule and point.
+Integrals never form the samples: with trapezoid weights w_x, w_y, the sum
+of W times S(x + iy) = E_x[x] E_y[y] is
+c^T [(G^T diag(w_x) E_x) o (H^T diag(w_y) E_y)] (o elementwise).  A second
+field (E = G2, H2, then c2) costs M^4 (nx + ny), less than forming both
+while M^2 < nx ny / (nx + ny); its Richardson error estimate sums the even
+rows.  The Weyl symbol S_U of an operator, Tr(rho U) = (1/pi) integral
+W S_U, gives Tr(rho U) at M^2 (nx + ny), and S = 1 the mass.  D(beta) and
+R(theta) have plane waves and chirps (`metrology._weyl_symbols`);
+`_resolves_symbols` refuses a chirp the grid aliases.
 
 Checks run where numbers are made: `wigner_field` raises
-FloatingPointError on a non-finite factor or coefficient; every block of
-`samples` (and so `values`) raises on a non-finite sample or an imaginary
-residue above 1e-10 (the double sum is Hermitian, so the residue is
-rounding noise);
-every quadrature scalar raises on a non-finite value or an imaginary part
-above 1e-10.
+FloatingPointError on a non-finite factor or coefficient, each block of
+`samples` on a non-finite sample or an imaginary residue above 1e-10 (the
+double sum is Hermitian), a quadrature scalar on a non-finite value or an
+imaginary part above 1e-10, and a unitary's trace on a non-finite value or
+a modulus above 1 + 1e-10.
 
-Grids must resolve the interference fringes: the oscillation frequency of
-W_kl is 2|a_k - a_l|, so the sampling rule h <= pi / (8 |a|_max) keeps the
-trapezoid quadrature spectrally accurate (the Gaussian envelope confines
-each frequency component well inside the alias-free band).
+Grids must resolve the fringes: W_kl oscillates at 2|a_k - a_l|, so the
+step rule h <= pi / (8 |a|_max) keeps the trapezoid rule spectrally
+accurate (each Gaussian component sits well inside the alias-free band).
 """
 
 from __future__ import annotations
@@ -123,13 +100,9 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhaseSpaceGrid:
-    """Rectangular sampling grid for the complex plane.
-
-    The grid holds its bounds and point counts; the points of each axis are
-    computed once, on first read, as read-only arrays.  `resolves(a)` reports
-    whether the step obeys h <= pi / (8 a) for a largest coherent
-    amplitude a; `wigner_field` asks it about the state it samples.
-    """
+    """Rectangular sampling grid for the complex plane, with each axis's
+    points formed on first read as a read-only array.  `resolves(a)`: does
+    the step obey h <= pi / (8 a) for a largest amplitude a?"""
 
     re_min: float
     re_max: float
@@ -163,16 +136,11 @@ class PhaseSpaceGrid:
             return True
         return self.step <= np.pi / (8.0 * alpha_max) + 1e-12
 
-    def mesh(self) -> np.ndarray:
-        """Complex sample points, shape (nx, ny); [ix, iy] = re[ix] + i im[iy]."""
-        return self.re_points[:, None] + 1j * self.im_points[None, :]
-
     @functools.cached_property
     def _trapezoid_rules(self) -> tuple:
-        """The trapezoid rules `phase_space_overlap` and `quadrature_mass`
-        use, as (rows_x, rows_y, w_x, w_y): the whole grid, the grid
-        odd-truncated to mx x my points, and the half-resolution subgrid of
-        that.  The weights are formed once per grid, on first read."""
+        """The trapezoid rules of `_weighted_sum`, as (rows_x, rows_y, w_x,
+        w_y): the whole grid, the grid odd-truncated to mx x my points, and the
+        half-resolution subgrid of that, formed once per grid, on first read."""
         mx = self.nx if self.nx % 2 else self.nx - 1
         my = self.ny if self.ny % 2 else self.ny - 1
         rows = ((slice(None), slice(None)), (slice(mx), slice(my)), (slice(0, mx, 2), slice(0, my, 2)))
@@ -215,15 +183,6 @@ class WignerField:
         """Real samples, shape (nx, ny), formed and checked on first read."""
         return self.samples(slice(None))
 
-    @functools.cached_property
-    def _weighted_factors(self) -> dict:
-        """Trapezoid rule index -> (G[rows_x]^T diag(w_x), H[rows_y]^T diag(w_y))
-        for `_factor_overlap`: None after the field's first use on the left
-        under that rule, the pair from its second use on.  So a field on the
-        left of many overlaps forms them twice, and one used once, as a
-        `wigner --product` render's is, keeps no memory for them."""
-        return {}
-
 
 def auto_grid(*states: CoherentSuperposition) -> PhaseSpaceGrid:
     """Grid sized for the given states: their amplitude bounding box padded
@@ -264,72 +223,40 @@ def _upper_terms(m: int):
 def _axis_factors(points: np.ndarray, centres: np.ndarray, wavenumbers: np.ndarray) -> np.ndarray:
     """exp(-2 u^2 + i wavenumber u), u = t - centre, for every sample t (rows)
     and cross term k, l (columns k M + l of the M x M centres and
-    wavenumbers); each entry has modulus at most 1.  Leading axes of the
-    centres and wavenumbers stack kets: (..., M, M) gives (..., n, M^2).
+    wavenumbers), as an (n, M^2) array; each entry has modulus at most 1.
 
     The centres are symmetric and the wavenumbers antisymmetric in (k, l),
     so column (l, k) is the complex conjugate of column (k, l), bit for bit.
     Only the M (M + 1) / 2 columns with k <= l are exponentiated, and the
     diagonal is never conjugated, so its imaginary zeros keep their sign."""
-    k, l, column = _upper_terms(centres.shape[-1])
+    k, l, column = _upper_terms(centres.shape[0])
     # terms by samples until the last copy, so each step runs along the
     # samples; the operands keep their order and dtypes, so every entry its bits
-    u = points - centres[..., k, l, None]
-    upper = -2.0 * u + 1j * wavenumbers[..., k, l, None]
+    u = points - centres[k, l, None]
+    upper = -2.0 * u + 1j * wavenumbers[k, l, None]
     np.multiply(u, upper, out=upper)
     np.exp(upper, out=upper)
-    terms = np.concatenate([upper, np.conj(upper)], axis=-2).take(column, axis=-2)
-    return np.ascontiguousarray(np.swapaxes(terms, -1, -2))
-
-
-def _raise_non_finite(*parts):
-    """FloatingPointError counting the non-finite entries of `parts`, if any."""
-    bad = sum(int(np.count_nonzero(~np.isfinite(part))) for part in parts)
-    if bad:
-        raise FloatingPointError(f"Wigner factors have {bad} non-finite entries")
-
-
-# factor entries M^2 (nx + ny) `_stacked_fields` forms at a time: one ket on
-# the rotation column of the M = 4, |alpha| = 4 compass (a 335 x 327 grid),
-# two on its displacement column; larger chunks ran slower there
-_CHUNK_ENTRIES = 1 << 14
-
-
-def _stacked_fields(weights: np.ndarray, amplitudes: np.ndarray, grid: PhaseSpaceGrid):
-    """The WignerField of each ket of a stack of (P, M) weights and
-    amplitudes, in order; `wigner_field` is this kernel at P = 1.  The
-    coefficients of all P kets are formed at once and the factors a chunk of
-    kets, about _CHUNK_ENTRIES entries, at a time, each entry with the
-    arithmetic of its ket alone.  A non-finite coefficient raises
-    FloatingPointError before any field is yielded, a non-finite factor
-    before its chunk's fields are."""
-    mid, kx, ky, phi = _cross_terms(amplitudes[:, :, None], amplitudes[:, None, :])
-    coeffs = (2.0 * (weights[:, :, None] * np.conj(weights)[:, None, :]) * np.exp(1j * phi)).reshape(len(amplitudes), -1)
-    _raise_non_finite(coeffs)
-    max_amplitudes = np.max(np.abs(amplitudes), axis=1).tolist()
-    step = max(1, _CHUNK_ENTRIES // (coeffs.shape[1] * (grid.nx + grid.ny)))
-    for start in range(0, len(amplitudes), step):
-        rows = slice(start, start + step)
-        gs = _axis_factors(grid.re_points, mid.real[rows], kx[rows])
-        hs = _axis_factors(grid.im_points, mid.imag[rows], ky[rows])
-        if not np.isfinite(gs.sum() + hs.sum()):  # finite factors have modulus <= 1: their sum is finite
-            _raise_non_finite(gs, hs)
-        for g, c, h, a_max in zip(gs, coeffs[rows], hs, max_amplitudes[rows]):
-            resolved = grid.resolves(a_max)
-            if not resolved:  # reported to the caller of `wigner_field`
-                warnings.warn(
-                    f"grid step {grid.step:.4f} exceeds pi/(8*{a_max:.3f}); interference fringes are under-resolved",
-                    UnderresolvedGridWarning,
-                    stacklevel=3,
-                )
-            yield WignerField(grid, g, c, h, not resolved)
+    return np.ascontiguousarray(np.concatenate([upper, np.conj(upper)]).take(column, axis=0).T)
 
 
 def wigner_field(state: CoherentSuperposition, grid: PhaseSpaceGrid) -> WignerField:
     """W(p) = sum_{k,l} w_k conj(w_l) W_kl(p) on the grid, as the per-axis
     factors of all M^2 cross terms (see the module docstring).  A non-finite
     factor or coefficient raises FloatingPointError."""
-    return next(_stacked_fields(state.weights[None], state.amplitudes[None], grid))
+    w, a = state.weights, state.amplitudes
+    mid, kx, ky, phi = _cross_terms(a[:, None], a[None, :])
+    coeffs = (2.0 * (w[:, None] * np.conj(w)[None, :]) * np.exp(1j * phi)).ravel()
+    g = _axis_factors(grid.re_points, mid.real, kx)
+    h = _axis_factors(grid.im_points, mid.imag, ky)
+    if not np.isfinite(g.sum() + h.sum() + coeffs.sum()):  # factors have modulus <= 1, coefficients 2 |w_k w_l|
+        bad = sum(int(np.count_nonzero(~np.isfinite(part))) for part in (coeffs, g, h))
+        if bad:
+            raise FloatingPointError(f"Wigner factors have {bad} non-finite entries")
+    resolved = grid.resolves(state.max_amplitude)
+    if not resolved:
+        warnings.warn(f"grid step {grid.step:.4f} exceeds pi/(8*{state.max_amplitude:.3f}); interference fringes are "
+                      "under-resolved", UnderresolvedGridWarning, stacklevel=2)
+    return WignerField(grid, g, coeffs, h, not resolved)
 
 
 def _trapezoid_weights(points: np.ndarray) -> np.ndarray:
@@ -349,26 +276,58 @@ def _real_scalar(value: complex, what: str) -> float:
     return float(value.real)
 
 
+def _weighted_sum(field: WignerField, e_x: np.ndarray, e_y: np.ndarray, rule: int = 0) -> np.ndarray:
+    """Trapezoid sum of W S_p, S_p(x + iy) = e_x[x, p] e_y[y, p], for each
+    column p, on the rows of the grid's rule `rule`, in factor space."""
+    rows_x, rows_y, w_x, w_y = field.grid._trapezoid_rules[rule]
+    return field.coeffs @ (((field.g[rows_x].T * w_x) @ e_x) * ((field.h[rows_y].T * w_y) @ e_y))
+
+
 def quadrature_mass(field: WignerField) -> float:
     """(1/pi) * trapezoid integral of the field; ~1 when the grid covers the state."""
-    _, _, w_x, w_y = field.grid._trapezoid_rules[0]
-    return _real_scalar(((w_x @ field.g) * (w_y @ field.h)) @ field.coeffs / np.pi, "quadrature mass")
+    return _real_scalar(_weighted_sum(field, np.ones((field.grid.nx, 1)), np.ones((field.grid.ny, 1)))[0] / np.pi,
+                        "quadrature mass")
+
+
+# the margin `_resolves_symbols` keeps below the band edge 2 pi / h, per unit
+# of spectral width: the first alias is down by e^{-16^2/8} = 1e-14
+_ALIAS_MARGIN = 16.0
+
+
+def _resolves_symbols(state: CoherentSuperposition, grid: PhaseSpaceGrid, kx, ky, chirp) -> np.ndarray:
+    """Whether the grid resolves W_state times each symbol of `_unitary_traces`.
+    Times e^{i(kx x + 2t x^2)}, a term's factor at c has wavenumber k + kappa,
+    kappa = kx + 4tc, and spectrum |FT| ~ e^{-(xi - k - kappa)^2 / (8 (1 + t^2))};
+    it must end _ALIAS_MARGIN sqrt(1 + t^2) below 2 pi / h, on both axes."""
+    mid, wave_x, wave_y, _ = _cross_terms(state.amplitudes[:, None], state.amplitudes)
+    t = np.asarray(chirp, dtype=float)[:, None]
+    resolved = True
+    for points, centres, waves, kappa in ((grid.re_points, mid.real, wave_x, kx), (grid.im_points, mid.imag, wave_y, ky)):
+        reach = np.max(np.abs(waves.ravel() + np.asarray(kappa)[:, None] + 4.0 * t * centres.ravel()), axis=1)
+        band = 2.0 * np.pi * (points.size - 1) / (points[-1] - points[0])
+        resolved = resolved & (band - reach >= _ALIAS_MARGIN * np.sqrt(1.0 + t[:, 0] ** 2))
+    return resolved
+
+
+def _unitary_traces(field: WignerField, scale, kx, ky, chirp) -> np.ndarray:
+    """Tr(rho U_p) for the state of `field` and each unitary whose Weyl symbol
+    is scale e^{i(kx x + 2t x^2)} e^{i(ky y + 2t y^2)}, t = chirp, as arrays
+    over p (`metrology._weyl_symbols`; check `_resolves_symbols` first).  A
+    non-finite trace, or one beyond modulus 1 + 1e-10, raises FloatingPointError."""
+    x, y = field.grid.re_points[:, None], field.grid.im_points[:, None]
+    phase_x, phase_y = kx * x + 2.0 * chirp * (x * x), ky * y + 2.0 * chirp * (y * y)
+    # cos + i sin: 60 % of the time of np.exp on an imaginary array
+    traces = scale * _weighted_sum(field, np.cos(phase_x) + 1j * np.sin(phase_x), np.cos(phase_y) + 1j * np.sin(phase_y)) / np.pi
+    modulus = np.abs(traces)
+    if not np.all(modulus <= 1.0 + 1e-10):  # phrased so that NaN fails too
+        raise FloatingPointError(f"unitary trace {traces[np.argmax(modulus)]!r} is non-finite or beyond modulus 1")
+    return traces
 
 
 def _factor_overlap(w1: WignerField, w2: WignerField, rule: int) -> float:
-    """(1/pi) * trapezoid integral of W1 W2 by the grid's trapezoid rule
-    `rule` (see `PhaseSpaceGrid._trapezoid_rules`), contracted in factor
-    space, with W1's weighted factors (see `WignerField._weighted_factors`)."""
-    rows_x, rows_y, w_x, w_y = w1.grid._trapezoid_rules[rule]
-    weighted = w1._weighted_factors
-    pair = weighted.get(rule)
-    if pair is None:
-        pair = (w1.g[rows_x].T * w_x, w1.h[rows_y].T * w_y)
-        weighted[rule] = pair if rule in weighted else None
-    g1, h1 = pair
-    gx = g1 @ w2.g[rows_x]
-    hy = h1 @ w2.h[rows_y]
-    return _real_scalar(w1.coeffs @ (gx * hy) @ w2.coeffs / np.pi, "phase-space overlap")
+    """(1/pi) * trapezoid integral of W1 W2 by the grid's rule `rule`."""
+    rows_x, rows_y = w1.grid._trapezoid_rules[rule][:2]
+    return _real_scalar(_weighted_sum(w1, w2.g[rows_x], w2.h[rows_y], rule) @ w2.coeffs / np.pi, "phase-space overlap")
 
 
 def phase_space_overlap(w1: WignerField, w2: WignerField, with_error: bool = False):

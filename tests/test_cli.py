@@ -1,9 +1,11 @@
+import argparse
 import hashlib
 import importlib.util
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from collections import Counter
@@ -441,23 +443,81 @@ class TestOverlapCommand:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("kind,s_max", [("rotation", "0.1"), ("displacement", "0.4")])
-    def test_quadrature_is_one_checked_overlap_per_point(self, tmp_path, monkeypatch, kind, s_max):
-        # a stand-in for phase_space_overlap that forces the error estimate,
-        # as a profiler's probe does, sees every point of the column
-        argv = ["overlap", "--alpha", "0+4i", "--m", "4", "--pert", kind, "--s-max", s_max, "--points", "9",
-                "--quadrature", "--out"]
-        assert main([*argv, str(tmp_path / "plain.csv")]) == 0
-        original, errors = wigner.phase_space_overlap, []
+    def test_quadrature_is_one_field_and_no_overlap(self, tmp_path, monkeypatch, kind, s_max):
+        # the column traces each perturbation's Weyl symbol against the
+        # target's one field: no perturbed field, no field overlap
+        calls = Counter()
 
-        def counting(w1, w2, with_error=False):
-            value, err = original(w1, w2, with_error=True)
-            errors.append(err)
-            return (value, err) if with_error else value
+        def counting(name):
+            original = getattr(wigner, name)
 
-        monkeypatch.setattr(wigner, "phase_space_overlap", counting)
-        assert main([*argv, str(tmp_path / "probed.csv")]) == 0
-        assert len(errors) == 9 and np.all(np.isfinite(errors))
-        assert (tmp_path / "probed.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return call
+
+        for name in ("wigner_field", "phase_space_overlap"):
+            monkeypatch.setattr(wigner, name, counting(name))
+        out = tmp_path / "ovq.csv"
+        assert main(["overlap", "--alpha", "0+4i", "--m", "4", "--pert", kind, "--s-max", s_max, "--points", "9",
+                     "--quadrature", "--out", str(out)]) == 0
+        assert calls == Counter(wigner_field=1)
+        _, _, rows = _read_csv(out)
+        assert np.max(np.abs(rows[:, 3] - rows[:, 1])) <= 1e-12
+
+    @pytest.mark.parametrize("s_max", ["3", "6.2832"])
+    def test_quadrature_refuses_rotations_the_grid_aliases(self, tmp_path, capsys, s_max):
+        # past about 2.4 rad (mod 2 pi) the symbol's chirp aliases on this
+        # grid; the column is refused before any output, naming the flag
+        out = tmp_path / "rot.csv"
+        assert main(["overlap", "--alpha", "0+4i", "--m", "4", "--pert", "rotation", "--s-max", s_max,
+                     "--quadrature", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --s-max "), captured.err
+        assert "resolves rotations up to 2.40" in lines[0]
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    def test_quadrature_keeps_the_rotations_the_grid_resolves(self, tmp_path):
+        out = tmp_path / "rot.csv"
+        assert main(["overlap", "--alpha", "0+4i", "--m", "4", "--pert", "rotation", "--s-max", "1.5",
+                     "--quadrature", "--out", str(out)]) == 0
+        _, _, rows = _read_csv(out)
+        assert np.max(np.abs(rows[:, 3] - rows[:, 1])) <= 1e-12
+
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.floats(min_value=1.0, max_value=12.0),
+        st.floats(min_value=-np.pi, max_value=np.pi),
+        st.sampled_from(["displacement", "rotation"]),
+        st.floats(min_value=0.0, max_value=3.0),
+        st.integers(min_value=5, max_value=129),
+        st.one_of(st.none(), st.floats(min_value=-np.pi, max_value=np.pi)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_quadrature_columns_are_exact_or_refused(self, m, radius, arg, kind, s_max, points, phi):
+        # each column is within 1e-12 of its exact column, or is refused
+        # exactly where the chirp rule fails
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "ovq.csv"
+            alpha = radius * complex(math.cos(arg), math.sin(arg))
+            argv = ["overlap", f"--alpha={alpha.real!r}{alpha.imag:+.17g}i", "--m", str(m), "--gammas",
+                    ",".join(repr(0.7 * k) for k in range(m)), "--pert", kind, "--s-max", repr(s_max),
+                    "--points", str(points), "--quadrature", "--out", str(out)]
+            if phi is not None:
+                argv.append(f"--phi={phi!r}")
+            code = main(argv)
+            sweep = metrology.overlap_sweep(alpha, m, 0.7 * np.arange(m), kind=kind, direction=phi,
+                                            max_magnitude=s_max, n_points=points)
+            last = metrology.PerturbationSpec(kind, s_max, sweep.direction).apply(sweep.target)
+            grid = wigner.auto_grid(sweep.target, last)
+            symbols = metrology._weyl_symbols(kind, sweep.magnitudes, sweep.direction)
+            resolved = wigner._resolves_symbols(sweep.target, grid, *symbols[1:]).all()
+            assert code == (0 if resolved else 1)
+            assert out.exists() == resolved
+            if resolved:
+                _, _, rows = _read_csv(out)
+                assert np.max(np.abs(rows[:, 3] - rows[:, 1])) <= 1e-12
 
     def test_rotation_zeros(self, tmp_path):
         out = tmp_path / "rot.csv"
@@ -684,9 +744,15 @@ class TestDeterminismAndErrors:
             (["estimate", "--alpha", "1e300", "--out", "bad.csv"], "--alpha"),
             (["estimate", "--alpha", "4i", "--repetitions", "10000000000000000000", "--out", "bad.csv"], "--repetitions"),
             (["feasibility", "--period", "0", "--nbar", "20", "--budget", "1"], "--period"),
+            # Delta = 4 |alpha| s would keep no digit of its phase: P_e was rounding noise
+            (["protocol", "--regime", "resonant", "--alpha", "1e300", "--s-max", "1", "--points", "3", "--out", "bad.csv"],
+             "--alpha"),
+            (["protocol", "--regime", "dispersive", "--alpha", "4i", "--s-max", "1e300", "--points", "3", "--out",
+              "bad.csv"], "--s-max"),
         ],
         ids=["overlap_s_max_overflows", "overlap_alpha_overflows", "wigner_s_overflows", "estimate_zero_alpha",
-             "estimate_alpha_overflows", "estimate_repetitions_beyond_int64", "feasibility_zero_period"],
+             "estimate_alpha_overflows", "estimate_repetitions_beyond_int64", "feasibility_zero_period",
+             "protocol_alpha_overflows", "protocol_s_max_overflows"],
     )
     def test_out_of_range_input_names_its_flag(self, tmp_path, argv, flag):
         # one error line that names the flag: no numpy warning, no traceback
@@ -700,6 +766,20 @@ class TestDeterminismAndErrors:
         assert len(lines) == 1 and lines[0].startswith(f"error: {flag} "), result.stderr
         assert list(tmp_path.iterdir()) == []
 
+    def test_theory_sigma_of_a_huge_amplitude(self, tmp_path):
+        # R |alpha|^2 overflows at R = 1e4 past |alpha| ~ 1.3e152; the quoted
+        # width is 1/(8 sqrt(R) |alpha|) = 4.17e-157, not 0
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = ["estimate", "--alpha", "3e153", "--trials", "2", "--out", "huge.csv"]
+        result = subprocess.run([sys.executable, "-m", "subplanck.cli", *argv], cwd=tmp_path, env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        theory = float(result.stdout.split("theory_sigma=")[1])
+        assert theory == pytest.approx(1.0 / (8.0 * 100.0 * 3e153), rel=1e-12)
+        assert f"{theory:.3g}" == "4.17e-157"
+
     def test_output_mode_follows_umask(self, tmp_path):
         out = tmp_path / "pe.csv"
         previous = os.umask(0o022)
@@ -710,6 +790,25 @@ class TestDeterminismAndErrors:
             os.umask(previous)
         assert code == 0
         assert out.stat().st_mode & 0o777 == 0o644
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    # after a warm-up call, main parses with the one parser it already has
+    argv = ["feasibility", "--omega0", "3e5", "--nbar", "20", "--budget", "0.015"]
+    assert main(argv) == 0
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(3):
+        assert main(argv) == 0
+    assert built == []
+    assert isinstance(cli.build_parser(), argparse.ArgumentParser) and built  # still public, still a fresh parser
+    assert capsys.readouterr().out.count("verdict=insufficient") == 4
 
 
 def test_cli_import_loads_no_scipy():
@@ -788,23 +887,24 @@ class TestPinnedOutputs:
              "--s-max", "0.05", "--points", "41"],
             "043669972630de55ba3704903b6df45d5517c82942928d6e7e50a2c891efda3b",
         ),
-        # the quadrature column is pinned as of the factor-space kernel; it
-        # moved by <= 5.6e-16 from the sampled-grid trapezoid sums before it
+        # the quadrature columns are pinned as of the Weyl-symbol traces from
+        # one field; they moved by <= 3.6e-15 from the field-overlap column
+        # before them, and sit <= 7e-15 from the exact column
         "overlap_quadrature": (
             ["overlap", "--alpha", "0+4i", "--m", "2", "--s-max", "0.4", "--points", "33", "--quadrature"],
-            "4fea0d324026aca64483859d8eeab04f5246aa71b2fa19b714b7cf62337ffd94",
+            "85fd18a46330a0f91321030d52ed4915da928a48bdee62d52b08dcbfcb4e5d90",
         ),
         # the compass's quadrature columns, as the benchmark's phase_space
         # jobs run them, at 33 points
         "overlap_quadrature_rotation": (
             ["overlap", "--alpha", "0+4i", "--m", "4", "--gammas", "0.3,1.7,2.9,5.1", "--pert", "rotation",
              "--s-max", "0.1", "--points", "33", "--quadrature"],
-            "a9dc3599f05a9a4e2d78b17f3beb9d1a65e71c1828be96c2438acf673ca83f20",
+            "24a5e6ddc5486ffb840dae12ff138f29f102003781f5cb7f7aa7dd258a7fde32",
         ),
         "overlap_quadrature_displacement": (
             ["overlap", "--alpha", "0+4i", "--m", "4", "--gammas", "0.3,1.7,2.9,5.1", "--pert", "displacement",
              "--s-max", "0.4", "--points", "33", "--quadrature"],
-            "578d36b6fce32202db69ed458e03d3be823cc373d7f9995eca15095b22187116",
+            "aac9f36f7fc03978eab810aed4600a93174744894687f4d4e3e30b950ac441ee",
         ),
     }
 

@@ -9,7 +9,9 @@ spelled once, as `cli._FLOAT_FMT`, and read only by `cli._fmt` and
 no function in `cli` reads a whole field's `.values`: `wigner` renders
 stream the field a block of columns at a time.  And only the grid's cached
 trapezoid rules call `wigner._trapezoid_weights`, so quadratures do not
-form weights per call."""
+form weights per call.  And no function in `cli` forms a field or a field
+overlap per point: `wigner_field` and `phase_space_overlap` are never
+called inside a loop or a comprehension there."""
 
 import ast
 from pathlib import Path
@@ -170,6 +172,26 @@ def trapezoid_weight_callers(trees: dict[str, ast.Module]) -> list[str]:
     return sorted(found)
 
 
+PER_POINT_CALLS = {"wigner_field", "phase_space_overlap"}
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def per_point_field_calls(tree: ast.Module) -> list[str]:
+    """`function: callee` for each call of `wigner_field` or
+    `phase_space_overlap` (bare or as an attribute, `wigner.wigner_field`)
+    inside a loop or a comprehension of a top-level statement, named by what
+    the statement defines, or by its line."""
+    found = set()
+    for stmt in tree.body:
+        for loop in (node for node in ast.walk(stmt) if isinstance(node, LOOPS)):
+            for node in ast.walk(loop):
+                if isinstance(node, ast.Call):
+                    callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                    if callee in PER_POINT_CALLS:
+                        found.add(f"{', '.join(_bound_names(stmt)) or f'line {stmt.lineno}'}: {callee}")
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(_parse(path)) == []
@@ -239,6 +261,31 @@ def test_values_reader_check_catches_readers():
         "RASTER = wigner.field.values.T\n"
     )
     assert values_readers(tree) == ["RASTER", "_cmd_a", "_cmd_b"]
+
+
+def test_cli_forms_no_field_per_point():
+    assert per_point_field_calls(_parse(PACKAGE / "cli.py")) == []
+
+
+def test_per_point_field_check_catches_loops():
+    # a list comprehension over perturbed states, a generator of overlaps, a
+    # for loop, a while loop and a nested helper's loop each count; one call
+    # per command, a loop over other calls and a mention in a string do not
+    tree = ast.parse(
+        "def _cmd_a(states, grid):\n    return [wigner.wigner_field(s, grid) for s in states]\n"
+        "def _cmd_b(base, fields):\n    return list(wigner.phase_space_overlap(base, f) for f in fields)\n"
+        "def _cmd_c(states, grid):\n    out = []\n    for s in states:\n        out.append(wigner_field(s, grid))\n"
+        "    return out\n"
+        "def _cmd_d(w, fields):\n    while fields:\n        phase_space_overlap(w, fields.pop())\n"
+        "def _cmd_e(states, grid):\n    def inner():\n        for s in states:\n            yield wigner.wigner_field(s, grid)\n"
+        "    return inner()\n"
+        "def _cmd_f(state, grid, blocks):\n    field = wigner.wigner_field(state, grid)\n"
+        "    return [field.samples(b) for b in blocks], 'wigner_field in a loop'\n"
+    )
+    assert per_point_field_calls(tree) == [
+        "_cmd_a: wigner_field", "_cmd_b: phase_space_overlap", "_cmd_c: wigner_field", "_cmd_d: phase_space_overlap",
+        "_cmd_e: wigner_field",
+    ]
 
 
 def test_trapezoid_weights_are_formed_once_per_grid():

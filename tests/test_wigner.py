@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from subplanck import metrology, wigner
 from subplanck.states import (
     CoherentSuperposition,
+    _braket,
     displace,
     inner_product,
     make_circular_state,
@@ -197,7 +198,7 @@ class TestFieldOracles:
         # whole state checks lobes, fringes and tails alike
         grid = PhaseSpaceGrid(-box, box, -box, box, 41, 37)
         field = wigner_field(state, grid)
-        want = wigner_direct(state.weights, state.amplitudes, grid.mesh())
+        want = wigner_direct(state.weights, state.amplitudes, grid.re_points[:, None] + 1j * grid.im_points)
         assert np.max(np.abs(field.values - want)) < 1e-12
 
     @pytest.mark.parametrize("m", [1, 2, 4, 8, 16])
@@ -225,7 +226,7 @@ class TestFieldOracles:
         assert not field.underresolved
         assert np.all(np.isfinite(field.values))
         assert np.max(np.abs(field.values)) > 0.5  # the fringes are there, not underflowed
-        want = wigner_direct(state.weights, state.amplitudes, grid.mesh())
+        want = wigner_direct(state.weights, state.amplitudes, grid.re_points[:, None] + 1j * grid.im_points)
         assert np.max(np.abs(field.values - want)) < 1e-9
 
     @pytest.mark.parametrize("radius", [2.0, 8.0])
@@ -235,43 +236,93 @@ class TestFieldOracles:
         assert quadrature_mass(field) == pytest.approx(1.0, abs=1e-6)
 
 
-class TestStackedFields:
-    """The quadrature column's kernel: the fields of a stack of perturbed
-    kets, formed a chunk at a time."""
+def _symbol_traces_and_exact(state, kind, magnitudes, direction=None):
+    """Tr(rho U) of the kernel at every magnitude its grid resolves, the
+    column's grid (the state and U at the largest magnitude), and the Gram
+    amplitudes <state|U|state> at the same magnitudes."""
+    last = metrology.PerturbationSpec(kind, float(np.max(np.abs(magnitudes))), direction).apply(state)
+    grid = auto_grid(state, last)
+    symbols = metrology._weyl_symbols(kind, magnitudes, direction)
+    kept = wigner._resolves_symbols(state, grid, *symbols[1:])
+    traces = wigner._unitary_traces(wigner_field(state, grid), *(part[kept] for part in symbols))
+    ket_w, ket_a = metrology._perturbed_terms(kind, magnitudes[kept][:, None], direction, state.weights, state.amplitudes)
+    return traces, _braket(state.weights, state.amplitudes, ket_w, ket_a), kept
+
+
+class TestSymbolTraces:
+    """The quadrature column's kernel: Tr(rho U) from one field and the
+    Weyl symbol of each perturbation."""
 
     @pytest.mark.parametrize("kind", ["displacement", "rotation"])
     @pytest.mark.parametrize("m", [1, 3, 8])
-    @pytest.mark.filterwarnings("ignore::subplanck.wigner.UnderresolvedGridWarning")
-    def test_match_the_fields_of_states_moved_one_by_one(self, monkeypatch, kind, m):
-        # bit for bit, on the auto grid and on a grid so far out that most
-        # factors underflow to signed zeros; chunks of 3 kets leave a partial one
+    def test_match_the_amplitudes_of_states_moved_one_by_one(self, kind, m):
+        # the complex amplitude, not only its modulus, against each moved state
         sweep = metrology.overlap_sweep(3j, m, np.random.default_rng(m).uniform(0, 6, m), kind=kind,
                                         max_magnitude=0.3 if kind == "displacement" else 0.05, n_points=7)
-        target = sweep.target
-        ket_w, ket_a = np.broadcast_arrays(*metrology._perturbed_terms(
-            kind, sweep.magnitudes[:, None], sweep.direction, target.weights, target.amplitudes))
-        for grid in (auto_grid(target, CoherentSuperposition(ket_w[-1], ket_a[-1])), PhaseSpaceGrid(9, 30, -31, -8, 41, 37)):
-            monkeypatch.setattr(wigner, "_CHUNK_ENTRIES", 3 * m * m * (grid.nx + grid.ny))
-            stacked = list(wigner._stacked_fields(ket_w, ket_a, grid))
-            assert len(stacked) == sweep.magnitudes.size
-            for mag, field in zip(sweep.magnitudes, stacked):
-                want = wigner_field(metrology.PerturbationSpec(kind, float(mag), sweep.direction).apply(target), grid)
-                for part in ("g", "h", "coeffs", "underresolved"):
-                    assert np.asarray(getattr(field, part)).tobytes() == np.asarray(getattr(want, part)).tobytes(), part
+        traces, _, kept = _symbol_traces_and_exact(sweep.target, kind, sweep.magnitudes, sweep.direction)
+        assert kept.all()
+        for mag, trace in zip(sweep.magnitudes, traces):
+            moved = metrology.PerturbationSpec(kind, float(mag), sweep.direction).apply(sweep.target)
+            assert abs(trace - inner_product(sweep.target, moved)) <= 1e-12
 
-    def test_left_factors_are_kept_from_their_second_use(self):
-        # a field on the left of one overlap (a --product render's) keeps no
-        # weighted factors; one on the left of many reuses them unchanged
-        cat = make_circular_state(2j, 2, [0.0, 0.0])
-        other = displace(cat, 0.1)
-        grid = auto_grid(cat, other)
-        base, moved = wigner_field(cat, grid), wigner_field(other, grid)
-        first = phase_space_overlap(base, moved)
-        assert base._weighted_factors == {0: None}
-        assert [phase_space_overlap(base, moved) for _ in range(3)] == [first] * 3
-        assert isinstance(base._weighted_factors[0], tuple)
-        assert phase_space_overlap(base, moved, with_error=True) == phase_space_overlap(
-            wigner_field(cat, grid), moved, with_error=True)
+    @given(
+        st.integers(min_value=1, max_value=16),
+        st.floats(min_value=0.2, max_value=12.0),
+        st.floats(min_value=-np.pi, max_value=np.pi),
+        st.floats(min_value=-3.0, max_value=3.0),
+        st.sampled_from(["displacement", "rotation"]),
+        st.floats(min_value=0.0, max_value=4.0 * np.pi),
+        st.floats(min_value=-np.pi, max_value=np.pi),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_traces_match_the_gram_amplitudes(self, m, radius, phase, shift, kind, reach, direction):
+        # random circles, displaced off the origin so rotations move their
+        # centre too; displacements in any direction up to |beta| = 4 pi,
+        # rotations of both signs up to 4 pi, to the refusal limit
+        gammas = np.random.default_rng(m).uniform(0.0, 2.0 * np.pi, m)
+        state = displace(make_circular_state(radius * np.exp(1j * phase), m, gammas), shift * np.exp(0.7j))
+        magnitudes = np.linspace(-reach, reach, 17) if kind == "rotation" else np.linspace(0.0, reach, 9)
+        traces, exact, kept = _symbol_traces_and_exact(state, kind, magnitudes, direction)
+        # no displacement is ever refused on the column's grid, nor the identity
+        assert kept.all() if kind == "displacement" else kept[magnitudes.size // 2]
+        assert np.max(np.abs(traces - exact)) <= 1e-12
+
+    def test_whole_turns_keep_full_accuracy(self):
+        # theta - 2 pi round(theta / 2 pi) would be off by 1e-9 here
+        state = displace(make_circular_state(2j, 2, [0.0, 0.0]), 2j)
+        thetas = 2.0 * np.pi * np.array([1.0, 1e3, 1e6]) + 0.3
+        traces, exact, kept = _symbol_traces_and_exact(state, "rotation", thetas)
+        assert kept.all() and np.max(np.abs(traces - exact)) <= 1e-12
+
+    def test_quadrature_mass_is_the_kernel_at_the_identity(self):
+        state = make_circular_state(2.5 * np.exp(0.3j), 3, [0.1, -0.4, 1.0])
+        field = wigner_field(state, auto_grid(state))
+        ones = np.ones(1)
+        assert wigner._unitary_traces(field, ones, 0 * ones, 0 * ones, 0 * ones)[0].real == quadrature_mass(field)
+
+    def test_refused_chirps_are_the_ones_the_grid_aliases(self):
+        # the displaced cat's column resolves rotations to about 2.4 rad; past
+        # it the chirped integrand aliases, and refusing it is what keeps the
+        # column exact
+        state = displace(make_circular_state(4j, 2, [0.0, 0.0]), 4j)
+        grid = auto_grid(state)
+        field = wigner_field(state, grid)
+        thetas = np.array([0.5, 2.0, 2.3, 2.6, 3.0])
+        symbols = metrology._weyl_symbols("rotation", thetas, None)
+        kept = wigner._resolves_symbols(state, grid, *symbols[1:])
+        assert kept.tolist() == [True, True, True, False, False]
+        exact = _braket(state.weights, state.amplitudes, state.weights, np.exp(1j * thetas[:, None]) * state.amplitudes)
+        chirps = [np.exp(2j * symbols[3] * points[:, None] ** 2) for points in (grid.re_points, grid.im_points)]
+        error = np.abs(symbols[0] * wigner._weighted_sum(field, *chirps) / np.pi - exact)
+        assert np.all(error[kept] <= 1e-12)
+        assert error[-1] > 1e-6
+
+    @pytest.mark.parametrize("scale", [1.001, np.nan])
+    def test_traces_beyond_modulus_one_raise(self, scale):
+        field = wigner_field(vacuum(), auto_grid(vacuum()))
+        ones = np.ones(2)
+        with pytest.raises(FloatingPointError, match="unitary trace"):
+            wigner._unitary_traces(field, np.array([1.0, scale]), 0 * ones, 0 * ones, 0 * ones)
 
 
 class TestNonFiniteGuard:
