@@ -263,9 +263,14 @@ def _pgm_bytes(raster: np.ndarray) -> bytearray:
 def _gammas(arg: str | None, m: int) -> np.ndarray:
     if arg is None:
         return np.zeros(m)
-    vals = np.array([float(v) for v in arg.split(",")])
+    try:
+        vals = np.array([float(v) for v in arg.split(",")])
+    except ValueError:
+        raise ValueError(f"--gammas must be comma-separated numbers, got {arg!r}") from None
     if vals.size != m:
-        raise ValueError(f"expected {m} gamma phases, got {vals.size}")
+        raise ValueError(f"--gammas expects {m} phases, got {vals.size}")
+    if not np.isfinite(vals).all():
+        raise ValueError(f"--gammas must be finite, got {arg!r}")
     return vals
 
 

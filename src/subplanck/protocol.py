@@ -1,13 +1,18 @@
 """TLS-oscillator measurement sequences that read fringe overlaps out as
 level populations.
 
+Every sequence returns its joint state as a `ProtocolResult`: K coherent
+amplitudes shared by both TLS branches, a (2, K) weight array whose rows
+are the |e> and |g> branches, and the level populations P_e and P_g;
+`branch(level)` normalizes one row into an oscillator state on demand.
+
 The generic strategy evolves |level, alpha> under a composable unitary
 sequence U, applies the perturbation to the oscillator alone, undoes U,
-and reports P_e of the final entangled state.  It holds one joint state:
-K coherent amplitudes shared by both TLS branches and a (2, K) weight
-array whose rows are the |e> and |g> branches.  Only the conditional
-phase adds terms, so K <= 4^c for c conditional phases.  Two named
-protocols implement the idealized algebra in closed form:
+and returns the final entangled state, with the state U |level, alpha>
+the perturbation hit as its `intermediate`.  Only the conditional phase
+adds terms, so K <= 4^c for c conditional phases.  Two named protocols
+implement the idealized algebra in closed form and return only their
+fringe, as a one-term joint state:
 
 * dispersive: pi/2 pulse, then a level-conditioned pi phase of the field
   (the operational content of the far-detuned interaction with the pulse
@@ -43,10 +48,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrology import ROTATION, OutOfRegimeWarning, PerturbationSpec
-from .states import CoherentSuperposition, FockVector, _braket, _moved_terms, _norms, coherent_state, fidelity, vacuum
+from .states import CoherentSuperposition, FockVector, _braket, _moved_terms, _norms, coherent_state
 
 __all__ = [
-    "HybridState",
     "JCParams",
     "ProtocolResult",
     "dispersive_protocol",
@@ -59,44 +63,32 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class HybridState:
-    """TLS (x) oscillator state sqrt(P_e)|e, state_e> + sqrt(P_g)|g, state_g>.
+class ProtocolResult:
+    """Joint TLS (x) oscillator state sum_k weights[0, k] |e, a_k> +
+    weights[1, k] |g, a_k> over the shared amplitudes a_k, with its level
+    populations p_e and p_g, which must sum to 1 within 1e-8.
 
-    Branch states are normalized separately; the complex weights carry the
-    branch amplitudes and satisfy |w_e|^2 + |w_g|^2 = 1.
+    `intermediate` is the joint state the perturbation hit, where the
+    sequence computed it (`generic_strategy`), and None for the closed forms.
     """
 
-    weight_e: complex
-    state_e: CoherentSuperposition
-    weight_g: complex
-    state_g: CoherentSuperposition
+    weights: np.ndarray
+    amplitudes: np.ndarray
+    p_e: float
+    p_g: float
+    intermediate: ProtocolResult | None = None
 
     def __post_init__(self):
-        total = abs(self.weight_e) ** 2 + abs(self.weight_g) ** 2
+        total = self.p_e + self.p_g
         if not abs(total - 1.0) <= 1e-8:  # phrased so that NaN fails too
-            raise ValueError(f"branch weights are not normalized (|w_e|^2+|w_g|^2 = {total})")
+            raise ValueError(f"level populations are not normalized (p_e + p_g = {total})")
 
-    @property
-    def p_e(self) -> float:
-        return abs(self.weight_e) ** 2
-
-    @property
-    def p_g(self) -> float:
-        return abs(self.weight_g) ** 2
-
-
-@dataclass(frozen=True)
-class ProtocolResult:
-    final: HybridState
-    intermediate: HybridState | None = None
-
-    @property
-    def p_e(self) -> float:
-        return self.final.p_e
-
-    @property
-    def p_g(self) -> float:
-        return self.final.p_g
+    def branch(self, level: str) -> CoherentSuperposition:
+        """The normalized oscillator state of the |e> or |g> branch; ValueError
+        for a branch that vanishes."""
+        if level not in ("e", "g"):
+            raise ValueError("level must be 'e' or 'g'")
+        return CoherentSuperposition(self.weights[0 if level == "e" else 1], self.amplitudes).normalized()
 
 
 @dataclass(frozen=True)
@@ -165,12 +157,12 @@ def dispersive_protocol(alpha: complex, pert: PerturbationSpec) -> ProtocolResul
     The idealized state at the perturbation stage is (|e, alpha> +
     |g, -alpha>)/sqrt(2), or (|e, 2 alpha> + |g, 0>)/sqrt(2) for rotations,
     whose sequence always ends with D(alpha) (the bare cat has no rotation
-    signal).  Only the final state is returned; `generic_strategy` with
-    `dispersive_sequence(alpha, rotation)` gives the exact intermediate.
+    signal).  Only the fringe is returned, as the one-term joint state
+    w_e |e, alpha> + w_g |g, alpha>; `generic_strategy` with
+    `dispersive_sequence(alpha, rotation)` gives the exact joint states.
     """
     w_e, w_g = _fringe_weights("dispersive", alpha, pert.kind, pert.direction, pert.magnitude, 1.0)
-    coh = coherent_state(alpha)
-    return ProtocolResult(final=HybridState(w_e, coh, w_g, coh))
+    return ProtocolResult(np.array([[w_e], [w_g]]), np.array([alpha], complex), abs(w_e) ** 2, abs(w_g) ** 2)
 
 
 def resonant_protocol(alpha: complex, pert: PerturbationSpec, dt_fraction: float = 1.0) -> ProtocolResult:
@@ -181,16 +173,16 @@ def resonant_protocol(alpha: complex, pert: PerturbationSpec, dt_fraction: float
     At dt_fraction = 1 the idealized intermediate is the factorized product
     [e^{-i pi nbar/2} |-i alpha> - e^{i pi nbar/2} |i alpha>]/sqrt(2) (x)
     (e^{-i pi/2} |e> + e^{-i arg alpha} |g>)/sqrt(2); at earlier times the
-    atom is still entangled with the field.  Only the final state is
-    returned; `jc_numeric_evolve` gives the exact joint state.
+    atom is still entangled with the field.  Only the fringe is returned,
+    as the one-term joint state w_e |e, alpha> + w_g |g, alpha>;
+    `jc_numeric_evolve` gives the exact joint state.
 
     The field cat at the perturbation stage lies along +-i alpha, so a
     displacement parallel to alpha crosses its interference fringes: a
     None direction resolves to arg(alpha) here (not arg(alpha) + pi/2).
     """
     w_e, w_g = _fringe_weights("resonant", alpha, pert.kind, pert.direction, pert.magnitude, dt_fraction)
-    coh = coherent_state(alpha)
-    return ProtocolResult(final=HybridState(w_e, coh, w_g, coh))
+    return ProtocolResult(np.array([[w_e], [w_g]]), np.array([alpha], complex), abs(w_e) ** 2, abs(w_g) ** 2)
 
 
 # --- generic composable strategy ------------------------------------------
@@ -220,12 +212,11 @@ def _apply_op(w: np.ndarray, a: np.ndarray, op: tuple, inverse: bool) -> tuple[n
     raise ValueError(f"unknown or empty unitary descriptor {op!r}")
 
 
-def _split(w: np.ndarray, a: np.ndarray, norms: np.ndarray) -> HybridState:
-    ne, ng = norms
-    total = math.hypot(ne, ng)
-    se = CoherentSuperposition(w[0] / ne, a) if ne > 1e-12 else vacuum()
-    sg = CoherentSuperposition(w[1] / ng, a) if ng > 1e-12 else vacuum()
-    return HybridState(ne / total, se, ng / total, sg)
+def _joint(w: np.ndarray, a: np.ndarray, norms: np.ndarray, intermediate=None) -> ProtocolResult:
+    """The joint state with its populations (n_e / n)^2 and (n_g / n)^2 from
+    the row norms `norms`, n = hypot(n_e, n_g)."""
+    total = math.hypot(*norms)
+    return ProtocolResult(w, a, (norms[0] / total) ** 2, (norms[1] / total) ** 2, intermediate)
 
 
 def dispersive_sequence(alpha: complex, rotation: bool = False) -> list[tuple]:
@@ -248,8 +239,9 @@ def generic_strategy(
     amplitudes with a (2, K) weight array.  The TLS gates act on the rows,
     displacements and rotations move the shared amplitudes, and only
     `conditional_phase` adds terms (a -> [a, -a]), so a sequence with c
-    conditional phases ends with K <= 4^c; no terms are merged.
-    `intermediate` is U |level, alpha>, the exact state the perturbation hits.
+    conditional phases ends with K <= 4^c; no terms are merged.  The result
+    is the final joint state, and its `intermediate` is U |level, alpha>,
+    the exact joint state the perturbation hits.
 
     The perturbation is the exact oscillator unitary on both rows, so the
     result keeps the Gaussian envelope the closed forms drop: after
@@ -258,7 +250,8 @@ def generic_strategy(
     `dispersive_protocol` value.  The branch norms are structurally
     unchanged by the perturbation (it acts on the oscillator only); this
     and the branch-decomposition identity
-    P_e |<alpha|psi_e>|^2 = |<e, alpha|Psi_f>|^2 are verified on the fly.
+    P_e |<alpha|psi_e>|^2 = |<e, alpha|Psi_f>|^2, with psi_e the normalized
+    |e> branch, are verified on the fly.
     """
     if initial_level not in ("e", "g"):
         raise ValueError("initial_level must be 'e' or 'g'")
@@ -269,7 +262,7 @@ def generic_strategy(
     for op in u_ops:
         w, a = _apply_op(w, a, op, inverse=False)
     norms = _norms(w, a)
-    intermediate = _split(w, a, norms)
+    intermediate = _joint(w, a, norms)
 
     w, a = pert.moved_terms(w, a, alpha)
     # each drift must be <= 1e-9; a NaN norm compares False and fails too
@@ -279,13 +272,16 @@ def generic_strategy(
     for op in reversed(u_ops):
         w, a = _apply_op(w, a, op, inverse=True)
     norms = _norms(w, a)
-    final = _split(w, a, norms)
+    final = _joint(w, a, norms, intermediate)
 
-    # <e, alpha|Psi_f> from the joint weights against the split branch
+    # <e, alpha|Psi_f> from the joint weights against the |e> row over its
+    # norm; a vanishing row (norm <= 1e-12) has no branch and contributes 0
     amp_e_alpha = complex(_braket(start.weights, start.amplitudes, w[0], a)) / math.hypot(*norms)
-    if not abs(abs(amp_e_alpha) ** 2 - final.p_e * fidelity(start, final.state_e)) <= 1e-10:
+    ne = norms[0]
+    branch_fidelity = abs(_braket(start.weights, start.amplitudes, w[0] / ne, a)) ** 2 if ne > 1e-12 else 0.0
+    if not abs(abs(amp_e_alpha) ** 2 - final.p_e * branch_fidelity) <= 1e-10:
         raise AssertionError("branch decomposition identity violated")
-    return ProtocolResult(final=final, intermediate=intermediate)
+    return final
 
 
 # --- numeric Jaynes-Cummings oracle ---------------------------------------

@@ -132,6 +132,8 @@ def make_circular_state(alpha: complex, m: int, gammas) -> CoherentSuperposition
     gam = np.asarray(gammas, dtype=float)
     if gam.shape != (m,):
         raise ValueError(f"expected {m} gamma phases, got shape {gam.shape}")
+    if not np.isfinite(gam).all():
+        raise ValueError(f"gamma phases must be finite, got {gam.tolist()}")
     k = np.arange(1, m + 1)
     phis = 2.0 * np.pi * k / m
     weights = np.exp(1j * gam)

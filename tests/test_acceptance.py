@@ -155,8 +155,8 @@ def test_criterion_06_protocol_fringes():
         quiet = PerturbationSpec("displacement", 0.0)
         d0 = dispersive_protocol(4j, quiet)
         r0 = resonant_protocol(4j, quiet)
-        f_d = d0.p_g * fidelity(d0.final.state_g, coherent_state(4j))
-        f_r = r0.p_e * fidelity(r0.final.state_e, coherent_state(4j))
+        f_d = d0.p_g * fidelity(d0.branch("g"), coherent_state(4j))
+        f_r = r0.p_e * fidelity(r0.branch("e"), coherent_state(4j))
         c.check(f_d >= 1 - 1e-10, f"dispersive self-inversion fidelity {f_d}")
         c.check(f_r >= 1 - 1e-10, f"resonant self-inversion fidelity {f_r}")
 

@@ -1,6 +1,5 @@
 import argparse
 import hashlib
-import importlib.util
 import math
 import os
 import subprocess
@@ -347,7 +346,7 @@ class TestWignerCommand:
     def test_wrong_gamma_count_exits_nonzero(self, tmp_path, capsys, command):
         argv = [*command, "--alpha", "0+4i", "--m", "4", "--gammas", "0,1", "--out", str(tmp_path / "x")]
         assert main(argv) == 1
-        assert capsys.readouterr().err == "error: expected 4 gamma phases, got 2\n"
+        assert capsys.readouterr().err == "error: --gammas expects 4 phases, got 2\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_product_underresolution_reported_once_per_field(self, tmp_path):
@@ -749,10 +748,18 @@ class TestDeterminismAndErrors:
              "--alpha"),
             (["protocol", "--regime", "dispersive", "--alpha", "4i", "--s-max", "1e300", "--points", "3", "--out",
               "bad.csv"], "--s-max"),
+            # a non-finite phase reached np.exp and leaked two RuntimeWarnings
+            (["wigner", "--alpha", "4i", "--m", "2", "--gammas", "0,inf", "--out", "bad"], "--gammas"),
+            (["overlap", "--alpha", "4i", "--m", "2", "--gammas", "inf,0", "--s-max", "0.1", "--out", "bad.csv"],
+             "--gammas"),
+            (["wigner", "--alpha", "4i", "--m", "2", "--gammas", "0,x", "--out", "bad"], "--gammas"),
+            (["overlap", "--alpha", "4i", "--m", "2", "--gammas", "0,x", "--s-max", "0.1", "--out", "bad.csv"],
+             "--gammas"),
         ],
         ids=["overlap_s_max_overflows", "overlap_alpha_overflows", "wigner_s_overflows", "estimate_zero_alpha",
              "estimate_alpha_overflows", "estimate_repetitions_beyond_int64", "feasibility_zero_period",
-             "protocol_alpha_overflows", "protocol_s_max_overflows"],
+             "protocol_alpha_overflows", "protocol_s_max_overflows", "wigner_infinite_gamma", "overlap_infinite_gamma",
+             "wigner_unparsable_gamma", "overlap_unparsable_gamma"],
     )
     def test_out_of_range_input_names_its_flag(self, tmp_path, argv, flag):
         # one error line that names the flag: no numpy warning, no traceback
@@ -909,8 +916,8 @@ class TestPinnedOutputs:
     }
 
     # (argv, CSV sha256, PGM sha256) of `wigner` renders: the README cat and
-    # compass product, the gallery's rotated displaced cat, and the |alpha| = 20
-    # range edge
+    # compass product, the |alpha| = 4 compass, a rotated displaced cat alone
+    # and in a product, and the |alpha| = 20 range edge
     WIGNER_CASES = {
         "cat": (
             ["wigner", "--alpha", "0+4i", "--m", "2"],
@@ -922,6 +929,17 @@ class TestPinnedOutputs:
              "--s", f"{math.pi / 64:.17g}"],
             "867dda2a4c42b5599cdc5685fdb3789ba54d84a933574ac0e2038148aff709d2",
             "33f5e4d1a593ea56126f360b1e2845dd9c71f219229b0be7dccad6b794d3930e",
+        ),
+        "cat_rotation_product": (
+            ["wigner", "--alpha", "0+4i", "--m", "2", "--displace", "0+4i", "--product", "--pert", "rotation",
+             "--s", f"{math.pi / 64:.17g}"],
+            "a5739f4b1267d3611ec7efad8494f4a911b6aa12a852f18e8e40bef05660b978",
+            "570303031d00ab640c1d0d6d8765daf6e01c6a6574c2e5999de7b80dce6450c0",
+        ),
+        "compass": (
+            ["wigner", "--alpha", "0+4i", "--m", "4"],
+            "b9b14e18bdee5bf29936d9c2e1c903c9cacc1ec7472b917c61c5f76ef9abbf48",
+            "4a97e46ccdf220234415a30269016cb32fd3bd58135839f0dc5062b606685107",
         ),
         "range_edge_a20": (
             ["wigner", "--alpha", "0+20i", "--m", "2", "--bounds", "-0.5", "0.5", "-0.5", "0.5",
@@ -957,16 +975,3 @@ class TestPinnedOutputs:
         assert main(argv + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.with_suffix(".csv").read_bytes()).hexdigest() == csv_digest
         assert hashlib.sha256(out.with_suffix(".pgm").read_bytes()).hexdigest() == pgm_digest
-
-
-def test_gallery_script_renders(tmp_path, capsys):
-    # the only caller of --displace, --pert rotation without --product, and
-    # two --product renders in one run
-    script = Path(__file__).resolve().parents[1] / "scripts" / "render_wigner_gallery.py"
-    spec = importlib.util.spec_from_file_location("render_wigner_gallery", script)
-    gallery = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gallery)
-    assert gallery.run(tmp_path) == 0
-    assert len(list(tmp_path.glob("*.csv"))) == 5
-    assert len(list(tmp_path.glob("*.pgm"))) == 5
-    assert "wrote 5 CSV and 5 PGM files" in capsys.readouterr().out

@@ -1,6 +1,4 @@
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,18 +223,3 @@ class TestFeasibility:
         # NaN passes a `<= 0` test, so each input must be checked as finite too
         with pytest.raises(ValueError, match="positive and finite"):
             feasibility(*inputs)
-
-
-def test_estimator_scaling_script_runs(capsys):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "estimator_scaling.py"
-    spec = importlib.util.spec_from_file_location("estimator_scaling", script)
-    scaling = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(scaling)
-    assert scaling.run([4.0, 16.0], 100, 8, 3) == 0
-    lines = capsys.readouterr().out.splitlines()
-    # settings, column header, one row per nbar, fitted exponent
-    assert len(lines) == 5
-    assert lines[0] == "R = 100, trials = 8, seed = 3"
-    assert [float(row.split()[0]) for row in lines[2:4]] == [4.0, 16.0]
-    assert np.all(np.isfinite([float(v) for row in lines[2:4] for v in row.split()]))
-    assert lines[4].startswith("fitted sigma ~ nbar^x exponent: x = ")

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from subplanck import states
 from subplanck.metrology import PerturbationSpec
 from subplanck.protocol import (
-    HybridState,
     JCParams,
+    ProtocolResult,
     dispersive_protocol,
     dispersive_sequence,
     generic_strategy,
@@ -36,27 +36,40 @@ def displacement(s, phi=None):
     return PerturbationSpec("displacement", s, phi)
 
 
-class TestHybridState:
+class TestProtocolResult:
+    @staticmethod
+    def _one_term(w_e, w_g):
+        return ProtocolResult(np.array([[w_e], [w_g]], complex), np.array([1.0 + 0j]), abs(w_e) ** 2, abs(w_g) ** 2)
+
     def test_weight_normalization_enforced(self):
         with pytest.raises(ValueError):
-            HybridState(1.0, coherent_state(1.0), 1.0, coherent_state(1.0))
+            self._one_term(1.0, 1.0)
 
     @pytest.mark.parametrize("weights", [(np.nan, 0.0), (0.0, np.nan), (1.0, np.inf)])
     def test_non_finite_weights_rejected(self, weights):
         with pytest.raises(ValueError):
-            HybridState(weights[0], vacuum(), weights[1], vacuum())
+            self._one_term(*weights)
 
-    def test_probabilities(self):
-        h = HybridState(0.6, vacuum(), 0.8, coherent_state(1.0))
-        assert h.p_e == pytest.approx(0.36)
-        assert h.p_g == pytest.approx(0.64)
+    def test_branches_are_normalized_on_demand(self):
+        res = self._one_term(0.6, 0.8)
+        assert res.p_e == pytest.approx(0.36)
+        assert res.p_g == pytest.approx(0.64)
+        assert fidelity(res.branch("g"), coherent_state(1.0)) == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(ValueError):
+            res.branch("x")
+
+    def test_vanishing_branch_raises(self):
+        # the |g> row of U = 1 from |e, alpha> was never populated
+        res = generic_strategy([], displacement(0.0, phi=0.0), ALPHA, initial_level="e")
+        with pytest.raises(ValueError, match="cannot normalize"):
+            res.branch("g")
 
 
 class TestDispersiveProtocol:
     def test_self_inversion(self):
         res = dispersive_protocol(ALPHA, displacement(0.0))
         assert res.p_e == pytest.approx(0.0, abs=1e-12)
-        assert fidelity(res.final.state_g, coherent_state(ALPHA)) == pytest.approx(1.0, abs=1e-10)
+        assert fidelity(res.branch("g"), coherent_state(ALPHA)) == pytest.approx(1.0, abs=1e-10)
 
     def test_full_fringe_at_pi_sixteenth(self):
         res = dispersive_protocol(ALPHA, displacement(np.pi / 16))
@@ -77,13 +90,13 @@ class TestDispersiveProtocol:
         # perturbation stage
         inter = generic_strategy(dispersive_sequence(ALPHA), displacement(0.1), ALPHA).intermediate
         assert inter.p_e == pytest.approx(0.5)
-        assert fidelity(inter.state_e, coherent_state(ALPHA)) == pytest.approx(1.0)
-        assert fidelity(inter.state_g, coherent_state(-ALPHA)) == pytest.approx(1.0)
+        assert fidelity(inter.branch("e"), coherent_state(ALPHA)) == pytest.approx(1.0)
+        assert fidelity(inter.branch("g"), coherent_state(-ALPHA)) == pytest.approx(1.0)
         rotation = PerturbationSpec("rotation", 1e-3)
         rot = generic_strategy(dispersive_sequence(ALPHA, rotation=True), rotation, ALPHA).intermediate
         assert rot.p_e == pytest.approx(0.5)
-        assert fidelity(rot.state_e, coherent_state(2 * ALPHA)) == pytest.approx(1.0)
-        assert fidelity(rot.state_g, vacuum()) == pytest.approx(1.0)
+        assert fidelity(rot.branch("e"), coherent_state(2 * ALPHA)) == pytest.approx(1.0)
+        assert fidelity(rot.branch("g"), vacuum()) == pytest.approx(1.0)
 
     def test_direction_dependence(self):
         # displacement along alpha carries no fringe signal
@@ -95,7 +108,7 @@ class TestResonantProtocol:
     def test_self_inversion(self):
         res = resonant_protocol(ALPHA, displacement(0.0))
         assert res.p_e == pytest.approx(1.0, abs=1e-12)
-        assert fidelity(res.final.state_e, coherent_state(ALPHA)) == pytest.approx(1.0, abs=1e-10)
+        assert fidelity(res.branch("e"), coherent_state(ALPHA)) == pytest.approx(1.0, abs=1e-10)
 
     def test_dark_fringe_at_pi_sixteenth(self):
         res = resonant_protocol(ALPHA, displacement(np.pi / 16))
@@ -131,7 +144,7 @@ class TestResonantProtocol:
     ids=["dispersive", "dispersive_rotation", "resonant", "resonant_early"],
 )
 def test_closed_form_returns_only_its_fringe(monkeypatch, closed_form):
-    # one |alpha> for the final state, no intermediate and no Gram block
+    # a one-term joint state: no oscillator state, no intermediate and no Gram block
     calls = Counter()
     gram, init = states._gram, CoherentSuperposition.__init__
 
@@ -146,7 +159,7 @@ def test_closed_form_returns_only_its_fringe(monkeypatch, closed_form):
     monkeypatch.setattr(states, "_gram", counted_gram)
     monkeypatch.setattr(CoherentSuperposition, "__init__", counted_init)
     assert closed_form().intermediate is None
-    assert dict(calls) == {"state": 1}
+    assert dict(calls) == {}
 
 
 @st.composite
@@ -167,8 +180,9 @@ def closed_form_sweeps(draw):
 @given(closed_form_sweeps())
 @settings(max_examples=100, deadline=None)
 def test_fringe_kernel_on_a_grid_matches_the_closed_forms(sweep):
-    # one array call of the kernel gives, bit for bit, the weights of the
-    # per-point public closed forms, and the shared |w|^2 rule their abs()**2
+    # one array call of the kernel gives, bit for bit, the one-term joint
+    # weights of the per-point public closed forms, and the shared |w|^2
+    # rule their abs()**2
     regime, alpha, kind, phi, mags, dt_fraction = sweep
     w_e, w_g = _fringe_weights(regime, alpha, kind, phi, mags, dt_fraction)
     results = [
@@ -176,8 +190,8 @@ def test_fringe_kernel_on_a_grid_matches_the_closed_forms(sweep):
         else resonant_protocol(alpha, PerturbationSpec(kind, float(x), phi), dt_fraction)
         for x in mags
     ]
-    assert w_e.tolist() == [r.final.weight_e for r in results]
-    assert w_g.tolist() == [r.final.weight_g for r in results]
+    assert np.stack([w_e, w_g], axis=1).tolist() == [r.weights[:, 0].tolist() for r in results]
+    assert all(r.amplitudes.tolist() == [complex(alpha)] for r in results)
     assert states._abs_sq(w_e).tolist() == [r.p_e for r in results]
     assert states._abs_sq(w_g).tolist() == [r.p_g for r in results]
 
@@ -186,7 +200,7 @@ class TestGenericStrategy:
     def test_empty_sequence_identity(self):
         res = generic_strategy([], displacement(0.0, phi=0.0), ALPHA)
         assert res.p_e == pytest.approx(1.0, abs=1e-12)
-        assert fidelity(res.final.state_e, coherent_state(ALPHA)) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity(res.branch("e"), coherent_state(ALPHA)) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("s", [0.02, 0.07, 0.1, 0.15])
     def test_exact_model_shows_gaussian_envelope(self, s):
@@ -211,10 +225,13 @@ class TestGenericStrategy:
                      ("displace", complex(*rng.normal(0, 1, 2))), ("rotate", float(rng.normal(0, 0.5)))][choice]
                 )
             res = generic_strategy(ops, displacement(0.05, phi=0.3), 2.0 + 1j)
-            # consistency identity P_e |<alpha|psi_e>|^2 = |<e,alpha|Psi_f>|^2
+            # consistency identity P_e |<alpha|psi_e>|^2 = |<e,alpha|Psi_f>|^2, the
+            # right side from the |e> row over the joint state's total norm
             ref = coherent_state(2.0 + 1j)
-            lhs = res.p_e * abs(inner_product(ref, res.final.state_e)) ** 2
-            rhs = abs(res.final.weight_e * inner_product(ref, res.final.state_e)) ** 2
+            rows = [CoherentSuperposition(row, res.amplitudes) for row in res.weights]
+            total = np.hypot(*(row.norm() for row in rows))
+            rhs = abs(inner_product(ref, rows[0]) / total) ** 2
+            lhs = res.p_e * abs(inner_product(ref, res.branch("e"))) ** 2
             assert lhs == pytest.approx(rhs, abs=1e-10)
             assert res.p_e + res.p_g == pytest.approx(1.0, abs=1e-10)
 

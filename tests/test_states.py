@@ -53,6 +53,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_circular_state(2.0, 3, [0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_gamma_rejected(self, bad):
+        # refused before np.exp, which would warn on it
+        with pytest.raises(ValueError, match="finite"):
+            make_circular_state(2.0, 2, [0.0, bad])
+
     def test_small_radius_normalization_uses_gram(self):
         # at |alpha| = 0.3 the 1/sqrt(M) prefactor would be badly wrong
         s = make_circular_state(0.3, 2, [0.0, 0.0])
