@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrology import ROTATION, OutOfRegimeWarning, PerturbationSpec
-from .states import CoherentSuperposition, FockVector, _braket, _moved_terms, _norms, coherent_state
+from .states import CoherentSuperposition, FockVector, _moved_terms, _norms
 
 __all__ = [
     "JCParams",
@@ -212,6 +212,24 @@ def _apply_op(w: np.ndarray, a: np.ndarray, op: tuple, inverse: bool) -> tuple[n
     raise ValueError(f"unknown or empty unitary descriptor {op!r}")
 
 
+# Gram exponents of amplitudes up to A carry a rounding error of about
+# eps (2A)^2 in phase and log-modulus; past this A it exceeds 1e-8
+_AMPLITUDE_CEILING = 0.5 * math.sqrt(1e-8 / np.finfo(float).eps)
+
+
+def _row_norms(w: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The row norms (n_e, n_g) of the joint state.  Gram rounding can move
+    weight between the rows without changing their total, so AssertionError
+    for amplitudes past `_AMPLITUDE_CEILING` (about 3.4e3), beyond which P_e
+    is not good to 1e-8."""
+    peak = max(map(abs, a.tolist()))
+    if not peak <= _AMPLITUDE_CEILING:
+        raise AssertionError(
+            f"amplitudes up to {peak:.3g} exceed {_AMPLITUDE_CEILING:.3g}: Gram rounding would move P_e by more than 1e-8"
+        )
+    return _norms(w, a)
+
+
 def _joint(w: np.ndarray, a: np.ndarray, norms: np.ndarray, intermediate=None) -> ProtocolResult:
     """The joint state with its populations (n_e / n)^2 and (n_g / n)^2 from
     the row norms `norms`, n = hypot(n_e, n_g)."""
@@ -247,41 +265,40 @@ def generic_strategy(
     result keeps the Gaussian envelope the closed forms drop: after
     `dispersive_sequence(alpha)` from |g, alpha>,
     P_e = [1 - e^{-2 s^2} (1 - 2 P_e^closed)]/2 with P_e^closed the
-    `dispersive_protocol` value.  The branch norms are structurally
-    unchanged by the perturbation (it acts on the oscillator only); this
-    and the branch-decomposition identity
-    P_e |<alpha|psi_e>|^2 = |<e, alpha|Psi_f>|^2, with psi_e the normalized
-    |e> branch, are verified on the fly.
+    `dispersive_protocol` value.
+
+    Every step is unitary, so the final joint state keeps the start's norm
+    1; a total norm off by more than 1e-9 (or NaN) raises AssertionError.
+    The check reads only the row norms P_e and P_g are formed from, and it
+    catches any step that is not unitary.  Gram rounding can move weight
+    between the rows while their total holds, so the norms also raise
+    AssertionError where the amplitudes are too large for P_e to be good to
+    1e-8 (max|a| above about 3.4e3; see `_row_norms`).  The echo law
+    P_e = [1 +- Re<E_g alpha|E_e alpha>]/2, E_b the echo U_b^dag U_pert U_b
+    of branch b, is checked by another route in the tests
+    (`tests/test_protocol.py::TestGenericStrategy::test_echo_law`).
     """
     if initial_level not in ("e", "g"):
         raise ValueError("initial_level must be 'e' or 'g'")
-    start = coherent_state(alpha)
-    w = np.outer((1.0, 0.0) if initial_level == "e" else (0.0, 1.0), start.weights)
-    a = start.amplitudes
+    start = complex(alpha)
+    if not (math.isfinite(start.real) and math.isfinite(start.imag)):
+        raise ValueError("weights and amplitudes must be finite")
+    a = np.array([start])
+    w = np.array([[1.0], [0.0]] if initial_level == "e" else [[0.0], [1.0]], complex)
 
     for op in u_ops:
         w, a = _apply_op(w, a, op, inverse=False)
-    norms = _norms(w, a)
+    norms = _row_norms(w, a)
     intermediate = _joint(w, a, norms)
 
     w, a = pert.moved_terms(w, a, alpha)
-    # each drift must be <= 1e-9; a NaN norm compares False and fails too
-    if not np.all(np.abs(_norms(w, a) - norms) <= 1e-9):
-        raise AssertionError("perturbation leaked between TLS branches")
-
     for op in reversed(u_ops):
         w, a = _apply_op(w, a, op, inverse=True)
-    norms = _norms(w, a)
-    final = _joint(w, a, norms, intermediate)
-
-    # <e, alpha|Psi_f> from the joint weights against the |e> row over its
-    # norm; a vanishing row (norm <= 1e-12) has no branch and contributes 0
-    amp_e_alpha = complex(_braket(start.weights, start.amplitudes, w[0], a)) / math.hypot(*norms)
-    ne = norms[0]
-    branch_fidelity = abs(_braket(start.weights, start.amplitudes, w[0] / ne, a)) ** 2 if ne > 1e-12 else 0.0
-    if not abs(abs(amp_e_alpha) ** 2 - final.p_e * branch_fidelity) <= 1e-10:
-        raise AssertionError("branch decomposition identity violated")
-    return final
+    norms = _row_norms(w, a)
+    total = math.hypot(*norms)
+    if not abs(total - 1.0) <= 1e-9:  # phrased so that NaN fails too
+        raise AssertionError(f"sequence is not unitary: final norm {total!r}, start norm 1")
+    return _joint(w, a, norms, intermediate)
 
 
 # --- numeric Jaynes-Cummings oracle ---------------------------------------

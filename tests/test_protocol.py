@@ -1,10 +1,11 @@
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subplanck import states
+from subplanck import protocol, states
 from subplanck.metrology import PerturbationSpec
 from subplanck.protocol import (
     JCParams,
@@ -215,25 +216,115 @@ class TestGenericStrategy:
         assert res.p_e == pytest.approx(0.5 * (1 - np.exp(-2 * s**2) * np.cos(16 * s)), abs=1e-12)
 
     def test_branch_identity_for_random_sequences(self):
+        # a pi_half ahead of a conditional_phase entangles the oscillator with
+        # the TLS; no pi_half before it, which could pair into a full flip,
+        # and a displacement after it, without which a rotation commutes with
+        # the whole sequence and leaves no signal
         rng = np.random.default_rng(5)
-        for _ in range(10):
-            ops = []
-            for _ in range(rng.integers(1, 4)):
-                choice = rng.integers(0, 5)
-                ops.append(
-                    [("pi_half",), ("conditional_phase",), ("sigma_z",),
-                     ("displace", complex(*rng.normal(0, 1, 2))), ("rotate", float(rng.normal(0, 0.5)))][choice]
-                )
-            res = generic_strategy(ops, displacement(0.05, phi=0.3), 2.0 + 1j)
+        menu = ["conditional_phase", "sigma_z", "displace", "rotate", "pi_half"]
+
+        def random_op(name):
+            if name == "displace":
+                return (name, complex(*rng.normal(0, 1, 2)))
+            return (name, float(rng.normal(0, 0.5))) if name == "rotate" else (name,)
+
+        def random_ops(names):
+            return [random_op(names[rng.integers(0, len(names))]) for _ in range(rng.integers(0, 3))]
+
+        entangled = 0
+        for draw in range(10):
+            ops = (random_ops(menu[:4]) + [("pi_half",)] + random_ops(menu[1:4])
+                   + [("conditional_phase",), ("displace", complex(*rng.normal(0, 1, 2)))] + random_ops(menu))
+            kind = "rotation" if draw % 2 else "displacement"
+            pert = PerturbationSpec(kind, float(rng.uniform(0.05, 0.3)), float(rng.uniform(0.0, 2 * np.pi)))
+            alpha = 2.0 + 1j
+            res = generic_strategy(ops, pert, alpha, initial_level="eg"[draw // 2 % 2])
             # consistency identity P_e |<alpha|psi_e>|^2 = |<e,alpha|Psi_f>|^2, the
-            # right side from the |e> row over the joint state's total norm
-            ref = coherent_state(2.0 + 1j)
+            # right side from the |e> row over the joint state's total norm; a
+            # vanishing |e> row has no branch and contributes 0
+            ref = coherent_state(alpha)
             rows = [CoherentSuperposition(row, res.amplitudes) for row in res.weights]
-            total = np.hypot(*(row.norm() for row in rows))
-            rhs = abs(inner_product(ref, rows[0]) / total) ** 2
-            lhs = res.p_e * abs(inner_product(ref, res.branch("e"))) ** 2
+            norm_e, norm_g = (row.norm() for row in rows)
+            rhs = abs(inner_product(ref, rows[0]) / np.hypot(norm_e, norm_g)) ** 2
+            lhs = res.p_e * abs(inner_product(ref, res.branch("e"))) ** 2 if norm_e > 1e-12 else 0.0
             assert lhs == pytest.approx(rhs, abs=1e-10)
             assert res.p_e + res.p_g == pytest.approx(1.0, abs=1e-10)
+            entangled += 1e-6 < res.p_e < 1 - 1e-6
+        assert entangled >= 8
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        radius=st.floats(0.1, 6.0),
+        phase=st.floats(0.0, 2 * np.pi),
+        magnitude=st.floats(0.0, 0.5),
+        direction=st.floats(0.0, 2 * np.pi),
+        kind=st.sampled_from(["displacement", "rotation"]),
+        rotation=st.booleans(),
+        level=st.sampled_from(["e", "g"]),
+    )
+    def test_echo_law(self, radius, phase, magnitude, direction, kind, rotation, level):
+        # P_e = [1 +- Re<E_g alpha|E_e alpha>]/2, + from |e> and - from |g>,
+        # with each branch's echo E_b = U_b^dag U_pert U_b built from the
+        # public state operations: U_e = D(alpha) if rotation, else 1, and
+        # U_g = U_e R(pi)
+        alpha = radius * np.exp(1j * phase)
+        pert = PerturbationSpec(kind, magnitude, direction)
+
+        def echo(state):
+            if rotation:
+                return states.displace(pert.apply(states.displace(state, alpha), alpha), -alpha)
+            return pert.apply(state, alpha)
+
+        start = coherent_state(alpha)
+        echo_e = echo(start)
+        echo_g = states.rotate(echo(states.rotate(start, np.pi)), -np.pi)
+        sign = 1.0 if level == "e" else -1.0
+        law = 0.5 * (1.0 + sign * inner_product(echo_g, echo_e).real)
+        res = generic_strategy(dispersive_sequence(alpha, rotation), pert, alpha, initial_level=level)
+        assert abs(res.p_e - law) <= 1e-12
+
+    def test_non_unitary_step_is_caught(self, monkeypatch):
+        # a pi/2 pulse scaled by 1.01 keeps P_e + P_g = 1 after normalization
+        # but not the total norm
+        monkeypatch.setattr(protocol, "_PI_HALF", 1.01 * protocol._PI_HALF)
+        with pytest.raises(AssertionError, match="not unitary"):
+            generic_strategy(dispersive_sequence(ALPHA), displacement(0.1), ALPHA)
+
+    @pytest.mark.parametrize("ops", [
+        [],
+        dispersive_sequence(ALPHA),
+        [("pi_half",), ("conditional_phase",), ("displace", ALPHA), ("rotate", 0.3), ("sigma_z",)],
+    ], ids=["0_ops", "2_ops", "5_ops"])
+    def test_two_gram_calls_per_call(self, monkeypatch, ops):
+        # the row norms after U and after U^dag are the only contractions
+        calls = Counter()
+        gram = states._gram
+
+        def counted_gram(*args):
+            calls["gram"] += 1
+            return gram(*args)
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("subplanck")]:
+            for name, value in list(vars(module).items()):
+                if value is gram:
+                    monkeypatch.setattr(module, name, counted_gram)
+        generic_strategy(ops, displacement(0.1), ALPHA)
+        assert calls["gram"] == 2
+
+    @pytest.mark.parametrize("level", ["e", "g"])
+    @pytest.mark.parametrize("phase", [0.0, 0.3, np.pi / 2], ids=["real", "phase_0.3", "imaginary"])
+    @pytest.mark.parametrize("radius", [10.0, 1e2, 1e3, 1e4, 1e5])
+    def test_large_amplitude_returns_the_fringe_or_raises(self, radius, phase, level):
+        # at large |alpha| the Gram exponents lose absolute precision, so the
+        # engine may raise; a returned P_e must still follow
+        # [1 +- e^{-2 s^2} cos(4 |alpha| s)]/2, + from |e> and - from |g>
+        s, alpha = 0.1, radius * np.exp(1j * phase)
+        try:
+            res = generic_strategy(dispersive_sequence(alpha), displacement(s), alpha, initial_level=level)
+        except AssertionError:
+            return
+        sign = 1.0 if level == "e" else -1.0
+        assert abs(res.p_e - 0.5 * (1 + sign * np.exp(-2 * s**2) * np.cos(4 * radius * s))) <= 1e-8
 
     def test_sigma_z_and_rotation_sequence(self):
         res = generic_strategy([("sigma_z",), ("rotate", 0.3)], displacement(0.0, phi=0.0), 1.5)
@@ -263,6 +354,10 @@ class TestGenericStrategy:
         for level in ("e", "g"):
             res = generic_strategy(ops, pert, alpha, initial_level=level)
             assert res.p_e == pytest.approx(generic_strategy_fock(ops, pert, alpha, level), abs=1e-9)
+
+    def test_non_finite_amplitude_rejected(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            generic_strategy([], displacement(0.1), complex(np.nan, 1.0))
 
     def test_empty_descriptor_and_bad_level_rejected(self):
         with pytest.raises(ValueError):
