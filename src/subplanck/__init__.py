@@ -12,7 +12,6 @@ from .states import (
     mean_excitation,
     rotate,
     to_fock,
-    vacuum,
 )
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "mean_excitation",
     "rotate",
     "to_fock",
-    "vacuum",
 ]
 
 __version__ = "0.1.0"

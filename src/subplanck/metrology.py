@@ -18,27 +18,24 @@ and exponentially small cross terms, both outside the closed form.
 Both pipelines are array kernels over the perturbation magnitude: a sweep
 of P points is one (P, M, M) stack of Gram blocks contracted with the
 weights, and one closed-form expression over the P x M(M-1)/2 pair
-phases.  The scalar `exact_overlap`, `approx_overlap` and the first-zero
-search are the same kernels at P = 1.
+phases.  The first-zero search is the exact kernel at P = 1.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import CoherentSuperposition, _abs_sq, _braket, _moved_terms, displace, make_circular_state, mean_excitation
+from .states import (CoherentSuperposition, _abs_sq, _braket, _check_ceiling, _moved_terms, displace, make_circular_state,
+                     mean_excitation)
 
 __all__ = [
     "PerturbationSpec",
     "SensitivityReport",
     "OverlapSweep",
     "OutOfRegimeWarning",
-    "approx_overlap",
-    "exact_overlap",
     "sensitivity_report",
     "overlap_sweep",
     "locate_first_zero",
@@ -96,14 +93,9 @@ class PerturbationSpec:
         """U_pert|state>, built by `moved_terms`."""
         return CoherentSuperposition(*self.moved_terms(state.weights, state.amplitudes, alpha))
 
-    def in_regime(self, alpha_abs: float) -> bool:
-        """Validity window: s << 1 for displacements, theta << 1/(2|alpha|)."""
-        return bool(_in_regime(self.kind, self.magnitude, alpha_abs))
-
 
 def _in_regime(kind: str, magnitudes, alpha_abs: float):
-    """The validity rule of `PerturbationSpec.in_regime`, elementwise over
-    scalar or array magnitudes."""
+    """The closed form's validity window, elementwise: s << 1, or theta << 1/(2|alpha|) for rotations."""
     if kind == DISPLACEMENT:
         return magnitudes <= 0.2
     return magnitudes * 2.0 * alpha_abs <= 0.2
@@ -140,25 +132,10 @@ def _pair_coefficients(m: int, phi_rel: float) -> np.ndarray:
     return s[iu] - s[il]
 
 
-def approx_overlap(m: int, alpha: complex, pert: PerturbationSpec) -> float:
-    """Closed-form overlap of a circular state with its perturbed copy.
-
-    The component phases gamma_k cancel between the conjugate cross terms
-    and do not enter the result.  Rotations are mapped onto the equivalent
-    displacement s = theta |alpha| orthogonal to the displaced circle.
-    Out-of-regime inputs are still evaluated, with a warning.
-    """
-    a_abs = abs(alpha)
-    if not pert.in_regime(a_abs):
-        warnings.warn("perturbation outside closed-form validity regime", OutOfRegimeWarning, stacklevel=2)
-    if a_abs < 2.0:
-        warnings.warn("closed-form overlap assumes well-separated components (|alpha| >= 2)", OutOfRegimeWarning, stacklevel=2)
-    return float(_approx_overlaps(m, alpha, pert.kind, pert.resolve_direction(alpha), np.array([pert.magnitude]))[0])
-
-
 def _approx_overlaps(m: int, alpha: complex, kind: str, direction: float | None, magnitudes: np.ndarray) -> np.ndarray:
-    """Closed-form overlap at each magnitude; `direction` is the absolute
-    displacement angle (rotations ignore it and map onto s = theta |alpha|)."""
+    """Closed-form overlap at each magnitude, free of the phases gamma_k;
+    `direction` is the absolute displacement angle (rotations ignore it and
+    map onto s = theta |alpha| orthogonal to the displaced circle)."""
     a_abs = abs(alpha)
     if kind == ROTATION:
         s = magnitudes * a_abs
@@ -168,14 +145,6 @@ def _approx_overlaps(m: int, alpha: complex, kind: str, direction: float | None,
         phi_rel = direction - float(np.angle(alpha))
     a_kl = _pair_coefficients(m, phi_rel)
     return (m + 2.0 * np.sum(np.cos(2.0 * np.outer(s, a_kl) * a_abs), axis=1)) / m**2
-
-
-def exact_overlap(state: CoherentSuperposition, pert: PerturbationSpec, alpha: complex | None = None) -> float:
-    """|<state|U_pert|state>|^2 by exact Gram algebra.
-
-    `alpha` is only consulted to resolve a None displacement direction.
-    """
-    return float(_exact_overlaps(state, pert.kind, pert.resolve_direction(alpha), np.array([pert.magnitude]))[0])
 
 
 def _exact_overlaps(target: CoherentSuperposition, kind: str, direction: float | None, magnitudes: np.ndarray) -> np.ndarray:
@@ -289,7 +258,8 @@ def overlap_sweep(
     Displacement sweeps act on the circular state itself; rotation sweeps
     act on the displaced configuration D(alpha)|state>, whose circle
     passes through the origin, with the closed form using s = theta|alpha|.
-    The returned sweep carries that state as its `target`.
+    The returned sweep carries that state as its `target`, which must stay
+    within `normalized()`'s amplitude ceiling (2|alpha| for rotations).
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
@@ -302,6 +272,7 @@ def overlap_sweep(
     extreme = PerturbationSpec(kind, float(max_magnitude), direction)
     mags = np.linspace(0.0, max_magnitude, n_points)
     target = displace(base, alpha) if kind == ROTATION else base
+    _check_ceiling(target.amplitudes)
     direction = extreme.resolve_direction(alpha)
     exact_vals = _exact_overlaps(target, kind, direction, mags)
     approx_vals = _approx_overlaps(m, alpha, kind, direction, mags)

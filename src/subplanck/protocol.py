@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrology import ROTATION, OutOfRegimeWarning, PerturbationSpec
-from .states import CoherentSuperposition, FockVector, _moved_terms, _norms
+from .states import _AMPLITUDE_CEILING, CoherentSuperposition, FockVector, _moved_terms, _norms
 
 __all__ = [
     "JCParams",
@@ -107,11 +107,6 @@ class JCParams:
             raise ValueError(f"Jaynes-Cummings parameters must be finite, got {fields}")
         if not self.omega0_rabi > 0:
             raise ValueError("omega0_rabi must be positive")
-
-    @property
-    def is_dispersive(self) -> bool:
-        """Far-detuned flag, checked as delta >= 10 * Omega_0 * sqrt(nbar)."""
-        return abs(self.detuning) >= 10.0 * self.omega0_rabi * math.sqrt(max(self.nbar, 0.0))
 
 
 def revival_time(params: JCParams) -> float:
@@ -212,16 +207,11 @@ def _apply_op(w: np.ndarray, a: np.ndarray, op: tuple, inverse: bool) -> tuple[n
     raise ValueError(f"unknown or empty unitary descriptor {op!r}")
 
 
-# Gram exponents of amplitudes up to A carry a rounding error of about
-# eps (2A)^2 in phase and log-modulus; past this A it exceeds 1e-8
-_AMPLITUDE_CEILING = 0.5 * math.sqrt(1e-8 / np.finfo(float).eps)
-
-
 def _row_norms(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     """The row norms (n_e, n_g) of the joint state.  Gram rounding can move
     weight between the rows without changing their total, so AssertionError
-    for amplitudes past `_AMPLITUDE_CEILING` (about 3.4e3), beyond which P_e
-    is not good to 1e-8."""
+    for amplitudes past `states._AMPLITUDE_CEILING` (about 3.4e3), beyond
+    which P_e is not good to 1e-8."""
     peak = max(map(abs, a.tolist()))
     if not peak <= _AMPLITUDE_CEILING:
         raise AssertionError(

@@ -23,7 +23,6 @@ __all__ = [
     "CoherentSuperposition",
     "FockVector",
     "coherent_state",
-    "vacuum",
     "make_circular_state",
     "displace",
     "rotate",
@@ -33,6 +32,19 @@ __all__ = [
     "mean_excitation",
     "default_n_trunc",
 ]
+
+
+# Gram exponents of amplitudes up to A carry a rounding error of about
+# eps (2A)^2 in phase and log-modulus; past this A it exceeds 1e-8
+_AMPLITUDE_CEILING = 0.5 * math.sqrt(1e-8 / np.finfo(float).eps)
+
+
+def _check_ceiling(amplitudes: np.ndarray) -> None:
+    """ValueError for amplitudes past `_AMPLITUDE_CEILING` (about 3.4e3)."""
+    peak = max(map(abs, amplitudes.tolist()))
+    if not peak <= _AMPLITUDE_CEILING:
+        raise ValueError(f"amplitudes up to {peak:.3g} exceed {_AMPLITUDE_CEILING:.3g}, "
+                         "where Gram exponents lose precision to rounding")
 
 
 def _gram(bra_amps: np.ndarray, ket_amps: np.ndarray) -> np.ndarray:
@@ -102,7 +114,9 @@ class CoherentSuperposition:
         """This state over its Gram norm.  The norm^2 sums M^2 terms of moduli
         |w_k w_l| e^{-|a_k - a_l|^2/2}; its rounding error is estimated as eps
         times their sum.  ValueError unless that estimate is below 1e-8 of the
-        norm^2: a zero norm, or overlapping components that cancel."""
+        norm^2 (a zero norm, or overlapping components that cancel), or past
+        `_AMPLITUDE_CEILING`, where the Gram exponents lose that precision."""
+        _check_ceiling(self.amplitudes)
         n = self.norm()
         w, a = np.abs(self.weights), self.amplitudes
         error = np.finfo(float).eps * (w @ np.exp(-0.5 * np.abs(a[:, None] - a) ** 2) @ w)
@@ -113,10 +127,6 @@ class CoherentSuperposition:
 
 def coherent_state(alpha: complex) -> CoherentSuperposition:
     return CoherentSuperposition([1.0], [alpha])
-
-
-def vacuum() -> CoherentSuperposition:
-    return coherent_state(0.0)
 
 
 def make_circular_state(alpha: complex, m: int, gammas) -> CoherentSuperposition:

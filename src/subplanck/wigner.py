@@ -37,7 +37,7 @@ R(theta) have plane waves and chirps (`metrology._weyl_symbols`);
 Checks run where numbers are made: `wigner_field` raises
 FloatingPointError on a non-finite factor or coefficient, each block of
 `samples` on a non-finite sample or an imaginary residue above 1e-10 (the
-double sum is Hermitian), a quadrature scalar on a non-finite value or an
+double sum is Hermitian), a field overlap on a non-finite value or an
 imaginary part above 1e-10, and a unitary's trace on a non-finite value or
 a modulus above 1 + 1e-10.
 
@@ -268,25 +268,11 @@ def _trapezoid_weights(points: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _real_scalar(value: complex, what: str) -> float:
-    """The real part of a quadrature scalar whose imaginary part is rounding
-    noise; non-finite values and residues above 1e-10 raise."""
-    if not (np.isfinite(value) and abs(value.imag) <= 1e-10):
-        raise FloatingPointError(f"{what} is {value!r}: non-finite or not real")
-    return float(value.real)
-
-
 def _weighted_sum(field: WignerField, e_x: np.ndarray, e_y: np.ndarray, rule: int = 0) -> np.ndarray:
     """Trapezoid sum of W S_p, S_p(x + iy) = e_x[x, p] e_y[y, p], for each
     column p, on the rows of the grid's rule `rule`, in factor space."""
     rows_x, rows_y, w_x, w_y = field.grid._trapezoid_rules[rule]
     return field.coeffs @ (((field.g[rows_x].T * w_x) @ e_x) * ((field.h[rows_y].T * w_y) @ e_y))
-
-
-def quadrature_mass(field: WignerField) -> float:
-    """(1/pi) * trapezoid integral of the field; ~1 when the grid covers the state."""
-    return _real_scalar(_weighted_sum(field, np.ones((field.grid.nx, 1)), np.ones((field.grid.ny, 1)))[0] / np.pi,
-                        "quadrature mass")
 
 
 # the margin `_resolves_symbols` keeps below the band edge 2 pi / h, per unit
@@ -325,9 +311,14 @@ def _unitary_traces(field: WignerField, scale, kx, ky, chirp) -> np.ndarray:
 
 
 def _factor_overlap(w1: WignerField, w2: WignerField, rule: int) -> float:
-    """(1/pi) * trapezoid integral of W1 W2 by the grid's rule `rule`."""
+    """(1/pi) * trapezoid integral of W1 W2 by the grid's rule `rule`, whose
+    imaginary part is rounding noise; a non-finite value or an imaginary
+    part above 1e-10 raises FloatingPointError."""
     rows_x, rows_y = w1.grid._trapezoid_rules[rule][:2]
-    return _real_scalar(_weighted_sum(w1, w2.g[rows_x], w2.h[rows_y], rule) @ w2.coeffs / np.pi, "phase-space overlap")
+    value = _weighted_sum(w1, w2.g[rows_x], w2.h[rows_y], rule) @ w2.coeffs / np.pi
+    if not (np.isfinite(value) and abs(value.imag) <= 1e-10):
+        raise FloatingPointError(f"phase-space overlap is {value!r}: non-finite or not real")
+    return float(value.real)
 
 
 def phase_space_overlap(w1: WignerField, w2: WignerField, with_error: bool = False):

@@ -773,6 +773,32 @@ class TestDeterminismAndErrors:
         assert len(lines) == 1 and lines[0].startswith(f"error: {flag} "), result.stderr
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # wrote an exact overlap of 1.004 at s = 0
+            ["overlap", "--alpha", "3e7+4e7i", "--m", "2", "--s-max", "1e-3", "--points", "3", "--out", "bad.csv"],
+            # exited 1 with a wrong cause, a norm lost to cancellation
+            ["overlap", "--alpha", "3e153", "--m", "2", "--s-max", "0.1", "--out", "bad.csv"],
+            ["wigner", "--alpha", "3e7+4e7i", "--m", "2", "--bounds", "-1", "1", "-1", "1", "--nx", "3", "--ny", "3",
+             "--out", "bad"],
+        ],
+        ids=["overlap_above_one", "overlap_norm_underflows", "wigner_explicit_grid"],
+    )
+    def test_amplitude_past_the_gram_ceiling_exits_with_its_cause(self, tmp_path, argv):
+        # within 2^510, so no flag is refused, but past the amplitude where
+        # Gram exponents lose precision: one error line naming that cause
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-m", "subplanck.cli", *argv], cwd=tmp_path, env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: amplitudes up to "), result.stderr
+        assert "exceed 3.36e+03, where Gram exponents lose precision to rounding" in lines[0]
+        assert list(tmp_path.iterdir()) == []
+
     def test_theory_sigma_of_a_huge_amplitude(self, tmp_path):
         # R |alpha|^2 overflows at R = 1e4 past |alpha| ~ 1.3e152; the quoted
         # width is 1/(8 sqrt(R) |alpha|) = 4.17e-157, not 0

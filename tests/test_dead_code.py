@@ -1,17 +1,21 @@
 """Static checks that keep dead code out of the package: every import is
 used in its module, every module-level `_private` definition is
 referenced somewhere in the package outside its own body, and every
-`__all__` entry names a module-level binding.  One structural check rides
-along: only `states` touches the Gram kernel `_gram`; every other module
-contracts through the `states` helpers.  And the 17-digit float format is
-spelled once, as `cli._FLOAT_FMT`, and read only by `cli._fmt` and
-`cli._text_rows`, so every CSV value goes through the one writer.  And
-no function in `cli` reads a whole field's `.values`: `wigner` renders
-stream the field a block of columns at a time.  And only the grid's cached
-trapezoid rules call `wigner._trapezoid_weights`, so quadratures do not
-form weights per call.  And no function in `cli` forms a field or a field
-overlap per point: `wigner_field` and `phase_space_overlap` are never
-called inside a loop or a comprehension there."""
+`__all__` entry names a module-level binding.  Every public function,
+class and public method is called by name somewhere other than its own
+definition, in the package or in perfbench/, unless `UNCALLED_PUBLIC`
+names it with a reason, so no public twin lives on for tests alone.  One
+structural check rides along: only `states` touches the Gram kernel
+`_gram`; every other module contracts through the `states` helpers.  And
+the 17-digit float format is spelled once, as `cli._FLOAT_FMT`, and read
+only by `cli._fmt` and `cli._text_rows`, so every CSV value goes through
+the one writer.  And no function in `cli` reads a whole field's
+`.values`: `wigner` renders stream the field a block of columns at a
+time.  And only the grid's cached trapezoid rules call
+`wigner._trapezoid_weights`, so quadratures do not form weights per
+call.  And no function in `cli` forms a field or a field overlap per
+point: `wigner_field` and `phase_space_overlap` are never called inside
+a loop or a comprehension there."""
 
 import ast
 from pathlib import Path
@@ -20,6 +24,17 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "subplanck"
 MODULES = sorted(PACKAGE.glob("*.py"))
+# the benchmark's harness, which calls the package by name; read, never written
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# public names that nothing in the package or perfbench/ calls, each kept for a reason
+UNCALLED_PUBLIC = {
+    "wigner.py: cross_wigner": "acceptance criterion 03 checks it, and it is the paper's object, W_kl",
+    "metrology.py: sensitivity_report": "ROADMAP item 2 rebuilds it on the quantum Fisher information",
+    "protocol.py: revival_time": "the last reader of JCParams.nbar, which the jc_oracle jobs pass by position",
+    "states.py: inner_product": "the one public bra-ket that keeps the phase, <a|b>, beside fidelity",
+    "states.py: rotate": "R(theta), the public partner of displace in the state algebra",
+}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -192,6 +207,53 @@ def per_point_field_calls(tree: ast.Module) -> list[str]:
     return sorted(found)
 
 
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _reads(*nodes: ast.AST) -> set[str]:
+    """Identifiers the nodes read: bare names and attribute names.  An
+    import alone is not a read, so a re-export is not a use."""
+    found = set()
+    for node in (node for root in nodes for node in ast.walk(root)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def uncalled_public_names(trees: dict[str, ast.Module], outside=(), allowed=()) -> list[str]:
+    """`module: name`, or `module: Class.method`, for each public module-level
+    function or class of the package `trees`, and each public method of a
+    public class, that no other statement reads, in the package or in the
+    modules `outside`.  A class's header and each statement of its body
+    count apart, so a sibling method's call counts and the definition's own
+    body does not; `__all__` holds strings, which are not reads.  Names in
+    `allowed` are skipped."""
+    units = []  # (the definitions a unit belongs to, the names it reads)
+    for tree in [*trees.values(), *outside]:
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ClassDef):
+                units.append(((stmt,), _reads(*stmt.decorator_list, *stmt.bases, *stmt.keywords)))
+                units += [((stmt, member), _reads(member)) for member in stmt.body]
+            else:
+                units.append(((stmt,), _reads(stmt)))
+    found = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, DEFINITIONS) or stmt.name.startswith("_"):
+                continue
+            labels = [(stmt, stmt.name)]
+            if isinstance(stmt, ast.ClassDef):
+                labels += [(m, f"{stmt.name}.{m.name}") for m in stmt.body
+                           if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)) and not m.name.startswith("_")]
+            for node, label in labels:
+                name = f"{module}: {label}"
+                if name not in allowed and not any(node.name in reads for owners, reads in units if node not in owners):
+                    found.append(name)
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(_parse(path)) == []
@@ -200,6 +262,45 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_export_is_bound(path):
     assert stale_exports(_parse(path)) == []
+
+
+def test_every_public_name_is_called():
+    trees = {path.name: _parse(path) for path in MODULES}
+    outside = [_parse(path) for path in sorted(PERFBENCH.glob("*.py"))]
+    assert outside, "perfbench/ has no modules to read"
+    assert uncalled_public_names(trees, outside, UNCALLED_PUBLIC) == []
+    # every allowlisted name still exists and is still uncalled
+    assert uncalled_public_names(trees, outside) == sorted(UNCALLED_PUBLIC)
+
+
+def test_public_name_check_catches_uncalled_names():
+    # a helper only itself calls, a method nothing calls and a class read
+    # only by its own body count; a name only perfbench calls, one a sibling
+    # method calls, a re-export, a name in a docstring, a property read as an
+    # attribute, a private method and an allowlisted name do not
+    trees = {
+        "states.py": ast.parse(
+            "__all__ = ['Ket', 'helper', 'bench_only', 'kept']\n"
+            "def helper(x):\n    'Calls nothing but `helper`.'\n    return helper(x - 1) if x else 0\n"
+            "def bench_only(x):\n    return x\n"
+            "def kept(x):\n    return x\n"
+            "class Ket:\n"
+            "    def norm(self):\n        return self.scaled()\n"
+            "    def scaled(self):\n        return Ket()\n"
+            "    def unused(self):\n        return 0\n"
+            "    @property\n    def size(self):\n        return 1\n"
+            "    def _private(self):\n        return 2\n"
+        ),
+        "__init__.py": ast.parse("from .states import Ket, helper\n__all__ = ['Ket', 'helper']\n"),
+        "cli.py": ast.parse("def main(k):\n    'See kept.'\n    return k.norm() + k.size\n"),
+    }
+    outside = [ast.parse("import subplanck.states as states\nstates.bench_only(1)\nsubplanck.cli.main(None)\n")]
+    assert uncalled_public_names(trees, outside, {"states.py: kept": "a reason"}) == [
+        "states.py: Ket", "states.py: Ket.unused", "states.py: helper",
+    ]
+    assert "states.py: kept" in uncalled_public_names(trees, outside)
+    # without perfbench, its one caller, the name is flagged
+    assert "states.py: bench_only" in uncalled_public_names(trees)
 
 
 def test_every_private_definition_is_referenced():

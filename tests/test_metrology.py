@@ -1,26 +1,30 @@
 import sys
-import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subplanck.metrology import (
-    OutOfRegimeWarning,
-    PerturbationSpec,
-    approx_overlap,
-    exact_overlap,
-    locate_first_zero,
-    overlap_sweep,
-    sensitivity_report,
-)
-from subplanck import states
+from subplanck.metrology import PerturbationSpec, locate_first_zero, overlap_sweep, sensitivity_report
+from subplanck import metrology, states
 from subplanck.states import coherent_state, displace, make_circular_state
 
 from oracles import perturbed_overlap
 
 angles = st.floats(min_value=-np.pi, max_value=np.pi)
+
+
+def approx_at(m, alpha, spec):
+    """The sweep's closed-form kernel at the one magnitude of `spec`."""
+    mags = np.array([spec.magnitude])
+    return float(metrology._approx_overlaps(m, alpha, spec.kind, spec.resolve_direction(alpha), mags)[0])
+
+
+def exact_at(state, spec, alpha=None):
+    """The sweep's exact kernel at the one magnitude of `spec`; `alpha` only
+    resolves a None displacement direction."""
+    mags = np.array([spec.magnitude])
+    return float(metrology._exact_overlaps(state, spec.kind, spec.resolve_direction(alpha), mags)[0])
 
 
 class TestPerturbationSpec:
@@ -50,52 +54,51 @@ class TestPerturbationSpec:
         assert PerturbationSpec("rotation", 0.1).resolve_direction() is None
 
     def test_regime_flags(self):
-        assert PerturbationSpec("displacement", 0.1).in_regime(4.0)
-        assert not PerturbationSpec("displacement", 0.5).in_regime(4.0)
-        assert PerturbationSpec("rotation", 0.01).in_regime(4.0)
-        assert not PerturbationSpec("rotation", 0.1).in_regime(4.0)
+        assert metrology._in_regime("displacement", 0.1, 4.0)
+        assert not metrology._in_regime("displacement", 0.5, 4.0)
+        assert metrology._in_regime("rotation", 0.01, 4.0)
+        assert not metrology._in_regime("rotation", 0.1, 4.0)
 
 
 class TestApproxOverlap:
     def test_identity_perturbation(self):
         for m in (1, 2, 3, 4, 6):
-            assert approx_overlap(m, 4j, PerturbationSpec("displacement", 0.0)) == pytest.approx(1.0)
+            assert approx_at(m, 4j, PerturbationSpec("displacement", 0.0)) == pytest.approx(1.0)
 
     def test_cat_fringe_value(self):
-        val = approx_overlap(2, 4j, PerturbationSpec("displacement", 0.1))
+        val = approx_at(2, 4j, PerturbationSpec("displacement", 0.1))
         assert val == pytest.approx((1 + np.cos(1.6)) / 2, abs=1e-12)
         assert val == pytest.approx(0.48540023884935557, abs=1e-12)
 
     def test_rotation_zero_at_heisenberg_angle(self):
         # theta = pi/(4 |alpha|^2) maps to s = pi/16, formally past the
-        # validity flag, so the value comes back tagged but still exact
-        with pytest.warns(OutOfRegimeWarning):
-            val = approx_overlap(2, 4j, PerturbationSpec("rotation", np.pi / 64))
-        assert val == pytest.approx(0.0, abs=1e-12)
+        # validity flag, so the value comes back flagged but still exact
+        assert not metrology._in_regime("rotation", np.pi / 64, 4.0)
+        assert approx_at(2, 4j, PerturbationSpec("rotation", np.pi / 64)) == pytest.approx(0.0, abs=1e-12)
 
     def test_out_of_regime_still_computed(self):
-        with pytest.warns(OutOfRegimeWarning):
-            val = approx_overlap(2, 4j, PerturbationSpec("displacement", 0.5))
-        assert np.isfinite(val)
+        sweep = overlap_sweep(4j, 2, max_magnitude=0.5, n_points=2)
+        assert not sweep.in_regime[-1]
+        assert np.isfinite(sweep.approx[-1])
 
 
 class TestExactOverlap:
     def test_identity(self):
         cat = make_circular_state(4j, 2, [0.0, 0.0])
-        assert exact_overlap(cat, PerturbationSpec("displacement", 0.0), alpha=4j) == pytest.approx(1.0)
+        assert exact_at(cat, PerturbationSpec("displacement", 0.0), alpha=4j) == pytest.approx(1.0)
 
     def test_matches_approx_at_small_s(self):
         cat = make_circular_state(4j, 2, [0.0, 0.0])
         spec = PerturbationSpec("displacement", 0.1)
-        exact = exact_overlap(cat, spec, alpha=4j)
-        approx = approx_overlap(2, 4j, spec)
+        exact = exact_at(cat, spec, alpha=4j)
+        approx = approx_at(2, 4j, spec)
         assert abs(exact - approx) < 5e-3
 
     def test_minimal_sensitivity_along_alpha(self):
         cat = make_circular_state(4j, 2, [0.0, 0.0])
         s = 0.15
         spec = PerturbationSpec("displacement", s, direction=float(np.angle(4j)))
-        val = exact_overlap(cat, spec)
+        val = exact_at(cat, spec)
         assert val >= 1.0 - 1.1 * s**2
 
     @given(
@@ -112,25 +115,23 @@ class TestExactOverlap:
         gammas = np.full(m, gamma0)
         state = make_circular_state(alpha, m, gammas)
         spec = PerturbationSpec("displacement", s, direction=direction)
-        exact = exact_overlap(state, spec, alpha=alpha)
-        approx = approx_overlap(m, alpha, spec)
+        exact = exact_at(state, spec, alpha=alpha)
+        approx = approx_at(m, alpha, spec)
         assert abs(exact - approx) < 5e-3 + 10 * s**2
 
     def test_cosine_periodicity(self):
         period = np.pi / (2 * 4.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OutOfRegimeWarning)
-            for s in np.linspace(0.0, 0.15, 7):
-                a = approx_overlap(2, 4j, PerturbationSpec("displacement", s))
-                b = approx_overlap(2, 4j, PerturbationSpec("displacement", s + period))
-                assert a == pytest.approx(b, abs=1e-12)
+        for s in np.linspace(0.0, 0.15, 7):
+            a = approx_at(2, 4j, PerturbationSpec("displacement", s))
+            b = approx_at(2, 4j, PerturbationSpec("displacement", s + period))
+            assert a == pytest.approx(b, abs=1e-12)
 
     def test_direction_extremes(self):
         alpha = 3.0 * np.exp(0.4j)
         cat = make_circular_state(alpha, 2, [0.0, 0.0])
         s = 0.05
         phis = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-        vals = [exact_overlap(cat, PerturbationSpec("displacement", s, direction=float(p))) for p in phis]
+        vals = [exact_at(cat, PerturbationSpec("displacement", s, direction=float(p))) for p in phis]
         lo, hi = phis[int(np.argmin(vals))], phis[int(np.argmax(vals))]
         ref = np.angle(alpha) % np.pi
 
@@ -146,9 +147,9 @@ class TestExactOverlap:
         alpha = radius * np.exp(1j * phase)
         shifted = displace(make_circular_state(alpha, 2, [0.0, 0.0]), alpha)
         theta = 0.01 / radius
-        rot = exact_overlap(shifted, PerturbationSpec("rotation", theta))
+        rot = exact_at(shifted, PerturbationSpec("rotation", theta))
         beta = 1j * theta * alpha
-        disp = exact_overlap(shifted, PerturbationSpec("displacement", abs(beta), direction=float(np.angle(beta))))
+        disp = exact_at(shifted, PerturbationSpec("displacement", abs(beta), direction=float(np.angle(beta))))
         assert abs(rot - disp) < 1e-3
 
 
@@ -212,6 +213,13 @@ class TestSweep:
         assert sweep.in_regime[0]
         assert not sweep.in_regime[-1]
 
+    def test_rotation_target_past_the_gram_ceiling_raises(self):
+        # a rotation sweep displaces its circle out to 2|alpha|: at |alpha| =
+        # 2e3 the circle normalizes and sweeps, its displaced copy is refused
+        assert overlap_sweep(2e3j, 2, n_points=2).exact[0] == pytest.approx(1.0, abs=1e-8)
+        with pytest.raises(ValueError, match="amplitudes up to 4e\\+03 exceed .*Gram exponents"):
+            overlap_sweep(2e3j, 2, kind="rotation", n_points=2)
+
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             overlap_sweep(4j, 2, n_points=1)
@@ -229,18 +237,14 @@ class TestSweepKernel:
     )
     @settings(max_examples=40, deadline=None)
     def test_columns_match_per_point_paths(self, radius, phase, m, kind, phi, gammas, span):
-        # the batched Gram stack and closed form against one state, one
-        # inner product and one scalar approx_overlap per magnitude
+        # the batched Gram stack against one moved state and one inner
+        # product per magnitude
         alpha = radius * np.exp(1j * phase)
         scale = np.pi / (2.0 * radius) if kind == "displacement" else np.pi / (2.0 * radius**2)
         sweep = overlap_sweep(alpha, m, gammas[:m], kind, phi, span * scale, 17)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OutOfRegimeWarning)
-            for mag, exact, approx in zip(sweep.magnitudes, sweep.exact, sweep.approx):
-                spec = PerturbationSpec(kind, float(mag), sweep.direction)
-                assert abs(exact - perturbed_overlap(sweep.target, spec)) <= 1e-13
-                assert abs(approx - approx_overlap(m, alpha, spec)) <= 1e-15
-        assert list(sweep.in_regime) == [PerturbationSpec(kind, float(x)).in_regime(radius) for x in sweep.magnitudes]
+        for mag, exact in zip(sweep.magnitudes, sweep.exact):
+            spec = PerturbationSpec(kind, float(mag), sweep.direction)
+            assert abs(exact - perturbed_overlap(sweep.target, spec)) <= 1e-13
 
     @pytest.mark.parametrize("kind", ["displacement", "rotation"])
     def test_work_does_not_grow_with_points(self, monkeypatch, kind):

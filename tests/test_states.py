@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subplanck import states
 from subplanck.states import (
     CoherentSuperposition,
     coherent_state,
@@ -13,7 +14,6 @@ from subplanck.states import (
     mean_excitation,
     rotate,
     to_fock,
-    vacuum,
 )
 
 from oracles import fock_inner, fock_mean_n
@@ -75,6 +75,21 @@ class TestConstruction:
         with pytest.raises(ValueError, match="cancellation"):
             make_circular_state(0.2, 16, gammas)
 
+    @pytest.mark.parametrize("alpha", [3e7 + 4e7j, 3e153], ids=["overlap_above_one", "norm_underflows"])
+    def test_amplitude_past_the_gram_ceiling_raises(self, alpha):
+        # each Gram exponent keeps an absolute rounding error near eps |alpha|^2:
+        # at 5e7 the state's own norm read 1 and its s = 0 sweep overlap 1.004;
+        # at 3e153 exp() of it underflowed to 0, reported as a lost norm
+        with pytest.raises(ValueError, match="exceed 3.36e\\+03, where Gram exponents lose precision to rounding"):
+            make_circular_state(alpha, 2, [0.0, 0.0])
+
+    def test_amplitudes_at_the_gram_ceiling_normalize(self):
+        radius = states._AMPLITUDE_CEILING
+        state = make_circular_state(radius, 4, np.zeros(4))
+        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError, match="Gram exponents"):
+            CoherentSuperposition([1.0], [np.nextafter(radius, np.inf)]).normalized()
+
     @pytest.mark.parametrize("radius, j", [(1.5, 3), (1.0, 7)], ids=["j3_r1.5", "j7_r1.0"])
     def test_structured_phases_that_keep_their_norm_normalize(self, radius, j):
         # gamma_k = 2 pi j k / 16 cancels part of the Gram sum, but its norm^2
@@ -95,14 +110,14 @@ class TestConstruction:
 
 class TestDisplace:
     def test_vacuum_displacement(self):
-        d = displace(vacuum(), 1.5 - 0.5j)
+        d = displace(coherent_state(0), 1.5 - 0.5j)
         assert d.weights[0] == pytest.approx(1.0)
         assert d.amplitudes[0] == pytest.approx(1.5 - 0.5j)
 
     def test_return_to_origin_has_no_phase(self):
         alpha = 2.0 + 1.0j
         back = displace(coherent_state(alpha), -alpha)
-        assert inner_product(vacuum(), back) == pytest.approx(1.0, abs=1e-12)
+        assert inner_product(coherent_state(0), back) == pytest.approx(1.0, abs=1e-12)
 
     def test_displaced_cat_overlap_frozen_value(self):
         # frozen from the Fock oracle; the quoted fringe formula
@@ -137,7 +152,7 @@ class TestInnerProduct:
     def test_vacuum_overlap(self):
         alpha = 1.3 - 0.4j
         expected = np.exp(-abs(alpha) ** 2 / 2)
-        assert inner_product(vacuum(), coherent_state(alpha)) == pytest.approx(expected, abs=1e-14)
+        assert inner_product(coherent_state(0), coherent_state(alpha)) == pytest.approx(expected, abs=1e-14)
 
     def test_cat_quasi_orthogonality_point(self):
         cat = make_circular_state(4j, 2, [0.0, 0.0])
@@ -147,7 +162,7 @@ class TestInnerProduct:
 
 class TestFock:
     def test_vacuum_vector(self):
-        f = to_fock(vacuum(), 4)
+        f = to_fock(coherent_state(0), 4)
         np.testing.assert_allclose(f.coefficients, [1, 0, 0, 0], atol=1e-15)
 
     def test_unit_coherent_coefficients(self):
@@ -171,7 +186,7 @@ class TestFock:
 
     def test_invalid_truncation(self):
         with pytest.raises(ValueError):
-            to_fock(vacuum(), 0)
+            to_fock(coherent_state(0), 0)
 
 
 class TestMeanExcitation:

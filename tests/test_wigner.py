@@ -8,11 +8,11 @@ from subplanck import metrology, wigner
 from subplanck.states import (
     CoherentSuperposition,
     _braket,
+    coherent_state,
     displace,
     inner_product,
     make_circular_state,
     rotate,
-    vacuum,
 )
 from subplanck.wigner import (
     PhaseSpaceGrid,
@@ -20,11 +20,19 @@ from subplanck.wigner import (
     auto_grid,
     cross_wigner,
     phase_space_overlap,
-    quadrature_mass,
     wigner_field,
 )
 
 from oracles import cross_wigner_direct, parity_wigner_expm, parity_wigner_fock, trapezoid_overlap, wigner_direct
+
+VACUUM = coherent_state(0)
+
+
+def mass(field):
+    """(1/pi) * trapezoid integral of the field: the one quadrature kernel,
+    `wigner._weighted_sum`, with E = 1."""
+    ones_x, ones_y = np.ones((field.grid.nx, 1)), np.ones((field.grid.ny, 1))
+    return complex(wigner._weighted_sum(field, ones_x, ones_y)[0]) / np.pi
 
 
 def _zero_crossings(xs, ys):
@@ -108,10 +116,10 @@ class TestGrid:
 
 class TestWignerField:
     def test_vacuum_peak_and_mass(self):
-        g = auto_grid(vacuum())
-        f = wigner_field(vacuum(), g)
+        g = auto_grid(VACUUM)
+        f = wigner_field(VACUUM, g)
         assert f.values.max() == pytest.approx(2.0, abs=1e-9)
-        assert quadrature_mass(f) == pytest.approx(1.0, abs=1e-6)
+        assert mass(f) == pytest.approx(1.0, abs=1e-6)
         assert not f.underresolved
 
     def test_cat_central_fringe_period(self):
@@ -233,7 +241,7 @@ class TestFieldOracles:
     def test_m16_auto_grid_mass(self, radius):
         state = _random_state(np.random.default_rng(16), 16, radius)
         field = wigner_field(state, auto_grid(state))
-        assert quadrature_mass(field) == pytest.approx(1.0, abs=1e-6)
+        assert mass(field) == pytest.approx(1.0, abs=1e-6)
 
 
 def _symbol_traces_and_exact(state, kind, magnitudes, direction=None):
@@ -294,12 +302,6 @@ class TestSymbolTraces:
         traces, exact, kept = _symbol_traces_and_exact(state, "rotation", thetas)
         assert kept.all() and np.max(np.abs(traces - exact)) <= 1e-12
 
-    def test_quadrature_mass_is_the_kernel_at_the_identity(self):
-        state = make_circular_state(2.5 * np.exp(0.3j), 3, [0.1, -0.4, 1.0])
-        field = wigner_field(state, auto_grid(state))
-        ones = np.ones(1)
-        assert wigner._unitary_traces(field, ones, 0 * ones, 0 * ones, 0 * ones)[0].real == quadrature_mass(field)
-
     def test_refused_chirps_are_the_ones_the_grid_aliases(self):
         # the displaced cat's column resolves rotations to about 2.4 rad; past
         # it the chirped integrand aliases, and refusing it is what keeps the
@@ -319,7 +321,7 @@ class TestSymbolTraces:
 
     @pytest.mark.parametrize("scale", [1.001, np.nan])
     def test_traces_beyond_modulus_one_raise(self, scale):
-        field = wigner_field(vacuum(), auto_grid(vacuum()))
+        field = wigner_field(VACUUM, auto_grid(VACUUM))
         ones = np.ones(2)
         with pytest.raises(FloatingPointError, match="unitary trace"):
             wigner._unitary_traces(field, np.array([1.0, scale]), 0 * ones, 0 * ones, 0 * ones)
@@ -334,7 +336,7 @@ class TestNonFiniteGuard:
     def test_nan_kernel_raises(self, monkeypatch):
         monkeypatch.setattr(wigner, "_axis_factors", lambda points, centres, k: np.full((points.size, centres.size), np.nan))
         with pytest.raises(FloatingPointError):
-            wigner_field(vacuum(), PhaseSpaceGrid(-3, 3, -3, 3, 33, 33))
+            wigner_field(VACUUM, PhaseSpaceGrid(-3, 3, -3, 3, 33, 33))
 
     def test_nan_coefficient_raises_in_overlap(self):
         cat = make_circular_state(2j, 2, [0.0, 0.0])
@@ -344,8 +346,9 @@ class TestNonFiniteGuard:
         broken = dataclasses.replace(field, coeffs=coeffs)
         with pytest.raises(FloatingPointError):
             phase_space_overlap(field, broken)
-        with pytest.raises(FloatingPointError):
-            quadrature_mass(broken)
+        ones = np.ones(1)
+        with pytest.raises(FloatingPointError, match="unitary trace"):
+            wigner._unitary_traces(broken, ones, 0 * ones, 0 * ones, 0 * ones)
 
     def test_non_hermitian_coefficients_raise_on_read(self):
         cat = make_circular_state(2j, 2, [0.0, 0.0])
@@ -359,12 +362,12 @@ class TestNonFiniteGuard:
 
 class TestOverlapQuadrature:
     def test_vacuum_purity(self):
-        f = wigner_field(vacuum(), auto_grid(vacuum()))
+        f = wigner_field(VACUUM, auto_grid(VACUUM))
         assert phase_space_overlap(f, f) == pytest.approx(1.0, abs=1e-6)
 
     def test_grid_mismatch_rejected(self):
-        f1 = wigner_field(vacuum(), PhaseSpaceGrid(-3, 3, -3, 3, 33, 33))
-        f2 = wigner_field(vacuum(), PhaseSpaceGrid(-3, 3, -3, 3, 35, 35))
+        f1 = wigner_field(VACUUM, PhaseSpaceGrid(-3, 3, -3, 3, 33, 33))
+        f2 = wigner_field(VACUUM, PhaseSpaceGrid(-3, 3, -3, 3, 35, 35))
         with pytest.raises(ValueError):
             phase_space_overlap(f1, f2)
 
@@ -438,8 +441,8 @@ class TestOverlapQuadrature:
         assert value == pytest.approx(want_value, abs=1e-14)
         assert err == pytest.approx(want_err, abs=1e-14)
         assert phase_space_overlap(f1, f2) == value
-        mass = trapezoid_overlap(f1.values, np.ones((nx, ny)), grid.re_points, grid.im_points)[0]
-        assert quadrature_mass(f1) == pytest.approx(mass, abs=1e-14)
+        want_mass = trapezoid_overlap(f1.values, np.ones((nx, ny)), grid.re_points, grid.im_points)[0]
+        assert mass(f1) == pytest.approx(want_mass, abs=1e-14)
 
     def test_fringe_frequency_scales_linearly(self):
         radii = [2.0, 4.0, 6.0]
