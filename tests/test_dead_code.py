@@ -15,7 +15,9 @@ time.  And only the grid's cached trapezoid rules call
 `wigner._trapezoid_weights`, so quadratures do not form weights per
 call.  And no function in `cli` forms a field or a field overlap per
 point: `wigner_field` and `phase_space_overlap` are never called inside
-a loop or a comprehension there."""
+a loop or a comprehension there.  And `estimation` seeds no trial on its
+own: `SeedSequence` and `spawn` are never called inside a loop or a
+comprehension there."""
 
 import ast
 from pathlib import Path
@@ -187,22 +189,21 @@ def trapezoid_weight_callers(trees: dict[str, ast.Module]) -> list[str]:
     return sorted(found)
 
 
-PER_POINT_CALLS = {"wigner_field", "phase_space_overlap"}
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
-def per_point_field_calls(tree: ast.Module) -> list[str]:
-    """`function: callee` for each call of `wigner_field` or
-    `phase_space_overlap` (bare or as an attribute, `wigner.wigner_field`)
-    inside a loop or a comprehension of a top-level statement, named by what
-    the statement defines, or by its line."""
+def per_point_field_calls(tree: ast.Module, callees: set[str]) -> list[str]:
+    """`function: callee` for each call of a name in `callees` (bare or as
+    an attribute, `wigner.wigner_field`) inside a loop or a comprehension of
+    a top-level statement, named by what the statement defines, or by its
+    line."""
     found = set()
     for stmt in tree.body:
         for loop in (node for node in ast.walk(stmt) if isinstance(node, LOOPS)):
             for node in ast.walk(loop):
                 if isinstance(node, ast.Call):
                     callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
-                    if callee in PER_POINT_CALLS:
+                    if callee in callees:
                         found.add(f"{', '.join(_bound_names(stmt)) or f'line {stmt.lineno}'}: {callee}")
     return sorted(found)
 
@@ -364,8 +365,16 @@ def test_values_reader_check_catches_readers():
     assert values_readers(tree) == ["RASTER", "_cmd_a", "_cmd_b"]
 
 
+PER_POINT_FIELD_CALLS = {"wigner_field", "phase_space_overlap"}
+PER_TRIAL_SEED_CALLS = {"SeedSequence", "spawn"}
+
+
 def test_cli_forms_no_field_per_point():
-    assert per_point_field_calls(_parse(PACKAGE / "cli.py")) == []
+    assert per_point_field_calls(_parse(PACKAGE / "cli.py"), PER_POINT_FIELD_CALLS) == []
+
+
+def test_estimation_builds_no_seed_sequence_per_trial():
+    assert per_point_field_calls(_parse(PACKAGE / "estimation.py"), PER_TRIAL_SEED_CALLS) == []
 
 
 def test_per_point_field_check_catches_loops():
@@ -383,10 +392,20 @@ def test_per_point_field_check_catches_loops():
         "def _cmd_f(state, grid, blocks):\n    field = wigner.wigner_field(state, grid)\n"
         "    return [field.samples(b) for b in blocks], 'wigner_field in a loop'\n"
     )
-    assert per_point_field_calls(tree) == [
+    assert per_point_field_calls(tree, PER_POINT_FIELD_CALLS) == [
         "_cmd_a: wigner_field", "_cmd_b: phase_space_overlap", "_cmd_c: wigner_field", "_cmd_d: phase_space_overlap",
         "_cmd_e: wigner_field",
     ]
+    # with the seed callees, a SeedSequence built per trial counts; one
+    # master spawned once, with a loop over its children, does not
+    tree = ast.parse(
+        "def per_trial(p, r, n, seed):\n"
+        "    return [simulate_readout(p, r, np.random.SeedSequence(seed, spawn_key=(i,))) for i in range(n)]\n"
+        "def once(p, r, n, seed):\n"
+        "    children = np.random.SeedSequence(seed).spawn(n)\n"
+        "    return [simulate_readout(p, r, c) for c in children]\n"
+    )
+    assert per_point_field_calls(tree, PER_TRIAL_SEED_CALLS) == ["per_trial: SeedSequence"]
 
 
 def test_trapezoid_weights_are_formed_once_per_grid():

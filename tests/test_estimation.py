@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subplanck import estimation
 from subplanck.estimation import (
     estimate_displacement,
     estimator_calibration,
@@ -60,6 +61,67 @@ class TestSimulateReadout:
         p_e = protocol(alpha, PerturbationSpec("displacement", true_s)).p_e
         children = np.random.SeedSequence(321).spawn(n)
         assert [simulate_readout(p_e, repetitions, child) for child in children] == counts.tolist()
+
+
+class TestChildSeeds:
+    @pytest.mark.parametrize("n", [1, 2, 257])
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 3, [1, 2, 3], [7, 2**32 + 1, 0, 5], None,
+                                      ["0x1" + "0" * 9, "010", "12345678901"]],
+                             ids=["0", "2^32-1", "2^32", "2^64+5", "2^200+3", "list3", "list_5_words", "None", "strings"])
+    def test_helper_matches_numpy_seeding_of_every_child(self, seed, n):
+        # a 5-word list overflows the 4-word pool; a None master draws its
+        # entropy from the OS, and its children are replayed from it
+        master = np.random.SeedSequence(seed)
+        children = np.random.SeedSequence(master.entropy).spawn(n)
+        expected = [(state["state"], state["inc"]) for state in (np.random.PCG64(c).state["state"] for c in children)]
+        assert estimation._pcg64_seeds(master, n) == expected
+
+    @given(st.integers(min_value=0, max_value=2**256 - 1), st.integers(min_value=1, max_value=300),
+           st.sampled_from(["dispersive", "resonant"]))
+    @settings(max_examples=40, deadline=None)
+    def test_counts_equal_one_draw_per_spawned_child(self, seed, n, convention):
+        alpha, true_s, repetitions = 3 + 1j, 0.1, 5000
+        protocol = dispersive_protocol if convention == "dispersive" else resonant_protocol
+        p_e = protocol(alpha, PerturbationSpec("displacement", true_s)).p_e
+        expected = [simulate_readout(p_e, repetitions, c) for c in np.random.SeedSequence(seed).spawn(n)]
+        assert run_trials(true_s, alpha, repetitions, n, seed, convention).tolist() == expected
+
+    def test_corrupted_last_child_raises(self, monkeypatch):
+        seeds = estimation._pcg64_seeds
+
+        def corrupted(master, n):
+            out = seeds(master, n)
+            state, inc = out[-1]
+            return out[:-1] + [(state ^ 1, inc)]
+
+        monkeypatch.setattr(estimation, "_pcg64_seeds", corrupted)
+        with pytest.raises(AssertionError, match=f"numpy {np.__version__}"):
+            run_trials(0.05, 4j, 100, 8, 1)
+
+    @pytest.mark.parametrize("n", [16, 512])
+    def test_seed_sequences_per_call_do_not_grow_with_trials(self, monkeypatch, n):
+        # the master and numpy's own last child, never one per trial
+        built = []
+
+        class Counted(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", Counted)
+        run_trials(0.05, 4j, 100, n, 9)
+        assert len(built) <= 2
+
+
+class TestAlphaGuard:
+    @pytest.mark.parametrize("true_s, alpha", [(0.05, 0j), (0.05, complex(math.nan, 1.0)), (0.0, math.inf)],
+                             ids=["zero", "nan", "inf"])
+    @pytest.mark.parametrize("function", [run_trials, estimator_calibration], ids=lambda f: f.__name__)
+    def test_alpha_must_be_nonzero_and_finite(self, function, true_s, alpha):
+        # before the guard, 0 divided by zero, NaN met the branch test and
+        # infinity reached the sampler as a NaN probability
+        with pytest.raises(ValueError, match="alpha must be nonzero and finite"):
+            function(true_s, alpha, 100, 3, 1)
 
 
 class TestEstimateDisplacement:
