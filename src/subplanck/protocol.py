@@ -10,9 +10,13 @@ The generic strategy evolves |level, alpha> under a composable unitary
 sequence U, applies the perturbation to the oscillator alone, undoes U,
 and returns the final entangled state, with the state U |level, alpha>
 the perturbation hit as its `intermediate`.  Only the conditional phase
-adds terms, so K <= 4^c for c conditional phases.  Two named protocols
-implement the idealized algebra in closed form and return only their
-fringe, as a one-term joint state:
+adds terms, so K <= 4^c for c conditional phases.  U runs once per
+preparation (descriptors, alpha and start level, by their exact bits),
+which a small memo keeps: calls with one preparation, as at every point
+of a fringe scan, share one read-only `intermediate` object.
+
+Two named protocols implement the idealized algebra in closed form and
+return only their fringe, as a one-term joint state:
 
 * dispersive: pi/2 pulse, then a level-conditioned pi phase of the field
   (the operational content of the far-detuned interaction with the pulse
@@ -41,6 +45,7 @@ is a diagonal number-dependent phase.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -235,6 +240,68 @@ def dispersive_sequence(alpha: complex, rotation: bool = False) -> list[tuple]:
     return seq
 
 
+# the preparations `_prepare` keeps: a sweep makes all its calls on one, and
+# a caller that alternates the start level uses two per sequence
+_PREPARED = 8
+
+
+def _bits(value):
+    """A hashable token equal only for values of one type and the same bits:
+    tuples and lists item by item, a str by itself, a Python float or
+    complex by its value and the signs of its parts, and anything else by
+    its type and numpy dtype, shape and bytes.  So 0.0 and -0.0, 1 and 1.0,
+    or 1.0 and np.float64(1.0) differ, and NaN matches only itself.  A value
+    numpy holds only as an object is taken by identity."""
+    kind = type(value)
+    if kind is str:
+        return value
+    if kind is float or kind is complex:
+        return kind, value, math.copysign(1.0, value.real), math.copysign(1.0, value.imag)
+    if isinstance(value, (tuple, list)):
+        return tuple(map(_bits, value))
+    v = np.asarray(value)
+    if v.dtype.hasobject:
+        return kind, id(value)
+    return kind, v.dtype.str, v.shape, v.tobytes()
+
+
+class _Exact:
+    """`value` hashed and compared by `_bits`: `==` merges 0.0 and -0.0, and a
+    0-d array does not hash.  It holds `value`, so an identity token stays
+    unique while a memo keeps it."""
+
+    __slots__ = ("value", "bits")
+
+    def __init__(self, value):
+        self.value, self.bits = value, _bits(value)
+
+    def __hash__(self):
+        return hash(self.bits)
+
+    def __eq__(self, other):
+        return self.bits == other.bits
+
+
+@functools.lru_cache(maxsize=_PREPARED)
+def _prepare(u_ops: _Exact, start: _Exact, initial_level: str) -> ProtocolResult:
+    """The preparation U |level, start> of `generic_strategy` for the
+    descriptor tuple `u_ops.value`: the joint state the perturbation hits,
+    with its populations from its row norms, over read-only arrays.  It
+    depends on nothing but the exact bits of its arguments, so the memo
+    returns one object to every call on them; a preparation that raises
+    stores nothing."""
+    alpha = start.value
+    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
+        raise ValueError("weights and amplitudes must be finite")
+    a = np.array([alpha])
+    w = np.array([[1.0], [0.0]] if initial_level == "e" else [[0.0], [1.0]], complex)
+    for op in u_ops.value:
+        w, a = _apply_op(w, a, op, inverse=False)
+    norms = _row_norms(w, a)
+    w.flags.writeable = a.flags.writeable = False
+    return _joint(w, a, norms)
+
+
 def generic_strategy(
     u_ops,
     pert: PerturbationSpec,
@@ -250,6 +317,13 @@ def generic_strategy(
     conditional phases ends with K <= 4^c; no terms are merged.  The result
     is the final joint state, and its `intermediate` is U |level, alpha>,
     the exact joint state the perturbation hits.
+
+    `u_ops` is read once, so any iterable of descriptors will do.  U runs
+    in `_prepare`, which keeps the last few preparations by the exact bits
+    of the descriptors, alpha and the level: calls with one preparation, as
+    in a fringe scan, share one `intermediate` object, whose arrays are
+    read-only, and each pays only for the perturbation, U^dag and one Gram
+    contraction.  A warm call returns the bits of a cold one.
 
     The perturbation is the exact oscillator unitary on both rows, so the
     result keeps the Gaussian envelope the closed forms drop: after
@@ -270,19 +344,12 @@ def generic_strategy(
     """
     if initial_level not in ("e", "g"):
         raise ValueError("initial_level must be 'e' or 'g'")
-    start = complex(alpha)
-    if not (math.isfinite(start.real) and math.isfinite(start.imag)):
-        raise ValueError("weights and amplitudes must be finite")
-    a = np.array([start])
-    w = np.array([[1.0], [0.0]] if initial_level == "e" else [[0.0], [1.0]], complex)
+    start = _Exact(complex(alpha))
+    ops = tuple(u_ops)
+    intermediate = _prepare(_Exact(ops), start, initial_level)
 
-    for op in u_ops:
-        w, a = _apply_op(w, a, op, inverse=False)
-    norms = _row_norms(w, a)
-    intermediate = _joint(w, a, norms)
-
-    w, a = pert.moved_terms(w, a, alpha)
-    for op in reversed(u_ops):
+    w, a = pert.moved_terms(intermediate.weights, intermediate.amplitudes, alpha)
+    for op in reversed(ops):
         w, a = _apply_op(w, a, op, inverse=True)
     norms = _row_norms(w, a)
     total = math.hypot(*norms)

@@ -17,7 +17,9 @@ call.  And no function in `cli` forms a field or a field overlap per
 point: `wigner_field` and `phase_space_overlap` are never called inside
 a loop or a comprehension there.  And `estimation` seeds no trial on its
 own: `SeedSequence` and `spawn` are never called inside a loop or a
-comprehension there."""
+comprehension there.  And only `protocol._prepare` runs a step of the
+preparation U forward: U runs once per memoized preparation, never on
+the per-point path."""
 
 import ast
 from pathlib import Path
@@ -192,6 +194,11 @@ def trapezoid_weight_callers(trees: dict[str, ast.Module]) -> list[str]:
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
+def _callee(call: ast.Call) -> str | None:
+    """The name a call calls, bare or as an attribute (`wigner.wigner_field`)."""
+    return call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
+
+
 def per_point_field_calls(tree: ast.Module, callees: set[str]) -> list[str]:
     """`function: callee` for each call of a name in `callees` (bare or as
     an attribute, `wigner.wigner_field`) inside a loop or a comprehension of
@@ -201,10 +208,23 @@ def per_point_field_calls(tree: ast.Module, callees: set[str]) -> list[str]:
     for stmt in tree.body:
         for loop in (node for node in ast.walk(stmt) if isinstance(node, LOOPS)):
             for node in ast.walk(loop):
-                if isinstance(node, ast.Call):
-                    callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
-                    if callee in callees:
-                        found.add(f"{', '.join(_bound_names(stmt)) or f'line {stmt.lineno}'}: {callee}")
+                if isinstance(node, ast.Call) and _callee(node) in callees:
+                    found.add(f"{', '.join(_bound_names(stmt)) or f'line {stmt.lineno}'}: {_callee(node)}")
+    return sorted(found)
+
+
+def forward_step_callers(tree: ast.Module) -> list[str]:
+    """Top-level definitions of a module that call `_apply_op` (bare or as an
+    attribute) with an `inverse` argument, by keyword or in fourth place,
+    that is not the constant True, so they run a step of U forward; named
+    by what they define, or by their line."""
+    found = set()
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call) and _callee(node) == "_apply_op":
+                inverse = next((k.value for k in node.keywords if k.arg == "inverse"), node.args[3] if len(node.args) > 3 else None)
+                if not (isinstance(inverse, ast.Constant) and inverse.value is True):
+                    found.add(", ".join(_bound_names(stmt)) or f"line {stmt.lineno}")
     return sorted(found)
 
 
@@ -406,6 +426,26 @@ def test_per_point_field_check_catches_loops():
         "    return [simulate_readout(p, r, c) for c in children]\n"
     )
     assert per_point_field_calls(tree, PER_TRIAL_SEED_CALLS) == ["per_trial: SeedSequence"]
+
+
+def test_only_the_preparation_runs_u_forward():
+    assert forward_step_callers(_parse(PACKAGE / "protocol.py")) == ["_prepare"]
+
+
+def test_forward_step_check_catches_other_callers():
+    # a per-call engine that runs U itself, a positional False, a call with
+    # no inverse argument and an attribute call each count; U^dag by keyword
+    # or in fourth place and a mention in a string do not
+    tree = ast.parse(
+        "def _prepare(ops, w, a):\n    for op in ops:\n        w, a = _apply_op(w, a, op, inverse=False)\n    return w, a\n"
+        "def generic_strategy(ops, w, a):\n    for op in ops:\n        w, a = _apply_op(w, a, op, inverse=False)\n"
+        "    for op in reversed(ops):\n        w, a = _apply_op(w, a, op, inverse=True)\n    return w, a\n"
+        "def positional(op, w, a):\n    return _apply_op(w, a, op, False)\n"
+        "def unset(op, w, a):\n    return protocol._apply_op(w, a, op)\n"
+        "def undo(ops, w, a):\n    for op in ops:\n        w, a = protocol._apply_op(w, a, op, True)\n"
+        "    return w, a, '_apply_op(w, a, op, inverse=False)'\n"
+    )
+    assert forward_step_callers(tree) == ["_prepare", "generic_strategy", "positional", "unset"]
 
 
 def test_trapezoid_weights_are_formed_once_per_grid():

@@ -36,6 +36,15 @@ def displacement(s, phi=None):
     return PerturbationSpec("displacement", s, phi)
 
 
+@pytest.fixture
+def cold_memo():
+    """An empty preparation memo, emptied again after the test, so a warm
+    entry never hides a patched engine and a patched one never outlives it."""
+    protocol._prepare.cache_clear()
+    yield
+    protocol._prepare.cache_clear()
+
+
 class TestProtocolResult:
     @staticmethod
     def _one_term(w_e, w_g):
@@ -282,7 +291,7 @@ class TestGenericStrategy:
         res = generic_strategy(dispersive_sequence(alpha, rotation), pert, alpha, initial_level=level)
         assert abs(res.p_e - law) <= 1e-12
 
-    def test_non_unitary_step_is_caught(self, monkeypatch):
+    def test_non_unitary_step_is_caught(self, monkeypatch, cold_memo):
         # a pi/2 pulse scaled by 1.01 keeps P_e + P_g = 1 after normalization
         # but not the total norm
         monkeypatch.setattr(protocol, "_PI_HALF", 1.01 * protocol._PI_HALF)
@@ -294,8 +303,9 @@ class TestGenericStrategy:
         dispersive_sequence(ALPHA),
         [("pi_half",), ("conditional_phase",), ("displace", ALPHA), ("rotate", 0.3), ("sigma_z",)],
     ], ids=["0_ops", "2_ops", "5_ops"])
-    def test_two_gram_calls_per_call(self, monkeypatch, ops):
-        # the row norms after U and after U^dag are the only contractions
+    def test_gram_calls_cold_and_warm(self, monkeypatch, cold_memo, ops):
+        # a cold call contracts the row norms after U and after U^dag; a call
+        # on the same preparation with another perturbation only after U^dag
         calls = Counter()
         gram = states._gram
 
@@ -309,6 +319,8 @@ class TestGenericStrategy:
                     monkeypatch.setattr(module, name, counted_gram)
         generic_strategy(ops, displacement(0.1), ALPHA)
         assert calls["gram"] == 2
+        generic_strategy(ops, displacement(0.2), ALPHA)
+        assert calls["gram"] == 3
 
     @pytest.mark.parametrize("level", ["e", "g"])
     @pytest.mark.parametrize("phase", [0.0, 0.3, np.pi / 2], ids=["real", "phase_0.3", "imaginary"])
@@ -363,6 +375,115 @@ class TestGenericStrategy:
             generic_strategy([()], displacement(0.1), ALPHA)
         with pytest.raises(ValueError):
             generic_strategy([("pi_half",)], displacement(0.1), ALPHA, initial_level="x")
+
+    def test_descriptors_are_read_once(self, cold_memo):
+        # U^dag walks the descriptors U read, so an iterator or a generator
+        # works, and list-form ops are the same descriptors as tuples
+        seq = dispersive_sequence(ALPHA, rotation=True)
+        pert = PerturbationSpec("rotation", 1e-3)
+        expected = _result_bits(generic_strategy(seq, pert, ALPHA))
+        for form in (iter(seq), (op for op in seq), tuple(seq), [list(op) for op in seq]):
+            protocol._prepare.cache_clear()
+            assert _result_bits(generic_strategy(form, pert, ALPHA)) == expected
+
+
+def _result_bits(res: ProtocolResult) -> tuple:
+    """The bytes of a result's arrays and populations, then its intermediate's."""
+    bits = (res.weights.tobytes(), res.amplitudes.tobytes(), np.float64(res.p_e).tobytes(), np.float64(res.p_g).tobytes())
+    return bits + (_result_bits(res.intermediate) if res.intermediate is not None else ())
+
+
+def _random_calls(seed=2026, n=300):
+    """(ops, pert, alpha, level) of n seeded calls: alpha ~ N(0, 2) per axis;
+    every third sequence is <= 2 random ops, pi_half, <= 2, conditional_phase,
+    <= 2, which entangles; the rest <= 6 random ops (displace N(0, 1) per
+    axis, rotate N(0, 0.7)); kinds alternate, magnitude U(0, 0.4), direction
+    None every fifth call, else U(0, 2 pi); levels alternate in pairs."""
+    rng = np.random.default_rng(seed)
+    names = ["pi_half", "conditional_phase", "sigma_z", "displace", "rotate"]
+
+    def op(name):
+        if name == "displace":
+            return (name, complex(*rng.normal(0, 1, 2)))
+        return (name, float(rng.normal(0, 0.7))) if name == "rotate" else (name,)
+
+    def some(k):
+        return [op(names[rng.integers(0, 5)]) for _ in range(rng.integers(0, k + 1))]
+
+    calls = []
+    for i in range(n):
+        alpha = complex(*rng.normal(0, 2, 2))
+        ops = some(2) + [("pi_half",)] + some(2) + [("conditional_phase",)] + some(2) if i % 3 == 0 else some(6)
+        direction = None if i % 5 == 0 else float(rng.uniform(0, 2 * np.pi))
+        pert = PerturbationSpec("rotation" if i % 2 else "displacement", float(rng.uniform(0, 0.4)), direction)
+        calls.append((ops, pert, alpha, "eg"[(i // 2) % 2]))
+    return calls
+
+
+class TestPreparationMemo:
+    def test_warm_call_returns_the_cold_bits(self, cold_memo):
+        # each perturbation of a pair runs once cold and once on the other's
+        # preparation, in both orders
+        rng = np.random.default_rng(7)
+        for ops, pert, alpha, level in _random_calls():
+            other = PerturbationSpec(pert.kind, float(rng.uniform(0, 0.4)), pert.direction)
+            for first, second in ((pert, other), (other, pert)):
+                protocol._prepare.cache_clear()
+                cold = _result_bits(generic_strategy(ops, first, alpha, level))
+                warm = generic_strategy(ops, second, alpha, level)
+                assert _result_bits(warm) == _result_bits(generic_strategy(ops, second, alpha, level))
+                assert _result_bits(generic_strategy(ops, first, alpha, level)) == cold
+                assert protocol._prepare.cache_info().misses == 1
+            assert _result_bits(warm)[4:] == cold[4:]  # one intermediate
+
+    def test_calls_on_one_preparation_share_one_intermediate(self, cold_memo):
+        seq = dispersive_sequence(ALPHA)
+        first = generic_strategy(seq, displacement(0.1), ALPHA)
+        assert generic_strategy(list(seq), displacement(0.2), ALPHA).intermediate is first.intermediate
+        assert generic_strategy(seq, displacement(0.1), ALPHA, initial_level="g").intermediate is not first.intermediate
+
+    @pytest.mark.parametrize("variants, start", [
+        ([[("displace", 0.0)], [("displace", -0.0)]], complex(-0.0, -0.0)),
+        ([[("pi_half",), ("conditional_phase",), ("displace", 1.0), ("rotate", v)]
+          for v in (1, 1.0, np.float64(1.0), np.array(1.0))], 2.0),
+    ], ids=["signed_zero", "rotate_types"])
+    def test_keys_are_exact(self, cold_memo, variants, start):
+        # 0.0 == -0.0 and 1 == 1.0, yet each descriptor keeps its own
+        # preparation and its own cold bits, and a 0-d array parameter works
+        pert = displacement(0.1, phi=0.3)
+        cold = []
+        for ops in variants:
+            protocol._prepare.cache_clear()
+            cold.append(_result_bits(generic_strategy(ops, pert, start)))
+        protocol._prepare.cache_clear()
+        for ops, bits in [*zip(variants, cold), *zip(variants[::-1], cold[::-1])]:
+            assert _result_bits(generic_strategy(ops, pert, start)) == bits
+        assert protocol._prepare.cache_info().currsize == len(variants)
+        if len(variants) == 2:
+            assert cold[0] != cold[1]  # the signed zero reaches the amplitudes
+
+    def test_cached_arrays_are_read_only(self, cold_memo):
+        inter = generic_strategy(dispersive_sequence(ALPHA), displacement(0.1), ALPHA).intermediate
+        for array in (inter.weights, inter.amplitudes):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    @pytest.mark.parametrize("ops, alpha, error", [
+        ([], complex(np.nan, 1.0), ValueError),
+        ([("hadamard",)], ALPHA, ValueError),
+        ([("displace", 4e3)], ALPHA, AssertionError),
+    ], ids=["non_finite_alpha", "unknown_op", "past_ceiling"])
+    def test_failing_preparation_is_not_stored(self, cold_memo, ops, alpha, error):
+        for _ in range(2):
+            with pytest.raises(error):
+                generic_strategy(ops, displacement(0.1), alpha)
+        assert protocol._prepare.cache_info().currsize == 0
+
+    def test_memo_stays_bounded(self, cold_memo):
+        for k in range(100):
+            generic_strategy(dispersive_sequence(ALPHA), displacement(0.1), ALPHA + 0.01 * k)
+            assert protocol._prepare.cache_info().currsize <= protocol._PREPARED
+        assert protocol._prepare.cache_info().misses == 100
 
 
 class TestJCNumeric:
