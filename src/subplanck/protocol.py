@@ -10,10 +10,7 @@ The generic strategy evolves |level, alpha> under a composable unitary
 sequence U, applies the perturbation to the oscillator alone, undoes U,
 and returns the final entangled state, with the state U |level, alpha>
 the perturbation hit as its `intermediate`.  Only the conditional phase
-adds terms, so K <= 4^c for c conditional phases.  U runs once per
-preparation (descriptors, alpha and start level, by their exact bits),
-which a small memo keeps: calls with one preparation, as at every point
-of a fringe scan, share one read-only `intermediate` object.
+adds terms, so K <= 4^c for c conditional phases.
 
 Two named protocols implement the idealized algebra in closed form and
 return only their fringe, as a one-term joint state:
@@ -48,12 +45,12 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .metrology import ROTATION, OutOfRegimeWarning, PerturbationSpec
-from .states import _AMPLITUDE_CEILING, CoherentSuperposition, FockVector, _moved_terms, _norms
+from .states import CoherentSuperposition, FockVector, _check_ceiling, _moved_terms, _norms
 
 __all__ = [
     "JCParams",
@@ -81,12 +78,16 @@ class ProtocolResult:
     amplitudes: np.ndarray
     p_e: float
     p_g: float
-    intermediate: ProtocolResult | None = None
+    _prepared: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         total = self.p_e + self.p_g
         if not abs(total - 1.0) <= 1e-8:  # phrased so that NaN fails too
             raise ValueError(f"level populations are not normalized (p_e + p_g = {total})")
+
+    @functools.cached_property
+    def intermediate(self) -> ProtocolResult | None:
+        return None if self._prepared is None else _joint(*self._prepared, _norms(*self._prepared))
 
     def branch(self, level: str) -> CoherentSuperposition:
         """The normalized oscillator state of the |e> or |g> branch; ValueError
@@ -189,12 +190,25 @@ def resonant_protocol(alpha: complex, pert: PerturbationSpec, dt_fraction: float
 
 # pi/2 pulse on the (|e>, |g>) rows of the joint weights; its inverse is the transpose
 _PI_HALF = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
+# the numpy kinds of the one finite parameter each descriptor takes ("" for none)
+_PARAMETER = {"pi_half": "", "sigma_z": "", "conditional_phase": "", "rotate": "iuf", "displace": "iufc"}
+
+
+def _checked(op) -> tuple:
+    """`op` as a tuple; ValueError, naming it, unless `_PARAMETER` admits it."""
+    op = tuple(op)
+    kinds = _PARAMETER.get(op[0]) if op and isinstance(op[0], str) else None
+    if kinds is None or len(op) != 1 + bool(kinds) or kinds and not (
+            (v := np.asarray(op[1])).ndim == 0 and v.dtype.kind in kinds and np.isfinite(v)):
+        raise ValueError(f"malformed unitary descriptor {op!r}: expected ('pi_half',), ('sigma_z',), "
+                         "('conditional_phase',), ('displace', finite number) or ('rotate', finite real)")
+    return op
 
 
 def _apply_op(w: np.ndarray, a: np.ndarray, op: tuple, inverse: bool) -> tuple[np.ndarray, np.ndarray]:
     """One step of the composable set on the joint state sum_k w[0, k] |e, a_k>
     + w[1, k] |g, a_k>: (2, K) weights over K shared amplitudes."""
-    name = op[0] if len(op) else None
+    name = op[0]
     if name == "pi_half":
         return (_PI_HALF.T if inverse else _PI_HALF) @ w, a
     if name == "sigma_z":
@@ -207,29 +221,14 @@ def _apply_op(w: np.ndarray, a: np.ndarray, op: tuple, inverse: bool) -> tuple[n
         return doubled, np.concatenate([a, -a])
     if name == "displace":
         return _moved_terms(w, a, beta=-op[1] if inverse else op[1])
-    if name == "rotate":
-        return _moved_terms(w, a, theta=-op[1] if inverse else op[1])
-    raise ValueError(f"unknown or empty unitary descriptor {op!r}")
+    return _moved_terms(w, a, theta=-op[1] if inverse else op[1])
 
 
-def _row_norms(w: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The row norms (n_e, n_g) of the joint state.  Gram rounding can move
-    weight between the rows without changing their total, so AssertionError
-    for amplitudes past `states._AMPLITUDE_CEILING` (about 3.4e3), beyond
-    which P_e is not good to 1e-8."""
-    peak = max(map(abs, a.tolist()))
-    if not peak <= _AMPLITUDE_CEILING:
-        raise AssertionError(
-            f"amplitudes up to {peak:.3g} exceed {_AMPLITUDE_CEILING:.3g}: Gram rounding would move P_e by more than 1e-8"
-        )
-    return _norms(w, a)
-
-
-def _joint(w: np.ndarray, a: np.ndarray, norms: np.ndarray, intermediate=None) -> ProtocolResult:
+def _joint(w: np.ndarray, a: np.ndarray, norms: np.ndarray, prepared: tuple | None = None) -> ProtocolResult:
     """The joint state with its populations (n_e / n)^2 and (n_g / n)^2 from
     the row norms `norms`, n = hypot(n_e, n_g)."""
     total = math.hypot(*norms)
-    return ProtocolResult(w, a, (norms[0] / total) ** 2, (norms[1] / total) ** 2, intermediate)
+    return ProtocolResult(w, a, (norms[0] / total) ** 2, (norms[1] / total) ** 2, prepared)
 
 
 def dispersive_sequence(alpha: complex, rotation: bool = False) -> list[tuple]:
@@ -240,74 +239,19 @@ def dispersive_sequence(alpha: complex, rotation: bool = False) -> list[tuple]:
     return seq
 
 
-# the preparations `_prepare` keeps: a sweep makes all its calls on one, and
-# a caller that alternates the start level uses two per sequence
-_PREPARED = 8
-
-
-def _bits(value):
-    """A hashable token equal only for values of one type and the same bits:
-    tuples and lists item by item, a str by itself, a Python float or
-    complex by its value and the signs of its parts, and anything else by
-    its type and numpy dtype, shape and bytes.  So 0.0 and -0.0, 1 and 1.0,
-    or 1.0 and np.float64(1.0) differ, and NaN matches only itself.  A value
-    numpy holds only as an object is taken by identity."""
-    kind = type(value)
-    if kind is str:
-        return value
-    if kind is float or kind is complex:
-        return kind, value, math.copysign(1.0, value.real), math.copysign(1.0, value.imag)
-    if isinstance(value, (tuple, list)):
-        return tuple(map(_bits, value))
-    v = np.asarray(value)
-    if v.dtype.hasobject:
-        return kind, id(value)
-    return kind, v.dtype.str, v.shape, v.tobytes()
-
-
-class _Exact:
-    """`value` hashed and compared by `_bits`: `==` merges 0.0 and -0.0, and a
-    0-d array does not hash.  It holds `value`, so an identity token stays
-    unique while a memo keeps it."""
-
-    __slots__ = ("value", "bits")
-
-    def __init__(self, value):
-        self.value, self.bits = value, _bits(value)
-
-    def __hash__(self):
-        return hash(self.bits)
-
-    def __eq__(self, other):
-        return self.bits == other.bits
-
-
-@functools.lru_cache(maxsize=_PREPARED)
-def _prepare(u_ops: _Exact, start: _Exact, initial_level: str) -> ProtocolResult:
-    """The preparation U |level, start> of `generic_strategy` for the
-    descriptor tuple `u_ops.value`: the joint state the perturbation hits,
-    with its populations from its row norms, over read-only arrays.  It
-    depends on nothing but the exact bits of its arguments, so the memo
-    returns one object to every call on them; a preparation that raises
-    stores nothing."""
-    alpha = start.value
+def _prepare(ops: tuple, alpha: complex, initial_level: str) -> tuple[np.ndarray, np.ndarray]:
+    """U |level, alpha> as (weights, amplitudes); ValueError for a non-finite alpha or past the ceiling."""
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
         raise ValueError("weights and amplitudes must be finite")
     a = np.array([alpha])
     w = np.array([[1.0], [0.0]] if initial_level == "e" else [[0.0], [1.0]], complex)
-    for op in u_ops.value:
+    for op in ops:
         w, a = _apply_op(w, a, op, inverse=False)
-    norms = _row_norms(w, a)
-    w.flags.writeable = a.flags.writeable = False
-    return _joint(w, a, norms)
+    _check_ceiling(a)
+    return w, a
 
 
-def generic_strategy(
-    u_ops,
-    pert: PerturbationSpec,
-    alpha: complex,
-    initial_level: str = "e",
-) -> ProtocolResult:
+def generic_strategy(u_ops, pert: PerturbationSpec, alpha: complex, initial_level: str = "e") -> ProtocolResult:
     """|Psi_f> = U^dag U_pert U |level, alpha> with exact branch algebra.
 
     The joint state keeps both TLS branches on one list of K coherent
@@ -316,14 +260,11 @@ def generic_strategy(
     `conditional_phase` adds terms (a -> [a, -a]), so a sequence with c
     conditional phases ends with K <= 4^c; no terms are merged.  The result
     is the final joint state, and its `intermediate` is U |level, alpha>,
-    the exact joint state the perturbation hits.
+    the exact joint state the perturbation hits, formed when it is read.
 
-    `u_ops` is read once, so any iterable of descriptors will do.  U runs
-    in `_prepare`, which keeps the last few preparations by the exact bits
-    of the descriptors, alpha and the level: calls with one preparation, as
-    in a fringe scan, share one `intermediate` object, whose arrays are
-    read-only, and each pays only for the perturbation, U^dag and one Gram
-    contraction.  A warm call returns the bits of a cold one.
+    `u_ops` is read once, so any iterable of descriptors will do, and a
+    malformed one raises ValueError before any step runs.  Each call runs
+    U, the perturbation and U^dag, and pays one Gram contraction.
 
     The perturbation is the exact oscillator unitary on both rows, so the
     result keeps the Gaussian envelope the closed forms drop: after
@@ -335,27 +276,26 @@ def generic_strategy(
     1; a total norm off by more than 1e-9 (or NaN) raises AssertionError.
     The check reads only the row norms P_e and P_g are formed from, and it
     catches any step that is not unitary.  Gram rounding can move weight
-    between the rows while their total holds, so the norms also raise
-    AssertionError where the amplitudes are too large for P_e to be good to
-    1e-8 (max|a| above about 3.4e3; see `_row_norms`).  The echo law
+    between the rows while their total holds, so amplitudes past about
+    3.4e3, where P_e is not good to 1e-8, raise ValueError.  The echo law
     P_e = [1 +- Re<E_g alpha|E_e alpha>]/2, E_b the echo U_b^dag U_pert U_b
     of branch b, is checked by another route in the tests
     (`tests/test_protocol.py::TestGenericStrategy::test_echo_law`).
     """
     if initial_level not in ("e", "g"):
         raise ValueError("initial_level must be 'e' or 'g'")
-    start = _Exact(complex(alpha))
-    ops = tuple(u_ops)
-    intermediate = _prepare(_Exact(ops), start, initial_level)
+    ops = tuple(map(_checked, u_ops))
+    prepared = _prepare(ops, complex(alpha), initial_level)
 
-    w, a = pert.moved_terms(intermediate.weights, intermediate.amplitudes, alpha)
+    w, a = pert.moved_terms(*prepared, alpha)
     for op in reversed(ops):
         w, a = _apply_op(w, a, op, inverse=True)
-    norms = _row_norms(w, a)
+    _check_ceiling(a)
+    norms = _norms(w, a)
     total = math.hypot(*norms)
     if not abs(total - 1.0) <= 1e-9:  # phrased so that NaN fails too
         raise AssertionError(f"sequence is not unitary: final norm {total!r}, start norm 1")
-    return _joint(w, a, norms, intermediate)
+    return _joint(w, a, norms, prepared)
 
 
 # --- numeric Jaynes-Cummings oracle ---------------------------------------

@@ -18,8 +18,8 @@ point: `wigner_field` and `phase_space_overlap` are never called inside
 a loop or a comprehension there.  And `estimation` seeds no trial on its
 own: `SeedSequence` and `spawn` are never called inside a loop or a
 comprehension there.  And only `protocol._prepare` runs a step of the
-preparation U forward: U runs once per memoized preparation, never on
-the per-point path."""
+preparation U forward: U runs once per engine call, in one place, and
+every other walk of the descriptors is U^dag."""
 
 import ast
 from pathlib import Path
@@ -36,6 +36,7 @@ UNCALLED_PUBLIC = {
     "wigner.py: cross_wigner": "acceptance criterion 03 checks it, and it is the paper's object, W_kl",
     "metrology.py: sensitivity_report": "ROADMAP item 2 rebuilds it on the quantum Fisher information",
     "protocol.py: revival_time": "the last reader of JCParams.nbar, which the jc_oracle jobs pass by position",
+    "protocol.py: ProtocolResult.intermediate": "the state the perturbation hit, a field until it was formed on read",
     "states.py: inner_product": "the one public bra-ket that keeps the phase, <a|b>, beside fidelity",
     "states.py: rotate": "R(theta), the public partner of displace in the state algebra",
 }
