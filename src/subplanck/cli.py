@@ -369,18 +369,19 @@ def _cmd_overlap(args) -> int:
     header = ["magnitude", "exact", "approx"]
     columns = [sweep.magnitudes, sweep.exact, sweep.approx]
     if args.quadrature:
-        # |Tr(rho U)|^2 from the target's one field and U's Weyl symbols
+        # |Tr(rho U)|^2 from the target's one field and U's Weyl symbols, on the
+        # auto grid's box with the fewest points on which every symbol resolves
         target, magnitudes = sweep.target, sweep.magnitudes
         grid = wigner.auto_grid(target, metrology.PerturbationSpec(sweep.kind, float(magnitudes[-1]), sweep.direction).apply(target))
         symbols = metrology._weyl_symbols(sweep.kind, magnitudes, sweep.direction)
-        resolved = wigner._resolves_symbols(target, grid, *symbols[1:])
+        resolved, fitted = wigner._symbol_grid(target, grid, *symbols[1:])
         if not resolved.all():
             thetas = np.linspace(0.0, np.pi, 4097)
             kept = wigner._resolves_symbols(target, grid, *metrology._weyl_symbols(metrology.ROTATION, thetas, None)[1:])
             raise ValueError(f"--s-max {args.s_max:g}: the quadrature grid aliases U at {magnitudes[~resolved][0]:.6g}; "
                              f"it resolves rotations up to {np.max(thetas[kept], initial=0.0):.3f} rad (mod 2 pi)")
         header.append("quadrature")
-        columns.append(states._abs_sq(wigner._unitary_traces(wigner.wigner_field(target, grid), *symbols)))
+        columns.append(states._abs_sq(wigner._unitary_traces(wigner._field(target, fitted), *symbols)))
     config = _config_string(args, ["alpha", "m", "gammas", "pert", "phi", "s_max", "points", "quadrature"])
     _atomic_write(args.out, _csv_bytes(config, header, columns))
     return 0

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -128,7 +129,8 @@ def _fringe_weights(regime: str, alpha: complex, kind: str, direction: float | N
     Delta = 4 |alpha| s cos(phi - axis), or 4 |alpha|^2 theta for rotations,
     with the sensitive axis (a None direction's default) orthogonal to alpha
     for dispersive and along it for resonant; dt_fraction (1 for dispersive)
-    scales Delta by sin(pi dt_fraction / 2)."""
+    scales Delta by sin(pi dt_fraction / 2).  ValueError where e^{i Delta}
+    rounds P_e by eps |Delta| > 1e-8, the tolerance of `normalized()`."""
     dispersive = regime == "dispersive"
     if not (0.0 < dt_fraction <= 1.0) or (dispersive and dt_fraction != 1.0):
         raise ValueError(f"dt_fraction must lie in (0, 1], and be 1 for the dispersive sequence, got {dt_fraction!r}")
@@ -141,7 +143,11 @@ def _fringe_weights(regime: str, alpha: complex, kind: str, direction: float | N
     else:
         phi_rel = direction - float(np.angle(alpha)) if direction is not None else np.pi / 2.0 if dispersive else 0.0
         delta = 4.0 * a_abs * magnitudes * (np.sin(phi_rel) if dispersive else np.cos(phi_rel))
-    turn = np.exp(1j * (delta * math.sin(np.pi * dt_fraction / 2.0)))
+    delta = delta * math.sin(np.pi * dt_fraction / 2.0)
+    peak = abs(delta) if isinstance(delta, float) else np.abs(delta).max(initial=0.0)
+    if not peak * sys.float_info.epsilon <= 1e-8:  # phrased so that NaN fails too
+        raise ValueError(f"fringe phase Delta reaches {peak:.3g}, where rounding moves P_e by more than 1e-8")
+    turn = np.exp(1j * delta)
     if dispersive:
         return 0.5 * (1.0 - turn), 0.5 * (1.0 + turn)
     # w_g = 0.5 e^{-i arg alpha} (1 - turn) in real parts, as numpy's vectorized
@@ -290,6 +296,8 @@ def generic_strategy(u_ops, pert: PerturbationSpec, alpha: complex, initial_leve
     w, a = pert.moved_terms(*prepared, alpha)
     for op in reversed(ops):
         w, a = _apply_op(w, a, op, inverse=True)
+    if w is prepared[0]:  # rotations alone leave U's weights as they were
+        w = w.copy()
     _check_ceiling(a)
     norms = _norms(w, a)
     total = math.hypot(*norms)

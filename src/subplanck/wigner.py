@@ -42,8 +42,10 @@ imaginary part above 1e-10, and a unitary's trace on a non-finite value or
 a modulus above 1 + 1e-10.
 
 Grids must resolve the fringes: W_kl oscillates at 2|a_k - a_l|, so the
-step rule h <= pi / (8 |a|_max) keeps the trapezoid rule spectrally
-accurate (each Gaussian component sits well inside the alias-free band).
+step rule h <= pi / (8 |a|_max) of `auto_grid` keeps renders and field
+overlaps spectrally accurate (each Gaussian component sits well inside the
+alias-free band).  Traces against symbols need only their alias margin, on
+the fewest points of `auto_grid`'s box that keep it (`_symbol_grid`).
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -239,10 +241,8 @@ def _axis_factors(points: np.ndarray, centres: np.ndarray, wavenumbers: np.ndarr
     return np.ascontiguousarray(np.concatenate([upper, np.conj(upper)]).take(column, axis=0).T)
 
 
-def wigner_field(state: CoherentSuperposition, grid: PhaseSpaceGrid) -> WignerField:
-    """W(p) = sum_{k,l} w_k conj(w_l) W_kl(p) on the grid, as the per-axis
-    factors of all M^2 cross terms (see the module docstring).  A non-finite
-    factor or coefficient raises FloatingPointError."""
+def _field(state: CoherentSuperposition, grid: PhaseSpaceGrid, underresolved: bool = False) -> WignerField:
+    """`wigner_field` without the step-rule check."""
     w, a = state.weights, state.amplitudes
     mid, kx, ky, phi = _cross_terms(a[:, None], a[None, :])
     coeffs = (2.0 * (w[:, None] * np.conj(w)[None, :]) * np.exp(1j * phi)).ravel()
@@ -252,11 +252,19 @@ def wigner_field(state: CoherentSuperposition, grid: PhaseSpaceGrid) -> WignerFi
         bad = sum(int(np.count_nonzero(~np.isfinite(part))) for part in (coeffs, g, h))
         if bad:
             raise FloatingPointError(f"Wigner factors have {bad} non-finite entries")
+    return WignerField(grid, g, coeffs, h, underresolved)
+
+
+def wigner_field(state: CoherentSuperposition, grid: PhaseSpaceGrid) -> WignerField:
+    """W(p) = sum_{k,l} w_k conj(w_l) W_kl(p) on the grid, as the per-axis
+    factors of all M^2 cross terms (see the module docstring).  A non-finite
+    factor or coefficient raises FloatingPointError."""
     resolved = grid.resolves(state.max_amplitude)
+    field = _field(state, grid, not resolved)
     if not resolved:
         warnings.warn(f"grid step {grid.step:.4f} exceeds pi/(8*{state.max_amplitude:.3f}); interference fringes are "
                       "under-resolved", UnderresolvedGridWarning, stacklevel=2)
-    return WignerField(grid, g, coeffs, h, not resolved)
+    return field
 
 
 def _trapezoid_weights(points: np.ndarray) -> np.ndarray:
@@ -280,19 +288,28 @@ def _weighted_sum(field: WignerField, e_x: np.ndarray, e_y: np.ndarray, rule: in
 _ALIAS_MARGIN = 16.0
 
 
-def _resolves_symbols(state: CoherentSuperposition, grid: PhaseSpaceGrid, kx, ky, chirp) -> np.ndarray:
-    """Whether the grid resolves W_state times each symbol of `_unitary_traces`.
+def _symbol_grid(state: CoherentSuperposition, grid: PhaseSpaceGrid, kx, ky, chirp) -> tuple:
+    """Whether `grid` resolves W_state times each symbol of `_unitary_traces`,
+    and grid's box with the fewest odd point counts on which all of them do.
     Times e^{i(kx x + 2t x^2)}, a term's factor at c has wavenumber k + kappa,
     kappa = kx + 4tc, and spectrum |FT| ~ e^{-(xi - k - kappa)^2 / (8 (1 + t^2))};
     it must end _ALIAS_MARGIN sqrt(1 + t^2) below 2 pi / h, on both axes."""
     mid, wave_x, wave_y, _ = _cross_terms(state.amplitudes[:, None], state.amplitudes)
     t = np.asarray(chirp, dtype=float)[:, None]
-    resolved = True
-    for points, centres, waves, kappa in ((grid.re_points, mid.real, wave_x, kx), (grid.im_points, mid.imag, wave_y, ky)):
+    margin = _ALIAS_MARGIN * np.sqrt(1.0 + t[:, 0] ** 2)
+    resolved, counts = True, []
+    for extent, n, centres, waves, kappa in ((grid.re_max - grid.re_min, grid.nx, mid.real, wave_x, kx),
+                                             (grid.im_max - grid.im_min, grid.ny, mid.imag, wave_y, ky)):
         reach = np.max(np.abs(waves.ravel() + np.asarray(kappa)[:, None] + 4.0 * t * centres.ravel()), axis=1)
-        band = 2.0 * np.pi * (points.size - 1) / (points[-1] - points[0])
-        resolved = resolved & (band - reach >= _ALIAS_MARGIN * np.sqrt(1.0 + t[:, 0] ** 2))
-    return resolved
+        resolved = resolved & (2.0 * np.pi * (n - 1) / extent - reach >= margin)
+        least = math.ceil(float(np.max(reach + margin)) * extent / (2.0 * np.pi)) + 1
+        counts.append(least + 1 - least % 2)
+    return resolved, replace(grid, nx=counts[0], ny=counts[1])
+
+
+def _resolves_symbols(state: CoherentSuperposition, grid: PhaseSpaceGrid, kx, ky, chirp) -> np.ndarray:
+    """Whether `grid` resolves W_state times each symbol (see `_symbol_grid`)."""
+    return _symbol_grid(state, grid, kx, ky, chirp)[0]
 
 
 def _unitary_traces(field: WignerField, scale, kx, ky, chirp) -> np.ndarray:

@@ -421,8 +421,9 @@ class TestOverlapCommand:
         np.testing.assert_allclose(rows[:, 3], rows[:, 1], atol=1e-6)
 
     def test_quadrature_column_large_compass(self, tmp_path):
-        # |alpha| = 20 needs a 2463 x 2459 grid; the factor-space quadrature
-        # stays at the Gram overlap through the first dark fringe
+        # |alpha| = 20 needs a 737 x 737 grid (2463 x 2459 by the render step
+        # rule); the factor-space quadrature stays at the Gram overlap through
+        # the first dark fringe
         out = tmp_path / "ovq20.csv"
         assert main([
             "overlap", "--alpha", "0+20i", "--m", "4", "--s-max", "0.1", "--points", "9",
@@ -444,7 +445,8 @@ class TestOverlapCommand:
     @pytest.mark.parametrize("kind,s_max", [("rotation", "0.1"), ("displacement", "0.4")])
     def test_quadrature_is_one_field_and_no_overlap(self, tmp_path, monkeypatch, kind, s_max):
         # the column traces each perturbation's Weyl symbol against the
-        # target's one field: no perturbed field, no field overlap
+        # target's one field: no perturbed field, no field overlap, and no
+        # render field (`wigner_field` builds through `_field` too)
         calls = Counter()
 
         def counting(name):
@@ -455,12 +457,12 @@ class TestOverlapCommand:
                 return original(*args, **kwargs)
             return call
 
-        for name in ("wigner_field", "phase_space_overlap"):
+        for name in ("_field", "wigner_field", "phase_space_overlap"):
             monkeypatch.setattr(wigner, name, counting(name))
         out = tmp_path / "ovq.csv"
         assert main(["overlap", "--alpha", "0+4i", "--m", "4", "--pert", kind, "--s-max", s_max, "--points", "9",
                      "--quadrature", "--out", str(out)]) == 0
-        assert calls == Counter(wigner_field=1)
+        assert calls == Counter(_field=1)
         _, _, rows = _read_csv(out)
         assert np.max(np.abs(rows[:, 3] - rows[:, 1])) <= 1e-12
 
@@ -483,6 +485,15 @@ class TestOverlapCommand:
                      "--quadrature", "--out", str(out)]) == 0
         _, _, rows = _read_csv(out)
         assert np.max(np.abs(rows[:, 3] - rows[:, 1])) <= 1e-12
+
+    @pytest.mark.parametrize("kind,s_max", [("displacement", "0.4"), ("rotation", "0.1")])
+    def test_benchmark_quadrature_columns_write_nothing_to_stderr(self, tmp_path, capsys, kind, s_max):
+        # the column's grid is sized from its symbols: no render warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["overlap", "--alpha=0+4i", "--m", "4", "--gammas", "0.3,1.7,2.9,5.1", "--pert", kind,
+                         "--s-max", s_max, "--points", "129", "--quadrature", "--out", str(tmp_path / "q.csv")]) == 0
+        assert caught == [] and capsys.readouterr().err == ""
 
     @given(
         st.integers(min_value=1, max_value=8),
@@ -581,6 +592,23 @@ class TestProtocolCommand:
             ]) == 1
         assert capsys.readouterr().err == "error: perturbation magnitude must be finite and >= 0, got inf\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_fringe_phase_past_the_rounding_limit_is_refused(self, tmp_path, capsys):
+        # Delta up to 4e12, where e^{i Delta} keeps about 4 digits of P_e
+        assert main(["protocol", "--regime", "dispersive", "--alpha", "1e12", "--s-max", "1", "--points", "3",
+                     "--out", str(tmp_path / "big.csv")]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: fringe phase Delta reaches 4e+12"), captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fringe_phase_just_below_the_rounding_limit_runs(self, tmp_path):
+        # Delta up to 4.4e7, below the 1e-8 / eps = 4.5e7 the check allows
+        out = tmp_path / "edge.csv"
+        assert main(["protocol", "--regime", "dispersive", "--alpha", "1.1e7", "--s-max", "1", "--points", "3",
+                     "--out", str(out)]) == 0
+        _, _, rows = _read_csv(out)
+        np.testing.assert_allclose(rows[:, 1] + rows[:, 2], 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("regime", ["dispersive", "resonant"])
     def test_grid_is_one_evaluation(self, tmp_path, monkeypatch, regime):
@@ -921,23 +949,23 @@ class TestPinnedOutputs:
             "043669972630de55ba3704903b6df45d5517c82942928d6e7e50a2c891efda3b",
         ),
         # the quadrature columns are pinned as of the Weyl-symbol traces from
-        # one field; they moved by <= 3.6e-15 from the field-overlap column
-        # before them, and sit <= 7e-15 from the exact column
+        # one field on a grid sized from the symbols; they sit <= 1e-14 from
+        # the exact column
         "overlap_quadrature": (
             ["overlap", "--alpha", "0+4i", "--m", "2", "--s-max", "0.4", "--points", "33", "--quadrature"],
-            "85fd18a46330a0f91321030d52ed4915da928a48bdee62d52b08dcbfcb4e5d90",
+            "2e8daf60a2039da4906d087e67e03fbb6e233b7ddb39cecfd02af367bee6e301",
         ),
         # the compass's quadrature columns, as the benchmark's phase_space
         # jobs run them, at 33 points
         "overlap_quadrature_rotation": (
             ["overlap", "--alpha", "0+4i", "--m", "4", "--gammas", "0.3,1.7,2.9,5.1", "--pert", "rotation",
              "--s-max", "0.1", "--points", "33", "--quadrature"],
-            "24a5e6ddc5486ffb840dae12ff138f29f102003781f5cb7f7aa7dd258a7fde32",
+            "56f34bf164bf97f167923a0ae88701f7542a49314c4acef48361405fc558f733",
         ),
         "overlap_quadrature_displacement": (
             ["overlap", "--alpha", "0+4i", "--m", "4", "--gammas", "0.3,1.7,2.9,5.1", "--pert", "displacement",
              "--s-max", "0.4", "--points", "33", "--quadrature"],
-            "aac9f36f7fc03978eab810aed4600a93174744894687f4d4e3e30b950ac441ee",
+            "8aa223a8956b59188ff2f088a82cea06bfbfe0f964364fabad500eaa375f370f",
         ),
     }
 

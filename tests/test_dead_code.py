@@ -386,7 +386,7 @@ def test_values_reader_check_catches_readers():
     assert values_readers(tree) == ["RASTER", "_cmd_a", "_cmd_b"]
 
 
-PER_POINT_FIELD_CALLS = {"wigner_field", "phase_space_overlap"}
+PER_POINT_FIELD_CALLS = {"_field", "wigner_field", "phase_space_overlap"}
 PER_TRIAL_SEED_CALLS = {"SeedSequence", "spawn"}
 
 

@@ -197,6 +197,20 @@ def test_fringe_kernel_on_a_grid_matches_the_closed_forms(sweep):
     assert states._abs_sq(w_e).tolist() == [r.p_e for r in results]
     assert states._abs_sq(w_g).tolist() == [r.p_g for r in results]
 
+@pytest.mark.parametrize("regime", ["dispersive", "resonant"])
+@pytest.mark.parametrize("kind", ["displacement", "rotation"])
+def test_fringe_phase_past_the_rounding_limit_raises(regime, kind):
+    # e^{i Delta} rounds its phase by about eps |Delta|, which passes 1e-8 at
+    # |Delta| = 4.5e7; Delta = 16 s or 64 theta at |alpha| = 4, for scalar
+    # and array magnitudes alike
+    limit = 1e-8 / np.finfo(float).eps / (16.0 if kind == "displacement" else 64.0)
+    for mags in (0.99 * limit, np.array([0.0, 0.99 * limit])):
+        w_e, w_g = _fringe_weights(regime, ALPHA, kind, None, mags, 1.0)
+        assert np.all(np.isfinite(w_e)) and np.all(np.isfinite(w_g))
+    for mags in (1.01 * limit, np.array([0.0, 1.01 * limit]), np.nan):
+        with pytest.raises(ValueError, match="fringe phase"):
+            _fringe_weights(regime, ALPHA, kind, None, mags, 1.0)
+
 
 class TestGenericStrategy:
     def test_empty_sequence_identity(self):
@@ -316,6 +330,16 @@ class TestGenericStrategy:
         assert calls["gram"] == 2
         assert res.intermediate is inter
         assert calls["gram"] == 2
+
+    @pytest.mark.parametrize("ops", [[], [("rotate", 0.2)]], ids=["0_ops", "rotate"])
+    def test_result_shares_no_array_with_its_intermediate(self, ops):
+        # rotations alone leave U's weights as they were; a write to the
+        # result before the first read of its intermediate must not reach it
+        res = generic_strategy(ops, PerturbationSpec("rotation", 0.1), 4j)
+        res.weights[0, 0] = 99
+        assert res.intermediate.weights[0, 0] == 1.0
+        assert not np.shares_memory(res.weights, res.intermediate.weights)
+        assert not np.shares_memory(res.amplitudes, res.intermediate.amplitudes)
 
     @pytest.mark.parametrize("level", ["e", "g"])
     @pytest.mark.parametrize("phase", [0.0, 0.3, np.pi / 2], ids=["real", "phase_0.3", "imaginary"])

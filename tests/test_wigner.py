@@ -295,6 +295,40 @@ class TestSymbolTraces:
         assert kept.all() if kind == "displacement" else kept[magnitudes.size // 2]
         assert np.max(np.abs(traces - exact)) <= 1e-12
 
+    @given(
+        st.integers(min_value=1, max_value=16),
+        st.floats(min_value=0.2, max_value=20.0),
+        st.floats(min_value=-np.pi, max_value=np.pi),
+        st.floats(min_value=-3.0, max_value=3.0),
+        st.sampled_from(["displacement", "rotation"]),
+        st.floats(min_value=0.0, max_value=4.0 * np.pi),
+        st.floats(min_value=-np.pi, max_value=np.pi),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_column_grid_is_the_fewest_points_that_resolve_every_symbol(self, m, radius, phase, shift, kind, reach,
+                                                                         direction):
+        # the column's grid keeps the auto grid's box with the fewest odd
+        # counts on which every symbol it traces resolves: two fewer points
+        # on either axis alias one, neither axis has more points than the
+        # step rule gives, and the traces stay at the Gram amplitudes
+        gammas = np.random.default_rng(m).uniform(0.0, 2.0 * np.pi, m)
+        state = displace(make_circular_state(radius * np.exp(1j * phase), m, gammas), shift * np.exp(0.7j))
+        magnitudes = np.linspace(-reach, reach, 17) if kind == "rotation" else np.linspace(0.0, reach, 9)
+        grid = auto_grid(state, metrology.PerturbationSpec(kind, reach, direction).apply(state))
+        symbols = metrology._weyl_symbols(kind, magnitudes, direction)
+        kept = wigner._resolves_symbols(state, grid, *symbols[1:])
+        symbols = [part[kept] for part in symbols]
+        resolved, fitted = wigner._symbol_grid(state, grid, *symbols[1:])
+        assert resolved.all() and wigner._resolves_symbols(state, fitted, *symbols[1:]).all()
+        assert fitted == dataclasses.replace(grid, nx=fitted.nx, ny=fitted.ny)
+        assert fitted.nx % 2 == fitted.ny % 2 == 1 and fitted.nx <= grid.nx and fitted.ny <= grid.ny
+        for fewer in (dataclasses.replace(fitted, nx=fitted.nx - 2), dataclasses.replace(fitted, ny=fitted.ny - 2)):
+            assert not wigner._resolves_symbols(state, fewer, *symbols[1:]).all()
+        traces = wigner._unitary_traces(wigner._field(state, fitted), *symbols)
+        moved = metrology._perturbed_terms(kind, magnitudes[kept][:, None], direction, state.weights, state.amplitudes)
+        exact = _braket(state.weights, state.amplitudes, *moved)
+        assert np.max(np.abs(traces - exact)) <= 1e-12
+
     def test_whole_turns_keep_full_accuracy(self):
         # theta - 2 pi round(theta / 2 pi) would be off by 1e-9 here
         state = displace(make_circular_state(2j, 2, [0.0, 0.0]), 2j)
