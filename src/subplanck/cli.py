@@ -261,6 +261,9 @@ def _pgm_bytes(raster: np.ndarray) -> bytearray:
 
 
 def _gammas(arg: str | None, m: int) -> np.ndarray:
+    """The --gammas phases of an --m component circle, zeros by default."""
+    if m < 1:  # before any array of m phases is formed
+        raise ValueError(f"--m must be at least 1, got {m}")
     if arg is None:
         return np.zeros(m)
     try:
@@ -281,14 +284,14 @@ _MAX_AMPLITUDE = 2.0**510
 
 def _check_amplitudes(*moves):
     """Before any arithmetic, ValueError naming the first flag of `moves`
-    whose amplitudes pass _MAX_AMPLITUDE: each (flag, modulus) moves the
-    amplitudes up to `modulus` further from the origin, in the order the
-    command applies them."""
+    whose amplitudes pass _MAX_AMPLITUDE or are NaN: each (flag, modulus)
+    moves the amplitudes up to `modulus` further from the origin, in the
+    order the command applies them."""
     reach = 0.0
     for flag, modulus in moves:
         reach += modulus
-        if reach > _MAX_AMPLITUDE:
-            raise ValueError(f"{flag} gives amplitudes of modulus up to {reach:.3g}, beyond {_MAX_AMPLITUDE:.3g}")
+        if not reach <= _MAX_AMPLITUDE:  # phrased so that NaN fails too
+            raise ValueError(f"{flag} gives amplitudes of modulus up to {reach:.3g}; commands allow at most {_MAX_AMPLITUDE:.3g}")
 
 
 def _modulus(z: complex) -> float:

@@ -51,10 +51,14 @@ def _gram(bra_amps: np.ndarray, ket_amps: np.ndarray) -> np.ndarray:
     """Matrix of coherent overlaps G[..., k, l] = <bra_k|ket[..., l]>.
 
     Leading axes of the ket broadcast: a (P, M) stack of ket amplitudes
-    gives a (P, M, M) stack of Gram blocks, one per row."""
+    gives a (P, M, M) stack of Gram blocks, one per row.  The exponent is
+    formed and exponentiated in one buffer, with the bits of the expression
+    -0.5 (|b|^2 + |k|^2) + conj(b) k."""
     b = bra_amps[:, None]
     k = ket_amps[..., None, :]
-    return np.exp(-0.5 * (np.abs(b) ** 2 + np.abs(k) ** 2) + np.conj(b) * k)
+    g = np.conj(b) * k
+    g += -0.5 * (np.abs(b) ** 2 + np.abs(k) ** 2)
+    return np.exp(g, out=g)
 
 
 def _braket(bra_w: np.ndarray, bra_a: np.ndarray, ket_w: np.ndarray, ket_a: np.ndarray):

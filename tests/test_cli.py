@@ -783,11 +783,26 @@ class TestDeterminismAndErrors:
             (["wigner", "--alpha", "4i", "--m", "2", "--gammas", "0,x", "--out", "bad"], "--gammas"),
             (["overlap", "--alpha", "4i", "--m", "2", "--gammas", "0,x", "--s-max", "0.1", "--out", "bad.csv"],
              "--gammas"),
+            # a NaN modulus passed the amplitude ceiling's test and failed
+            # later, in a message that named no flag
+            (["wigner", "--alpha", "nan", "--out", "bad"], "--alpha"),
+            (["wigner", "--alpha", "4i", "--displace", "nan", "--out", "bad"], "--displace"),
+            (["overlap", "--alpha", "nan", "--s-max", "0.1", "--out", "bad.csv"], "--alpha"),
+            (["overlap", "--alpha", "nan+1i", "--pert", "rotation", "--s-max", "0.01", "--out", "bad.csv"], "--alpha"),
+            (["protocol", "--regime", "dispersive", "--alpha", "nan", "--s-max", "0.1", "--out", "bad.csv"], "--alpha"),
+            (["protocol", "--regime", "resonant", "--alpha", "nan", "--s-max", "0.1", "--out", "bad.csv"], "--alpha"),
+            (["estimate", "--alpha", "nan", "--out", "bad.csv"], "--alpha"),
+            # a component count below 1 reached the phases first
+            (["overlap", "--alpha", "4i", "--m", "-2", "--s-max", "0.1", "--out", "bad.csv"], "--m"),
+            (["wigner", "--alpha", "4i", "--m", "-1", "--gammas", "1", "--out", "bad"], "--m"),
+            (["wigner", "--alpha", "4i", "--m", "0", "--out", "bad"], "--m"),
         ],
         ids=["overlap_s_max_overflows", "overlap_alpha_overflows", "wigner_s_overflows", "estimate_zero_alpha",
              "estimate_alpha_overflows", "estimate_repetitions_beyond_int64", "feasibility_zero_period",
              "protocol_alpha_overflows", "protocol_s_max_overflows", "wigner_infinite_gamma", "overlap_infinite_gamma",
-             "wigner_unparsable_gamma", "overlap_unparsable_gamma"],
+             "wigner_unparsable_gamma", "overlap_unparsable_gamma", "wigner_nan_alpha", "wigner_nan_displace",
+             "overlap_nan_alpha", "overlap_rotation_nan_alpha", "protocol_dispersive_nan_alpha", "protocol_resonant_nan_alpha",
+             "estimate_nan_alpha", "overlap_negative_m", "wigner_negative_m_with_gammas", "wigner_zero_m"],
     )
     def test_out_of_range_input_names_its_flag(self, tmp_path, argv, flag):
         # one error line that names the flag: no numpy warning, no traceback

@@ -19,7 +19,9 @@ a loop or a comprehension there.  And `estimation` seeds no trial on its
 own: `SeedSequence` and `spawn` are never called inside a loop or a
 comprehension there.  And only `protocol._prepare` runs a step of the
 preparation U forward: U runs once per engine call, in one place, and
-every other walk of the descriptors is U^dag."""
+every other walk of the descriptors is U^dag.  And no function in
+`metrology` calls the exact kernel `_exact_overlaps` on a one-point array
+literal: the first-zero search evaluates stacks of magnitudes."""
 
 import ast
 from pathlib import Path
@@ -226,6 +228,31 @@ def forward_step_callers(tree: ast.Module) -> list[str]:
                 inverse = next((k.value for k in node.keywords if k.arg == "inverse"), node.args[3] if len(node.args) > 3 else None)
                 if not (isinstance(inverse, ast.Constant) and inverse.value is True):
                     found.add(", ".join(_bound_names(stmt)) or f"line {stmt.lineno}")
+    return sorted(found)
+
+
+def _one_point_literal(node: ast.AST) -> bool:
+    """A one-element list or tuple display, bare or wrapped in an `array` or
+    `asarray` call (`np.array([x])`)."""
+    if isinstance(node, ast.Call) and _callee(node) in ("array", "asarray") and node.args:
+        node = node.args[0]
+    return isinstance(node, (ast.List, ast.Tuple)) and len(node.elts) == 1
+
+
+def one_point_kernel_calls(tree: ast.Module, callee: str) -> list[str]:
+    """Top-level definitions of a module, or methods of its classes (named
+    `Class.method`), that call `callee` (bare or as an attribute) with a
+    one-point array literal among its arguments; unnamed statements are
+    named by their line."""
+    found = set()
+    for stmt in tree.body:
+        inner = isinstance(stmt, ast.ClassDef)
+        for unit in stmt.body if inner else [stmt]:
+            for node in ast.walk(unit):
+                if isinstance(node, ast.Call) and _callee(node) == callee and any(
+                        _one_point_literal(arg) for arg in [*node.args, *(k.value for k in node.keywords)]):
+                    name = ", ".join(_bound_names(unit)) or f"line {unit.lineno}"
+                    found.add(f"{stmt.name + '.' if inner else ''}{name}")
     return sorted(found)
 
 
@@ -447,6 +474,34 @@ def test_forward_step_check_catches_other_callers():
         "    return w, a, '_apply_op(w, a, op, inverse=False)'\n"
     )
     assert forward_step_callers(tree) == ["_prepare", "generic_strategy", "positional", "unset"]
+
+
+def test_metrology_evaluates_no_one_point_kernel():
+    assert one_point_kernel_calls(_parse(PACKAGE / "metrology.py"), "_exact_overlaps") == []
+
+
+def test_one_point_kernel_check_catches_scalar_searches():
+    # a nested helper of a method (as the golden-section search had), a bare
+    # list, an asarray by keyword and a tuple at module level each count; a
+    # stack of magnitudes, a two-point literal, a one-point array passed to
+    # another function and a mention in a string do not
+    tree = ast.parse(
+        "class OverlapSweep:\n"
+        "    def first_fringe_zero(self):\n"
+        "        def overlap(mag):\n"
+        "            return float(_exact_overlaps(self.target, self.kind, self.direction, np.array([mag]))[0])\n"
+        "        return _golden_minimum(overlap, 0.0, 1.0, 1e-12)\n"
+        "    def stacked(self, mags):\n        return _exact_overlaps(self.target, self.kind, None, mags)\n"
+        "def bare(t, s):\n    return _exact_overlaps(t, 'rotation', None, [s])\n"
+        "def keyword(t, s):\n    return metrology._exact_overlaps(t, 'rotation', None, magnitudes=np.asarray([s]))\n"
+        "ZERO = _exact_overlaps(TARGET, 'rotation', None, (0.0,))\n"
+        "def pair(t, a, b):\n    return _exact_overlaps(t, 'rotation', None, np.array([a, b]))\n"
+        "def other(t, s):\n    return _approx_overlaps(2, 4j, 'rotation', None, np.array([s])), '_exact_overlaps(np.array([s]))'\n"
+        "def sweep(t, lo, hi):\n    return _exact_overlaps(t, 'rotation', None, np.linspace(lo, hi, 33))\n"
+    )
+    assert one_point_kernel_calls(tree, "_exact_overlaps") == [
+        "OverlapSweep.first_fringe_zero", "ZERO", "bare", "keyword",
+    ]
 
 
 def test_trapezoid_weights_are_formed_once_per_grid():

@@ -273,3 +273,69 @@ class TestSweepKernel:
             counts.append(dict(calls))
         assert counts[0] == counts[1]
         assert counts[0]["gram"] >= 1
+
+
+class TestFirstZeroSearch:
+    def test_seeded_zeros_are_minima_below_half(self):
+        # phi within a quarter turn of the maximum-sensitivity direction, so
+        # the first fringe dips and rises again inside the default range
+        rng = np.random.default_rng(39)
+        for case in range(48):
+            m = int(rng.integers(2, 9))
+            kind = ("displacement", "rotation")[case % 2]
+            alpha = rng.uniform(2.0, 12.0) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+            gammas = rng.uniform(-np.pi, np.pi, m)
+            phi = float(np.angle(alpha) + np.pi / 2 + rng.uniform(-np.pi / 4, np.pi / 4))
+            sweep = overlap_sweep(alpha, m, gammas, kind, phi, None, 257)
+            s = sweep.first_fringe_zero()
+            near = np.array([s * (1 - 1e-6), s, s * (1 + 1e-6)])
+            below, at, above = metrology._exact_overlaps(sweep.target, kind, sweep.direction, near)
+            assert at < 0.5 and at <= below and at <= above, (m, kind, alpha, s)
+
+    @pytest.mark.parametrize(
+        "args,kwargs,golden",
+        [
+            ((4j, 2), {"search_max": np.pi / 8}, 0.19634954084929004),
+            ((4j, 4), {"direction": np.pi / 4, "search_max": 0.5}, 0.27768015140304225),
+            ((4j, 2), {"kind": "rotation", "search_max": np.pi / 32}, 0.04905023038071014),
+            ((3 + 5j, 3, [0.3, 1.1, -0.7]), {}, 0.17988684972255875),
+        ],
+        ids=["cat", "compass_diagonal", "cat_rotation", "triangle_with_phases"],
+    )
+    def test_zeros_keep_the_golden_section_values(self, args, kwargs, golden):
+        # the values the one-point golden-section search located
+        assert locate_first_zero(*args, **kwargs) == pytest.approx(golden, rel=1e-7)
+
+    @pytest.mark.parametrize("kind", ["displacement", "rotation"])
+    def test_kernel_calls_per_search(self, monkeypatch, kind):
+        # one sweep, then one 33-point stack a round, 16x narrower each
+        calls = []
+        exact = metrology._exact_overlaps
+
+        def spy(target, perturbation, direction, magnitudes):
+            calls.append(np.array(magnitudes))
+            return exact(target, perturbation, direction, magnitudes)
+
+        monkeypatch.setattr(metrology, "_exact_overlaps", spy)
+        locate_first_zero(5 - 2j, 3, [0.2, -0.4, 1.0], kind)
+        sweep, *rounds = calls
+        assert sweep.size == 257
+        assert rounds and all(mags.size == 33 for mags in rounds)
+        width = rounds[0][-1] - rounds[0][0]
+        assert len(calls) <= int(np.ceil(np.log(width / 1e-12) / np.log(16))) + 2
+
+    @pytest.mark.parametrize("centre", [2.5e2, 7.3e3, 1.1e6, 3.0e15])
+    def test_search_ends_where_the_tolerance_is_below_float_spacing(self, centre):
+        # past 2^13 the spacing of floats passes 1e-12, so rounds there can
+        # stop narrowing; the round count fixed up front still ends the search
+        evaluated = []
+
+        def f(xs):
+            evaluated.append(xs.size)
+            return (xs - centre) ** 2
+
+        lo, hi = centre - 0.3, centre + 0.7
+        x = metrology._stacked_minimum(f, lo, hi, 1e-12)
+        assert len(evaluated) <= int(np.ceil(np.log((hi - lo) / 1e-12) / np.log(16)))
+        assert lo <= x <= hi
+        assert abs(x - centre) <= max(1e-12, 2 * np.spacing(centre))
