@@ -262,8 +262,6 @@ def _pgm_bytes(raster: np.ndarray) -> bytearray:
 
 def _gammas(arg: str | None, m: int) -> np.ndarray:
     """The --gammas phases of an --m component circle, zeros by default."""
-    if m < 1:  # before any array of m phases is formed
-        raise ValueError(f"--m must be at least 1, got {m}")
     if arg is None:
         return np.zeros(m)
     try:
@@ -372,27 +370,17 @@ def _cmd_overlap(args) -> int:
     header = ["magnitude", "exact", "approx"]
     columns = [sweep.magnitudes, sweep.exact, sweep.approx]
     if args.quadrature:
-        # |Tr(rho U)|^2 from the target's one field and U's Weyl symbols, on the
-        # auto grid's box with the fewest points on which every symbol resolves
-        target, magnitudes = sweep.target, sweep.magnitudes
-        grid = wigner.auto_grid(target, metrology.PerturbationSpec(sweep.kind, float(magnitudes[-1]), sweep.direction).apply(target))
-        symbols = metrology._weyl_symbols(sweep.kind, magnitudes, sweep.direction)
-        resolved, fitted = wigner._symbol_grid(target, grid, *symbols[1:])
-        if not resolved.all():
-            thetas = np.linspace(0.0, np.pi, 4097)
-            kept = wigner._resolves_symbols(target, grid, *metrology._weyl_symbols(metrology.ROTATION, thetas, None)[1:])
-            raise ValueError(f"--s-max {args.s_max:g}: the quadrature grid aliases U at {magnitudes[~resolved][0]:.6g}; "
-                             f"it resolves rotations up to {np.max(thetas[kept], initial=0.0):.3f} rad (mod 2 pi)")
+        try:
+            columns.append(sweep.quadrature())
+        except ValueError as exc:  # the grid aliases a symbol: name the flag that set the range
+            raise ValueError(f"--s-max {args.s_max:g}: {exc}") from None
         header.append("quadrature")
-        columns.append(states._abs_sq(wigner._unitary_traces(wigner._field(target, fitted), *symbols)))
     config = _config_string(args, ["alpha", "m", "gammas", "pert", "phi", "s_max", "points", "quadrature"])
     _atomic_write(args.out, _csv_bytes(config, header, columns))
     return 0
 
 
 def _cmd_protocol(args) -> int:
-    if args.points < 2:
-        raise ValueError("points must be >= 2")
     # the grid runs from 0 to s_max, so checking the extreme checks every point
     metrology.PerturbationSpec(args.pert, args.s_max, args.phi)
     _check_amplitudes(("--alpha", _modulus(args.alpha)), ("--s-max", args.s_max if args.pert == "displacement" else 0.0))
@@ -516,11 +504,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _parser = functools.cache(build_parser)  # one parser a process
+# the least value of each count flag, checked before any arithmetic
+_LEAST_COUNTS = {"m": 1, "points": 2, "nx": 2, "ny": 2, "repetitions": 1, "trials": 1, "seed": 0}
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        for key, least in _LEAST_COUNTS.items():
+            value = getattr(args, key, None)
+            if value is not None and value < least:
+                raise ValueError(f"--{key} must be at least {least}, got {value}")
         return args.func(args)
     except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

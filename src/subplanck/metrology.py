@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import wigner
 from .states import (CoherentSuperposition, _abs_sq, _braket, _check_ceiling, _moved_terms, displace, make_circular_state,
                      mean_excitation)
 
@@ -229,21 +230,34 @@ class OverlapSweep:
     target: CoherentSuperposition = field(compare=False)
 
     def first_fringe_zero(self) -> float:
-        """First overlap minimum, bracketed by the half-crossings of the
-        exact curve and narrowed to 1e-12 by `_stacked_minimum`: about ten
-        rounds, each one stack of the exact kernel at 33 magnitudes."""
+        """First overlap minimum, bracketed by the half-crossings of the exact
+        curve and narrowed to 1e-12 by `_stacked_minimum`, about ten 33-point
+        stacks.  ValueError if the curve stays above 1/2 or ends still falling."""
         below = self.exact < 0.5
         if not below.any():
             raise ValueError("sweep never crosses overlap = 1/2; extend the range")
         i0 = int(np.argmax(below))
         after = i0 + int(np.argmax(~below[i0:])) if (~below[i0:]).any() else self.magnitudes.size - 1
-        lo = float(self.magnitudes[max(i0 - 1, 0)])
-        hi = float(self.magnitudes[after])
+        lo, hi = float(self.magnitudes[max(i0 - 1, 0)]), float(self.magnitudes[after])
+        zero = _stacked_minimum(lambda mags: _exact_overlaps(self.target, self.kind, self.direction, mags), lo, hi, 1e-12)
+        if zero == self.magnitudes[-1]:
+            raise ValueError(f"sweep ends at {zero!r} with the overlap still falling; extend the range")
+        return zero
 
-        def overlaps(mags: np.ndarray) -> np.ndarray:
-            return _exact_overlaps(self.target, self.kind, self.direction, mags)
-
-        return _stacked_minimum(overlaps, lo, hi, 1e-12)
+    def quadrature(self) -> np.ndarray:
+        """|Tr(rho U)|^2 at each magnitude from the target's one field and U's
+        Weyl symbols, on the fewest points of the box of `wigner.auto_grid`
+        for the target and U(max)|target> on which all resolve; else ValueError."""
+        target, mags = self.target, self.magnitudes
+        grid = wigner.auto_grid(target, PerturbationSpec(self.kind, float(mags[-1]), self.direction).apply(target))
+        symbols = _weyl_symbols(self.kind, mags, self.direction)
+        resolved, fitted = wigner._symbol_grid(target, grid, *symbols[1:])
+        if not resolved.all():
+            thetas = np.linspace(0.0, np.pi, 4097)
+            kept = wigner._symbol_grid(target, grid, *_weyl_symbols(ROTATION, thetas, None)[1:])[0]
+            raise ValueError(f"the quadrature grid aliases U at {mags[~resolved][0]:.6g}; "
+                             f"it resolves rotations up to {np.max(thetas[kept], initial=0.0):.3f} rad (mod 2 pi)")
+        return _abs_sq(wigner._unitary_traces(wigner._field(target, fitted), *symbols))
 
 
 def overlap_sweep(

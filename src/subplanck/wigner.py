@@ -32,7 +32,7 @@ while M^2 < nx ny / (nx + ny); its Richardson error estimate sums the even
 rows.  The Weyl symbol S_U of an operator, Tr(rho U) = (1/pi) integral
 W S_U, gives Tr(rho U) at M^2 (nx + ny), and S = 1 the mass.  D(beta) and
 R(theta) have plane waves and chirps (`metrology._weyl_symbols`);
-`_resolves_symbols` refuses a chirp the grid aliases.
+`_symbol_grid` marks each chirp a grid aliases.
 
 Checks run where numbers are made: `wigner_field` raises
 FloatingPointError on a non-finite factor or coefficient, each block of
@@ -154,15 +154,13 @@ class PhaseSpaceGrid:
 
 @dataclass(frozen=True)
 class WignerField:
-    """Wigner function on a grid in factored form, W = Re(G diag(c) H^T),
-    with an under-resolution marker.  `g` is (nx, K), `coeffs` (K,) and `h`
-    (ny, K), with K = M^2 cross terms."""
+    """Wigner function on a grid in factored form, W = Re(G diag(c) H^T).
+    `g` is (nx, K), `coeffs` (K,) and `h` (ny, K), with K = M^2 cross terms."""
 
     grid: PhaseSpaceGrid
     g: np.ndarray
     coeffs: np.ndarray
     h: np.ndarray
-    underresolved: bool = False
 
     def samples(self, columns: slice) -> np.ndarray:
         """Real samples of the im columns `columns`, shape (nx, width), in an
@@ -241,7 +239,7 @@ def _axis_factors(points: np.ndarray, centres: np.ndarray, wavenumbers: np.ndarr
     return np.ascontiguousarray(np.concatenate([upper, np.conj(upper)]).take(column, axis=0).T)
 
 
-def _field(state: CoherentSuperposition, grid: PhaseSpaceGrid, underresolved: bool = False) -> WignerField:
+def _field(state: CoherentSuperposition, grid: PhaseSpaceGrid) -> WignerField:
     """`wigner_field` without the step-rule check."""
     w, a = state.weights, state.amplitudes
     mid, kx, ky, phi = _cross_terms(a[:, None], a[None, :])
@@ -252,16 +250,15 @@ def _field(state: CoherentSuperposition, grid: PhaseSpaceGrid, underresolved: bo
         bad = sum(int(np.count_nonzero(~np.isfinite(part))) for part in (coeffs, g, h))
         if bad:
             raise FloatingPointError(f"Wigner factors have {bad} non-finite entries")
-    return WignerField(grid, g, coeffs, h, underresolved)
+    return WignerField(grid, g, coeffs, h)
 
 
 def wigner_field(state: CoherentSuperposition, grid: PhaseSpaceGrid) -> WignerField:
     """W(p) = sum_{k,l} w_k conj(w_l) W_kl(p) on the grid, as the per-axis
     factors of all M^2 cross terms (see the module docstring).  A non-finite
     factor or coefficient raises FloatingPointError."""
-    resolved = grid.resolves(state.max_amplitude)
-    field = _field(state, grid, not resolved)
-    if not resolved:
+    field = _field(state, grid)
+    if not grid.resolves(state.max_amplitude):
         warnings.warn(f"grid step {grid.step:.4f} exceeds pi/(8*{state.max_amplitude:.3f}); interference fringes are "
                       "under-resolved", UnderresolvedGridWarning, stacklevel=2)
     return field
@@ -283,7 +280,7 @@ def _weighted_sum(field: WignerField, e_x: np.ndarray, e_y: np.ndarray, rule: in
     return field.coeffs @ (((field.g[rows_x].T * w_x) @ e_x) * ((field.h[rows_y].T * w_y) @ e_y))
 
 
-# the margin `_resolves_symbols` keeps below the band edge 2 pi / h, per unit
+# the margin `_symbol_grid` keeps below the band edge 2 pi / h, per unit
 # of spectral width: the first alias is down by e^{-16^2/8} = 1e-14
 _ALIAS_MARGIN = 16.0
 
@@ -307,15 +304,10 @@ def _symbol_grid(state: CoherentSuperposition, grid: PhaseSpaceGrid, kx, ky, chi
     return resolved, replace(grid, nx=counts[0], ny=counts[1])
 
 
-def _resolves_symbols(state: CoherentSuperposition, grid: PhaseSpaceGrid, kx, ky, chirp) -> np.ndarray:
-    """Whether `grid` resolves W_state times each symbol (see `_symbol_grid`)."""
-    return _symbol_grid(state, grid, kx, ky, chirp)[0]
-
-
 def _unitary_traces(field: WignerField, scale, kx, ky, chirp) -> np.ndarray:
     """Tr(rho U_p) for the state of `field` and each unitary whose Weyl symbol
     is scale e^{i(kx x + 2t x^2)} e^{i(ky y + 2t y^2)}, t = chirp, as arrays
-    over p (`metrology._weyl_symbols`; check `_resolves_symbols` first).  A
+    over p (`metrology._weyl_symbols`; check `_symbol_grid` first).  A
     non-finite trace, or one beyond modulus 1 + 1e-10, raises FloatingPointError."""
     x, y = field.grid.re_points[:, None], field.grid.im_points[:, None]
     phase_x, phase_y = kx * x + 2.0 * chirp * (x * x), ky * y + 2.0 * chirp * (y * y)

@@ -506,8 +506,8 @@ class TestOverlapCommand:
     )
     @settings(max_examples=40, deadline=None)
     def test_random_quadrature_columns_are_exact_or_refused(self, m, radius, arg, kind, s_max, points, phi):
-        # each column is within 1e-12 of its exact column, or is refused
-        # exactly where the chirp rule fails
+        # each column is the sweep's own quadrature, within 1e-12 of its
+        # exact column, or is refused exactly where the sweep refuses it
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "ovq.csv"
             alpha = radius * complex(math.cos(arg), math.sin(arg))
@@ -519,14 +519,15 @@ class TestOverlapCommand:
             code = main(argv)
             sweep = metrology.overlap_sweep(alpha, m, 0.7 * np.arange(m), kind=kind, direction=phi,
                                             max_magnitude=s_max, n_points=points)
-            last = metrology.PerturbationSpec(kind, s_max, sweep.direction).apply(sweep.target)
-            grid = wigner.auto_grid(sweep.target, last)
-            symbols = metrology._weyl_symbols(kind, sweep.magnitudes, sweep.direction)
-            resolved = wigner._resolves_symbols(sweep.target, grid, *symbols[1:]).all()
-            assert code == (0 if resolved else 1)
-            assert out.exists() == resolved
-            if resolved:
+            try:
+                quadrature = sweep.quadrature()
+            except ValueError:
+                quadrature = None
+            assert code == (1 if quadrature is None else 0)
+            assert out.exists() == (quadrature is not None)
+            if quadrature is not None:
                 _, _, rows = _read_csv(out)
+                assert np.array_equal(rows[:, 3], quadrature)
                 assert np.max(np.abs(rows[:, 3] - rows[:, 1])) <= 1e-12
 
     def test_rotation_zeros(self, tmp_path):
@@ -796,13 +797,24 @@ class TestDeterminismAndErrors:
             (["overlap", "--alpha", "4i", "--m", "-2", "--s-max", "0.1", "--out", "bad.csv"], "--m"),
             (["wigner", "--alpha", "4i", "--m", "-1", "--gammas", "1", "--out", "bad"], "--m"),
             (["wigner", "--alpha", "4i", "--m", "0", "--out", "bad"], "--m"),
+            # count flags reached the library, whose messages named no flag
+            (["overlap", "--alpha", "4i", "--s-max", "0.1", "--points", "1", "--out", "bad.csv"], "--points"),
+            (["protocol", "--regime", "dispersive", "--alpha", "4i", "--s-max", "0.1", "--points", "1", "--out",
+              "bad.csv"], "--points"),
+            (["estimate", "--alpha", "4i", "--trials", "0", "--out", "bad.csv"], "--trials"),
+            (["estimate", "--alpha", "4i", "--repetitions", "0", "--out", "bad.csv"], "--repetitions"),
+            (["estimate", "--alpha", "4i", "--seed", "-1", "--out", "bad.csv"], "--seed"),
+            (["wigner", "--alpha", "4i", "--bounds", "-1", "1", "-1", "1", "--nx", "1", "--ny", "3", "--out", "bad"],
+             "--nx"),
         ],
         ids=["overlap_s_max_overflows", "overlap_alpha_overflows", "wigner_s_overflows", "estimate_zero_alpha",
              "estimate_alpha_overflows", "estimate_repetitions_beyond_int64", "feasibility_zero_period",
              "protocol_alpha_overflows", "protocol_s_max_overflows", "wigner_infinite_gamma", "overlap_infinite_gamma",
              "wigner_unparsable_gamma", "overlap_unparsable_gamma", "wigner_nan_alpha", "wigner_nan_displace",
              "overlap_nan_alpha", "overlap_rotation_nan_alpha", "protocol_dispersive_nan_alpha", "protocol_resonant_nan_alpha",
-             "estimate_nan_alpha", "overlap_negative_m", "wigner_negative_m_with_gammas", "wigner_zero_m"],
+             "estimate_nan_alpha", "overlap_negative_m", "wigner_negative_m_with_gammas", "wigner_zero_m",
+             "overlap_one_point", "protocol_one_point", "estimate_zero_trials", "estimate_zero_repetitions",
+             "estimate_negative_seed", "wigner_one_column"],
     )
     def test_out_of_range_input_names_its_flag(self, tmp_path, argv, flag):
         # one error line that names the flag: no numpy warning, no traceback

@@ -21,7 +21,10 @@ comprehension there.  And only `protocol._prepare` runs a step of the
 preparation U forward: U runs once per engine call, in one place, and
 every other walk of the descriptors is U^dag.  And no function in
 `metrology` calls the exact kernel `_exact_overlaps` on a one-point array
-literal: the first-zero search evaluates stacks of magnitudes."""
+literal: the first-zero search evaluates stacks of magnitudes.  And no
+function in `cli` reads a private name of `wigner` or `metrology`, as an
+attribute or an import: how the quadrature column is sized, refused and
+traced is `metrology.OverlapSweep.quadrature`'s decision alone."""
 
 import ast
 from pathlib import Path
@@ -253,6 +256,26 @@ def one_point_kernel_calls(tree: ast.Module, callee: str) -> list[str]:
                         _one_point_literal(arg) for arg in [*node.args, *(k.value for k in node.keywords)]):
                     name = ", ".join(_bound_names(unit)) or f"line {unit.lineno}"
                     found.add(f"{stmt.name + '.' if inner else ''}{name}")
+    return sorted(found)
+
+
+def private_reads(tree: ast.Module, modules: set[str]) -> list[str]:
+    """`definition: module._name` for each private name of a module in
+    `modules` that a top-level statement reads as an attribute
+    (`wigner._field`) or imports (`from .wigner import _field`), named by
+    what the statement binds, or by its line."""
+    found = set()
+    for stmt in tree.body:
+        name = ", ".join(_bound_names(stmt)) or f"line {stmt.lineno}"
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                names = [(node.value.id, node.attr)]
+            elif isinstance(node, ast.ImportFrom) and node.module in modules:
+                names = [(node.module, alias.name) for alias in node.names]
+            else:
+                continue
+            found.update(f"{name}: {module}.{attr}" for module, attr in names
+                         if attr.startswith("_") and not attr.startswith("__"))
     return sorted(found)
 
 
@@ -501,6 +524,40 @@ def test_one_point_kernel_check_catches_scalar_searches():
     )
     assert one_point_kernel_calls(tree, "_exact_overlaps") == [
         "OverlapSweep.first_fringe_zero", "ZERO", "bare", "keyword",
+    ]
+
+
+QUADRATURE_OWNERS = {"wigner", "metrology"}
+
+
+def test_cli_reads_no_private_name_of_wigner_or_metrology():
+    assert private_reads(_parse(PACKAGE / "cli.py"), QUADRATURE_OWNERS) == []
+
+
+def test_private_read_check_catches_readers():
+    # an attribute read, a nested helper's read, a module-level read and an
+    # import each count; a public name, a dunder, another module's private
+    # name, a local variable named like a module and a string do not
+    tree = ast.parse(
+        "from . import metrology, protocol, states, wigner\n"
+        "from .metrology import _weyl_symbols, overlap_sweep\n"
+        "def _cmd_overlap(args, sweep):\n"
+        "    grid = wigner.auto_grid(sweep.target)\n"
+        "    return wigner._unitary_traces(wigner._field(sweep.target, grid), *_weyl_symbols('rotation', [0.1], None))\n"
+        "def _cmd_wigner(args):\n"
+        "    def blocks():\n"
+        "        yield metrology._perturbed_terms('rotation', 0.1, None, [1], [0])\n"
+        "    return list(blocks()), wigner.__name__, wigner.wigner_field\n"
+        "def _cmd_protocol(args, sweep):\n"
+        "    return protocol._fringe_weights(args), states._abs_sq(sweep.quadrature()), 'wigner._field'\n"
+        "def _cmd_local(wigner_like):\n"
+        "    metrics = wigner_like\n"
+        "    return metrics._private\n"
+        "SYMBOLS = metrology._weyl_symbols\n"
+    )
+    assert private_reads(tree, QUADRATURE_OWNERS) == [
+        "SYMBOLS: metrology._weyl_symbols", "_cmd_overlap: wigner._field", "_cmd_overlap: wigner._unitary_traces",
+        "_cmd_wigner: metrology._perturbed_terms", "_weyl_symbols, overlap_sweep: metrology._weyl_symbols",
     ]
 
 

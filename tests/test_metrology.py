@@ -292,6 +292,13 @@ class TestFirstZeroSearch:
             below, at, above = metrology._exact_overlaps(sweep.target, kind, sweep.direction, near)
             assert at < 0.5 and at <= below and at <= above, (m, kind, alpha, s)
 
+    def test_a_curve_still_falling_at_the_range_end_is_refused(self):
+        # the first fringe dips below 1/2 inside the default range pi/8 but
+        # bottoms out past it: the range end is no zero
+        with pytest.raises(ValueError, match="still falling; extend the range"):
+            locate_first_zero(4, 2, direction=0.4)
+        assert locate_first_zero(4, 2, direction=0.4, search_max=1.0) == pytest.approx(0.5042123585789255, rel=1e-9)
+
     @pytest.mark.parametrize(
         "args,kwargs,golden",
         [
@@ -339,3 +346,33 @@ class TestFirstZeroSearch:
         assert len(evaluated) <= int(np.ceil(np.log((hi - lo) / 1e-12) / np.log(16)))
         assert lo <= x <= hi
         assert abs(x - centre) <= max(1e-12, 2 * np.spacing(centre))
+
+
+class TestQuadratureColumn:
+    """`OverlapSweep.quadrature`: |Tr(rho U)|^2 from the target's one field."""
+
+    def test_seeded_columns_match_the_exact_column_where_resolved(self):
+        rng = np.random.default_rng(40)
+        resolved = Counter()
+        for case in range(48):
+            m = int(rng.integers(1, 9))
+            kind = ("displacement", "rotation")[case % 2]
+            alpha = rng.uniform(1.0, 12.0) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+            phi = float(rng.uniform(-np.pi, np.pi))
+            sweep = overlap_sweep(alpha, m, rng.uniform(-np.pi, np.pi, m), kind, phi, rng.uniform(0.0, 3.0),
+                                  int(rng.integers(5, 130)))
+            try:
+                column = sweep.quadrature()
+            except ValueError as exc:
+                assert kind == "rotation" and "resolves rotations up to" in str(exc), (case, exc)
+                continue
+            resolved[kind] += 1
+            assert column.shape == sweep.exact.shape
+            assert np.max(np.abs(column - sweep.exact)) <= 1e-12, (case, m, kind, alpha, phi)
+        # no displacement is refused; rotations are refused past about 2.4 rad, and both paths run
+        assert resolved["displacement"] == 24 and 0 < resolved["rotation"] < 24
+
+    def test_rotations_the_grid_aliases_are_refused(self):
+        sweep = overlap_sweep(4j, 4, kind="rotation", max_magnitude=3.0, n_points=64)
+        with pytest.raises(ValueError, match="resolves rotations up to 2.40"):
+            sweep.quadrature()

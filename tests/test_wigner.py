@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -117,10 +118,11 @@ class TestGrid:
 class TestWignerField:
     def test_vacuum_peak_and_mass(self):
         g = auto_grid(VACUUM)
-        f = wigner_field(VACUUM, g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UnderresolvedGridWarning)
+            f = wigner_field(VACUUM, g)
         assert f.values.max() == pytest.approx(2.0, abs=1e-9)
         assert mass(f) == pytest.approx(1.0, abs=1e-6)
-        assert not f.underresolved
 
     def test_cat_central_fringe_period(self):
         cat = make_circular_state(4j, 2, [0.0, 0.0])
@@ -159,9 +161,9 @@ class TestWignerField:
     def test_underresolved_marker(self):
         cat = make_circular_state(4j, 2, [0.0, 0.0])
         coarse = PhaseSpaceGrid(-8, 8, -10, 10, 33, 33)
-        with pytest.warns(UnderresolvedGridWarning):
-            f = wigner_field(cat, coarse)
-        assert f.underresolved
+        with pytest.warns(UnderresolvedGridWarning) as caught:
+            wigner_field(cat, coarse)
+        assert len(caught) == 1 and "under-resolved" in str(caught[0].message)
 
     @pytest.mark.parametrize(
         "alpha, m, shift", [(1.5, 1, 0.0), (4j, 2, 0.0), (3 + 1j, 3, 0.0), (4j, 4, 1 - 2j), (8j, 8, 0.0), (2.5, 16, -0.5j)]
@@ -230,8 +232,9 @@ class TestFieldOracles:
     def test_fringe_window_beyond_overflow_edge(self, m, radius):
         state = _random_state(np.random.default_rng(int(radius) + m), m, radius)
         grid = PhaseSpaceGrid(-0.5, 0.5, -0.5, 0.5, 121, 121)
-        field = wigner_field(state, grid)
-        assert not field.underresolved
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UnderresolvedGridWarning)
+            field = wigner_field(state, grid)
         assert np.all(np.isfinite(field.values))
         assert np.max(np.abs(field.values)) > 0.5  # the fringes are there, not underflowed
         want = wigner_direct(state.weights, state.amplitudes, grid.re_points[:, None] + 1j * grid.im_points)
@@ -251,7 +254,7 @@ def _symbol_traces_and_exact(state, kind, magnitudes, direction=None):
     last = metrology.PerturbationSpec(kind, float(np.max(np.abs(magnitudes))), direction).apply(state)
     grid = auto_grid(state, last)
     symbols = metrology._weyl_symbols(kind, magnitudes, direction)
-    kept = wigner._resolves_symbols(state, grid, *symbols[1:])
+    kept = wigner._symbol_grid(state, grid, *symbols[1:])[0]
     traces = wigner._unitary_traces(wigner_field(state, grid), *(part[kept] for part in symbols))
     ket_w, ket_a = metrology._perturbed_terms(kind, magnitudes[kept][:, None], direction, state.weights, state.amplitudes)
     return traces, _braket(state.weights, state.amplitudes, ket_w, ket_a), kept
@@ -316,14 +319,14 @@ class TestSymbolTraces:
         magnitudes = np.linspace(-reach, reach, 17) if kind == "rotation" else np.linspace(0.0, reach, 9)
         grid = auto_grid(state, metrology.PerturbationSpec(kind, reach, direction).apply(state))
         symbols = metrology._weyl_symbols(kind, magnitudes, direction)
-        kept = wigner._resolves_symbols(state, grid, *symbols[1:])
+        kept = wigner._symbol_grid(state, grid, *symbols[1:])[0]
         symbols = [part[kept] for part in symbols]
         resolved, fitted = wigner._symbol_grid(state, grid, *symbols[1:])
-        assert resolved.all() and wigner._resolves_symbols(state, fitted, *symbols[1:]).all()
+        assert resolved.all() and wigner._symbol_grid(state, fitted, *symbols[1:])[0].all()
         assert fitted == dataclasses.replace(grid, nx=fitted.nx, ny=fitted.ny)
         assert fitted.nx % 2 == fitted.ny % 2 == 1 and fitted.nx <= grid.nx and fitted.ny <= grid.ny
         for fewer in (dataclasses.replace(fitted, nx=fitted.nx - 2), dataclasses.replace(fitted, ny=fitted.ny - 2)):
-            assert not wigner._resolves_symbols(state, fewer, *symbols[1:]).all()
+            assert not wigner._symbol_grid(state, fewer, *symbols[1:])[0].all()
         traces = wigner._unitary_traces(wigner._field(state, fitted), *symbols)
         moved = metrology._perturbed_terms(kind, magnitudes[kept][:, None], direction, state.weights, state.amplitudes)
         exact = _braket(state.weights, state.amplitudes, *moved)
@@ -345,7 +348,7 @@ class TestSymbolTraces:
         field = wigner_field(state, grid)
         thetas = np.array([0.5, 2.0, 2.3, 2.6, 3.0])
         symbols = metrology._weyl_symbols("rotation", thetas, None)
-        kept = wigner._resolves_symbols(state, grid, *symbols[1:])
+        kept = wigner._symbol_grid(state, grid, *symbols[1:])[0]
         assert kept.tolist() == [True, True, True, False, False]
         exact = _braket(state.weights, state.amplitudes, state.weights, np.exp(1j * thetas[:, None]) * state.amplitudes)
         chirps = [np.exp(2j * symbols[3] * points[:, None] ** 2) for points in (grid.re_points, grid.im_points)]
