@@ -73,11 +73,9 @@ _G17_BYTES = 48
 
 
 def _text_rows(values, width: int | None = None) -> np.ndarray:
-    """_FLOAT_FMT text of each value, NUL-padded to `width` (default: the
-    longest), as the rows of a uint8 matrix."""
-    texts = [(_FLOAT_FMT % v).encode() for v in values]
-    width = max(map(len, texts), default=0) if width is None else width
-    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts), np.uint8).reshape(len(texts), width)
+    """_FLOAT_FMT text of each value as numpy bytes, NUL-padded to `width`
+    (default: the longest)."""
+    return np.array([(_FLOAT_FMT % v).encode() for v in values], dtype=f"S{width or ''}")
 
 
 def _kept_bytes(cls: int, kept: int) -> list[int]:
@@ -108,7 +106,8 @@ def _g17_tables():
     minus) and leading digit d, quads[q] the four digits of q < 10^4 and
     exps[e] the exponent of 10^-e; zeros[q] counts the trailing zeros of
     q's four digits, and masks[17 cls + kept - 1] is the mask of the sign
-    and `_kept_bytes`."""
+    and `_kept_bytes`, whose row for all 17 digits of 10^(16 - k) is
+    full_rows[k]; trailing zeros count down from it."""
     powers = []
     for k in range(325):
         power = 10**k
@@ -118,6 +117,9 @@ def _g17_tables():
         lo = (power * (1 << 52) - mantissa * (1 << shift)) / (1 << (shift + 52))
         powers.append((shift, top / (1 << 52), (mantissa - top) / (1 << 52), lo))
     shift, hi_h, hi_l, lo = (np.array(col) for col in zip(*powers))
+    shift = shift.astype(np.int32)  # ldexp by int32 exponents: 10x faster than by int64
+    exp10 = 16 - np.arange(325)
+    full_rows = 17 * np.where(exp10 >= -4, exp10 + 4, np.where(exp10 >= -99, 20, 21)) + 16
     heads = np.zeros((20, 8), dtype=np.uint8)  # row 10 s + d
     heads[10:, 0] = ord("-")
     heads[:, 1:6] = np.frombuffer(b"0.000", np.uint8)
@@ -126,7 +128,7 @@ def _g17_tables():
     q = np.arange(10000)
     quads = np.full((q.size, 8), ord("."), dtype=np.uint8)
     quads[:, ::2] = 48 + np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1)
-    zeros = sum(q % 10**i == 0 for i in range(1, 5))
+    zeros = sum(q % 10**i == 0 for i in range(1, 5)).astype(np.uint8)
     e = np.arange(309)
     exps = np.zeros((e.size, 8), dtype=np.uint8)
     exps[:, :2] = np.frombuffer(b"e-", np.uint8)
@@ -135,62 +137,84 @@ def _g17_tables():
     for cls in range(22):
         for kept in range(1, 18):
             masks[17 * cls + kept - 1, [0, *_kept_bytes(cls, kept)]] = 0xFF
-    tables = (shift, hi_h, hi_l, lo, zeros, *(t.view(np.uint64).ravel() for t in (heads, quads, exps)), masks.view(np.uint64))
+    tables = (shift, hi_h, hi_l, lo, zeros, *(t.view(np.uint64).ravel() for t in (heads, quads, exps)), masks.view(np.uint64),
+              full_rows)
     for table in tables:
         table.flags.writeable = False  # shared by every call
     return tables
 
 
-def _g17_text(x: np.ndarray) -> np.ndarray:
-    """_FLOAT_FMT text of each double in x, byte for byte, as the rows of an
-    (x.size, 48) uint8 matrix with NULs between and after the characters.
+def _g17_digits(x: np.ndarray) -> tuple:
+    """The 17 significant digits of each |x| as an int64, the power k of ten
+    that scales |x| to them, and whether they are exact (else `%` formats x).
 
-    The digits are exact.  For normal |x| < 1e16, with e = floor(log10|x|)
-    and k = 16 - e, V = |x| 10^k is formed as a double p plus a remainder r
-    from Dekker's exact product of |x| 2^shift with hi and the rounded
-    product with lo (see `_g17_tables`): p is an integer above 2^53, and r
-    is within 1e-14 of V - p.  The 17 digits are p + rint(r), V rounded
-    half to even, unless the fraction of r lies within 1e-6 of 1/2.  A
-    log10 that misses e by one shows as V >= 10^17 - 1/2 or V < 10^16, and
-    those go to `%` too (V within 1e-14 below 10^16 gives the same text at
-    both exponents).  Zero, subnormals, |x| >= 1e16 and non-finite values
-    go to `%` as well; no float warning fires on any input."""
-    shift, hi_h, hi_l, lo, zeros, heads, quads, exps, masks = _g17_tables()
-    x = np.asarray(x, dtype=float).ravel()
+    For normal |x| < 1e16, with e = floor(log10|x|) and k = 16 - e,
+    V = |x| 10^k is formed as a double p plus a remainder r from Dekker's
+    exact product of |x| 2^shift with hi and the rounded product with lo
+    (see `_g17_tables`): p is an integer above 2^53, and r is within 1e-14
+    of V - p.  The 17 digits are p + rint(r), V rounded half to even, unless
+    the fraction of r lies within 1e-6 of 1/2.  A log10 that misses e by
+    one shows as V >= 10^17 - 1/2 or V < 10^16, and those go to `%` too (V
+    within 1e-14 below 10^16 gives the same text at both exponents).  Zero,
+    subnormals, |x| >= 1e16 and non-finite values go to `%` as well; no
+    float warning fires on any input.  A function of its own, so that its
+    temporaries are freed before the text is formed."""
+    shift, hi_h, hi_l, lo = _g17_tables()[:4]
     mag = np.abs(x)
     fast = (mag >= np.finfo(float).tiny) & (mag < 1e16)  # False for NaN
     mag = np.where(fast, mag, 1.0)
-    exp10 = np.floor(np.log10(mag)).astype(np.intp)  # -308..16
-    k = 16 - exp10
+    k = 16 - np.floor(np.log10(mag)).astype(np.intp)  # 0..324
     scaled = np.ldexp(mag, shift[k])  # exact, in [5e15, 1.2e17)
     big = scaled * 134217729.0  # Veltkamp's split at 2^27 + 1
     top = big - (big - scaled)
     low = scaled - top
-    p = scaled * (hi_h[k] + hi_l[k])
-    r = (((top * hi_h[k] - p) + top * hi_l[k] + low * hi_h[k]) + low * hi_l[k]) + scaled * lo[k]
+    h_h, h_l = hi_h[k], hi_l[k]
+    p = scaled * (h_h + h_l)
+    r = (((top * h_h - p) + top * h_l + low * h_h) + low * h_l) + scaled * lo[k]
     whole = np.rint(r)
     digits = p.astype(np.int64) + whole.astype(np.int64)
     fast &= (np.abs(r - whole) < 0.5 - 1e-6) & ((p - 1e16) + r >= 0.0) & (digits < 10**17)
+    return digits, k, fast
 
+
+def _g17_text(x: np.ndarray) -> np.ndarray:
+    """_FLOAT_FMT text of each double in x, byte for byte, as the rows of an
+    (x.size, 48) uint8 matrix with NULs between and after the characters:
+    the exact digits of `_g17_digits` cut from the template, or `%` where
+    those are not exact."""
+    zeros, heads, quads, exps, masks, full_rows = _g17_tables()[4:]
+    x = np.asarray(x, dtype=float).ravel()
+    digits, k, fast = _g17_digits(x)
     head = digits // 10**8  # below 2^31, as is the tail: int32 divides faster
     tail = (digits - head * 10**8).astype(np.int32)
     head = head.astype(np.int32)
-    # the leading digit mod 10 keeps the index in range where p overshoots (those go to `%`)
-    chunks = np.stack([head // 10**8 % 10, head // 10**4 % 10**4, head % 10**4, tail // 10**4, tail % 10**4])
-    trailing = np.zeros(x.size, dtype=np.intp)
-    for chunk in chunks[1:]:
-        trailing = np.where(chunk == 0, trailing + 4, zeros[chunk])
-    cls = np.where(exp10 >= -4, exp10 + 4, np.where(exp10 >= -99, 20, 21))
+    # remainders as x - (x // d) d: numpy's int32 `%` is 6x slower than `//` here
+    upper, lower = head // 10**4, tail // 10**4
+    lead = upper // 10**4
+    quartets = np.stack([upper - lead * 10**4, head - upper * 10**4, lower, tail - lower * 10**4])
+    counts = np.take(zeros, quartets)
+    trailing = counts[3].copy()
+    for j, later in ((2, 4), (1, 8), (0, 12)):  # a quartet's zeros count while every later one is 0000
+        trailing += (trailing == later) * counts[j]
     words = np.empty((x.size, _G17_BYTES // 8), dtype=np.uint64)
-    words[:, 0] = heads[10 * np.signbit(x) + chunks[0]]
-    words[:, 1:5] = quads[chunks[1:].T]
-    words[:, 5] = exps[np.abs(exp10)]
-    words &= np.take(masks, 17 * cls + 16 - trailing, axis=0)  # take: 4x faster than masks[rows] here
+    # quads gathered by the contiguous quartet rows, then transposed: 3x faster
+    # than indexing by the transposed rows; the leading digit mod 10 keeps the
+    # index in range where p overshoots (those go to `%`)
+    words[:, 0] = np.take(heads, 10 * np.signbit(x) + (lead - lead // 10 * 10))
+    words[:, 1:5] = np.take(quads, quartets).T
+    words[:, 5] = np.take(exps, np.abs(16 - k))
+    words &= np.take(masks, full_rows[k] - trailing, axis=0)  # take: 4x faster than masks[rows] here
     text = words.view(np.uint8)
     slow = np.flatnonzero(~fast)
     if slow.size:
-        text[slow] = _text_rows(x[slow].tolist(), _G17_BYTES)
+        text[slow] = _text_rows(x[slow].tolist(), _G17_BYTES)[:, None].view(np.uint8)
     return text
+
+
+# lines a CSV chunk holds: a chunk's buffer, text and kernel temporaries
+# take about 300 B a line, so at 8192 lines they set a render's peak (1.2 MB
+# higher at |alpha| = 8), and fewer lines pay the kernel's fixed cost more often
+_CHUNK_LINES = 4096
 
 
 def _csv_chunks(comment: str, header: list[str], blocks, trailing_comments=()):
@@ -198,66 +222,66 @@ def _csv_chunks(comment: str, header: list[str], blocks, trailing_comments=()):
     columns in `blocks` one line per point of the grid they broadcast to, in
     C order (a table passes P-row columns, a field its (1, nx) re row, and
     a block's im column and samples), then the trailing comments.  Integers
-    are written as numpy's %d, exact over int64, everything else as
-    _FLOAT_FMT, byte for byte: a float column smaller than its grid by `%`
-    once, the full ones by the exact `_g17_text`, into NUL-padded lines
-    about 8k at a time, one chunk each.  A non-finite value raises
+    are written as numpy's %d, exact over int64, numpy bytes (`_text_rows`)
+    as they are, and everything else as _FLOAT_FMT, byte for byte: a float
+    column smaller than its grid by `%` once, the full ones by the exact
+    `_g17_text`.
+
+    A block's lines are laid out NUL-padded in one buffer of about
+    _CHUNK_LINES lines.  Its separators and newlines, and the text of a
+    column that is the same in every chunk (a field's re row), are written
+    once; each chunk writes the other values and yields the buffer with its
+    NULs dropped.  A shorter last chunk clears the lines it does not fill,
+    so no stale byte is emitted.  A non-finite value raises
     FloatingPointError before its block makes any text."""
     yield f"# subplanck {comment}\n{','.join(header)}\n".encode()
     for columns in blocks:
         columns = [np.asarray(col) for col in columns]
         for name, col in zip(header, columns):
-            if not np.all(np.isfinite(col)):
+            if col.dtype.kind != "S" and not np.all(np.isfinite(col)):
                 raise FloatingPointError(f"non-finite value in column {name!r}")
         shape = np.broadcast_shapes(*(col.shape for col in columns))
-        texts = []  # uint8 text rows, or a full float column to format a block at a time
+        texts = []  # uint8 text rows, or a full float column to format a chunk at a time
         for col in columns:
             if np.issubdtype(col.dtype, np.integer):
-                col = col.astype("S")[..., None].view(np.uint8)
-            elif col.size < math.prod(shape):
-                col = _text_rows(col.ravel().tolist()).reshape(*col.shape, -1)
+                col = col.astype("S")
+            elif col.dtype.kind != "S" and col.size < math.prod(shape):
+                col = _text_rows(col.ravel().tolist()).reshape(col.shape)
+            if col.dtype.kind == "S":
+                col = col[..., None].view(np.uint8)
             texts.append(np.broadcast_to(col, (*shape, col.shape[-1]) if col.dtype == np.uint8 else shape))
         full = [i for i, text in enumerate(texts) if text.dtype != np.uint8]
         widths = [_G17_BYTES if i in full else text.shape[-1] for i, text in enumerate(texts)]
         ends = np.cumsum([width + 1 for width in widths])  # one past each value's separator
-        step = max(1, 8192 // math.prod(shape[1:]))  # grid rows a chunk
+        slots = [slice(end - 1 - width, end - 1) for end, width in zip(ends, widths)]
+        step = max(1, min(shape[0], _CHUNK_LINES // math.prod(shape[1:])))  # grid rows a chunk
+        buffer = bytearray(step * math.prod(shape[1:]) * int(ends[-1]))
+        lines = np.frombuffer(buffer, np.uint8).reshape(step, *shape[1:], ends[-1])
+        lines[..., ends - 1] = ord(",")
+        lines[..., -1] = ord("\n")
+        varying = []
+        for i, text in enumerate(texts):
+            if i in full or text.strides[0]:
+                varying.append(i)
+            else:  # broadcast along the chunked axis
+                lines[..., slots[i]] = text[:step]
         for start in range(0, shape[0], step):
-            block = (min(step, shape[0] - start), *shape[1:])
-            parts = [text[start : start + step] for text in texts]
+            rows = min(step, shape[0] - start)
+            parts = {i: texts[i][start : start + rows] for i in varying}
             if full:  # one `_g17_text` call a chunk: its fixed cost dominates short tables
-                text = _g17_text(np.stack([parts[i] for i in full], axis=-1)).reshape(*block, len(full), _G17_BYTES)
+                text = _g17_text(np.stack([parts[i] for i in full], axis=-1)).reshape(rows, *shape[1:], len(full), _G17_BYTES)
                 for j, i in enumerate(full):
                     parts[i] = text[..., j, :]
-            lines = np.empty((*block, ends[-1]), dtype=np.uint8)
-            lines[..., ends - 1] = ord(",")
-            lines[..., -1] = ord("\n")
-            for part, end, width in zip(parts, ends, widths):
-                lines[..., end - 1 - width : end - 1] = part
-            yield lines.tobytes().translate(None, b"\0")  # 3x faster than lines[lines != 0]
+            lines[rows:] = 0  # NULs, which the translate drops
+            for i, part in parts.items():
+                lines[:rows, ..., slots[i]] = part
+            yield buffer.translate(None, b"\0")  # 3x faster than lines[lines != 0]
     yield "".join(f"# {c}\n" for c in trailing_comments).encode()
 
 
 def _csv_bytes(comment: str, header: list[str], columns, trailing_comments=()) -> bytes:
     """The whole CSV text of one block of columns (see `_csv_chunks`)."""
     return b"".join(_csv_chunks(comment, header, [columns], trailing_comments))
-
-
-def _pgm_bytes(raster: np.ndarray) -> bytearray:
-    """Binary 8-bit graymap of raster[row, column], symmetric diverging
-    map: W = 0 -> gray 128, +-max|W| -> 255/0.  Rows are quantized about
-    8k pixels at a time, so no float temporary grows with the raster."""
-    scale = max(float(raster.max()), -float(raster.min()))
-    if scale == 0.0:
-        scale = 1.0
-    ny, nx = raster.shape
-    head = f"P5\n{nx} {ny}\n255\n".encode()
-    out = bytearray(len(head) + raster.size)
-    out[: len(head)] = head
-    pixels = np.frombuffer(out, np.uint8, offset=len(head)).reshape(ny, nx)
-    step = max(1, 8192 // nx)
-    for start in range(0, ny, step):
-        pixels[start : start + step] = np.clip(np.rint(127.5 + 127.5 * raster[start : start + step] / scale), 0, 255)
-    return out
 
 
 def _gammas(arg: str | None, m: int) -> np.ndarray:
@@ -305,15 +329,21 @@ def _config_string(args, keys) -> str:
 
 # --- subcommands ------------------------------------------------------------
 
-# samples `wigner` forms at a time: a 491 x 491 field (|alpha| = 8 on its
-# auto grid) is one block, the 2447 x 2447 grid of |alpha| = 20 seven
-_BLOCK_SAMPLES = 1 << 20
+# samples `wigner` forms at a time, as whole im columns, at least 64: 64 of
+# them at every grid wider than 256 points (491 at |alpha| = 8 on its auto
+# grid), so a render holds about two blocks whatever the grid's height
+_BLOCK_SAMPLES = 1 << 15
 
 
 def _cmd_wigner(args) -> int:
     given = [flag is not None for flag in (args.bounds, args.nx, args.ny)]
     if any(given) and not all(given):
         raise ValueError("--bounds, --nx and --ny go together: give all three or none")
+    if args.bounds is not None:  # before linspace meets them, which warns on infinite bounds
+        re_min, re_max, im_min, im_max = args.bounds
+        if not (all(map(math.isfinite, args.bounds)) and re_min < re_max and im_min < im_max):
+            raise ValueError("--bounds must be finite, with RE_MIN < RE_MAX and IM_MIN < IM_MAX, got "
+                             + " ".join(map(str, args.bounds)))
     _check_amplitudes(("--alpha", _modulus(args.alpha)), ("--displace", _modulus(args.displace or 0j)),
                       ("--s", args.s if args.pert == "displacement" else 0.0))
     base = states.make_circular_state(args.alpha, args.m, _gammas(args.gammas, args.m))
@@ -339,26 +369,46 @@ def _cmd_wigner(args) -> int:
     config = _config_string(args, ["alpha", "m", "gammas", "displace", "pert", "s", "phi", "product"])
     config += f" grid=({_fmt(grid.re_min)},{_fmt(grid.re_max)},{_fmt(grid.im_min)},{_fmt(grid.im_max)}) nx={grid.nx} ny={grid.ny}"
     nx, ny = grid.nx, grid.ny
-    raster = np.empty((ny, nx))  # rows: im descending; columns: re ascending
     # blocks of im columns start at multiples of 64, as in the whole product,
     # so their samples keep its bits (see `WignerField.samples`); a last
-    # column alone joins the block below
+    # block narrower than 64 columns joins the block below, so a single
+    # column never forms alone.  Listed from the bottom row up
     width = max(64, _BLOCK_SAMPLES // nx // 64 * 64)
-    edges = [*range(0, ny - 1, width), ny]
+    edges = [*range(0, max(1, ny - 63), width), ny]
+    blocks = [slice(start, stop) for start, stop in zip(edges, edges[1:])]
 
-    def blocks():  # the raster's rows from the top, each block written before the next is formed
-        for start, stop in reversed(list(zip(edges, edges[1:]))):
-            columns = slice(start, stop)
-            samples = fields[0].samples(columns)
-            for field in fields[1:]:  # --product
-                samples *= field.samples(columns)
-            rows = raster[ny - stop : ny - start]
-            rows[...] = samples[:, ::-1].T
-            yield [grid.re_points[None, :], grid.im_points[columns][::-1, None], rows]
+    def samples(columns):  # the samples of im columns `columns`, (nx, width)
+        out = fields[0].samples(columns)
+        for field in fields[1:]:  # --product
+            out *= field.samples(columns)
+        return out
 
-    with _atomic_file(args.out + ".csv") as handle:
-        handle.writelines(_csv_chunks(config, ["re", "im", "w"], blocks()))
-    _atomic_write(args.out + ".pgm", _pgm_bytes(raster))
+    # no raster is kept: a first pass finds the graymap's scale max|W|, and the
+    # second forms each block again and writes its lines and its graymap rows,
+    # from the top row down.  The first runs from the bottom up, so the top
+    # block it forms last is the first the second writes, and is kept rather
+    # than formed again
+    scale = 0.0
+    for columns in blocks:
+        block = samples(columns)
+        top, bottom = float(block.max()), float(block.min())
+        if not (math.isfinite(top) and math.isfinite(bottom)):
+            raise FloatingPointError("non-finite value in column 'w'")
+        scale = max(scale, top, -bottom)
+    scale = scale or 1.0
+
+    def lines(pgm, block):  # the CSV's blocks of columns; each block's graymap rows follow its checked lines
+        pgm.write(f"P5\n{nx} {ny}\n255\n".encode())
+        re_row = _text_rows(grid.re_points.tolist())[None, :]  # formatted once, not once a block
+        for columns in reversed(blocks):
+            rows = (samples(columns) if block is None else block)[:, ::-1].T  # im descending, re ascending
+            block = None
+            yield [re_row, grid.im_points[columns][::-1, None], rows]
+            # symmetric diverging map: W = 0 -> gray 128, +-max|W| -> 255/0
+            pgm.write(np.clip(np.rint(127.5 + 127.5 * rows / scale), 0, 255).astype(np.uint8).tobytes())
+
+    with _atomic_file(args.out + ".csv") as csv, _atomic_file(args.out + ".pgm") as pgm:
+        csv.writelines(_csv_chunks(config, ["re", "im", "w"], lines(pgm, block)))
     return 0
 
 

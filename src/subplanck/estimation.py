@@ -182,6 +182,8 @@ def run_trials(
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
     if convention not in ("dispersive", "resonant"):
         raise ValueError("convention must be 'dispersive' or 'resonant'")
     a_abs = _alpha_magnitude(alpha)

@@ -141,6 +141,29 @@ class TestSampleText:
         want = [f"{n:d},{cli._FLOAT_FMT % x},{cli._FLOAT_FMT % -x}" for n, x in zip(ints.tolist(), floats.tolist())]
         assert lines == ["# subplanck t", "n,x,y", *want, "# end"]
 
+    @pytest.mark.parametrize("chunks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)],
+                             ids=["chunk_minus_1", "chunk", "chunk_plus_1", "twice_chunk_plus_1"])
+    def test_reused_chunk_buffer_emits_no_stale_bytes(self, chunks, extra):
+        # each block's lines share one buffer: a shorter last chunk must not
+        # repeat the lines of the chunk before it, and none may be lost.  The
+        # values shrink from line to line, so stale text would show
+        rng = np.random.default_rng(chunks + extra)
+        n = chunks * cli._CHUNK_LINES + extra
+        ints = rng.integers(-(2**62), 2**62, n)
+        floats = rng.standard_normal(n) * 10.0 ** np.linspace(5, -300, n)
+        lines = cli._csv_bytes("t", ["n", "x"], [ints, floats], ["end"]).decode().splitlines()
+        assert lines == ["# subplanck t", "n,x", *(f"{i:d},{cli._FLOAT_FMT % x}" for i, x in zip(ints.tolist(), floats.tolist())), "# end"]
+
+        nx = 100  # a field's chunk is whole grid rows: 40 of them
+        ny = chunks * (cli._CHUNK_LINES // nx) + extra
+        re, im = rng.standard_normal(nx), rng.standard_normal(ny)
+        samples = rng.standard_normal((ny, nx)) * 10.0 ** np.linspace(0, -200, ny)[:, None]
+        blocks = [[re[None, :], im[:, None], samples], [re[None, :], im[:1, None], samples[:1]]]  # and a one-row block
+        lines = b"".join(cli._csv_chunks("t", ["re", "im", "w"], blocks)).decode().splitlines()
+        want = [f"{cli._FLOAT_FMT % x},{cli._FLOAT_FMT % y},{cli._FLOAT_FMT % w}"
+                for y, row in zip([*im, im[0]], [*samples, samples[0]]) for x, w in zip(re, row)]
+        assert lines == ["# subplanck t", "re,im,w", *want]
+
     def test_non_finite_raster_raises(self):
         raster = np.zeros((3, 4))
         raster[1, 2] = np.nan
@@ -227,16 +250,20 @@ class TestWignerCommand:
 
     def test_non_finite_samples_reach_no_file(self, tmp_path, monkeypatch, capsys):
         # the writer is the last guard: samples that slip past the block
-        # kernel's own check stop the command with no file left behind, in
-        # the first of the four blocks formed or only in the last
+        # kernel's own check stop the command with no file left behind, when
+        # the pass that finds the graymap's scale meets them in the first or
+        # the last of the three blocks, or only the writing pass does, after
+        # two blocks were written
         samples = wigner.WignerField.samples
         monkeypatch.setattr(cli, "_BLOCK_SAMPLES", 1)  # blocks of 64 im columns
         argv = ["wigner", "--alpha", "0+2i", "--m", "2", "--bounds", "-4", "4", "-6", "6", "--nx", "43", "--ny", "201"]
-        for poisoned_start in (192, 0):
+        for poisoned_start, poisoned_visit in ((128, 1), (0, 1), (0, 2)):
+            visits = Counter()
 
-            def poisoned(field, columns, poisoned_start=poisoned_start):
+            def poisoned(field, columns, poisoned_start=poisoned_start, poisoned_visit=poisoned_visit, visits=visits):
                 out = samples(field, columns)
-                if columns.start == poisoned_start:
+                visits[columns.start] += 1
+                if (columns.start, visits[columns.start]) == (poisoned_start, poisoned_visit):
                     out[3, 5] = np.nan
                 return out
 
@@ -247,11 +274,14 @@ class TestWignerCommand:
 
     def test_memory_error_exits_nonzero_and_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         # a grid whose arrays cannot be allocated is an error line and exit 1,
-        # not a traceback, and the half-written CSV's temp file is removed
+        # not a traceback, and the half-written CSV's and graymap's temp files
+        # are removed
         samples = wigner.WignerField.samples
+        visits = Counter()
 
         def exhausted(field, columns):
-            if columns.start == 0:  # the last block, after three were written
+            visits[columns.start] += 1
+            if visits[0] == 2:  # the last block of the writing pass, after two were written
                 raise MemoryError("Unable to allocate the last block")
             return samples(field, columns)
 
@@ -263,8 +293,8 @@ class TestWignerCommand:
         assert list(tmp_path.iterdir()) == []
 
     # (nx, ny, im columns a block or None for the default budget, M, --product):
-    # nx from 2 to above 16 384, and last blocks of 1 (joined to the block
-    # below), 2, 63, 64 and 65 columns
+    # nx from 2 to above 16 384, and last blocks of 1, 2 and 63 columns
+    # (joined to the block below) and of 64 and 65 columns
     STREAM_CASES = [
         (2, 130, None, 1, False),
         (2, 130, 64, 1, True),
@@ -301,12 +331,11 @@ class TestWignerCommand:
         assert (tmp_path / "f.csv").read_bytes().split(b"\n", 1)[1] == csv.split(b"\n", 1)[1]
         assert (tmp_path / "f.pgm").read_bytes() == pgm
 
-    def test_memory_grows_by_the_raster_alone(self, tmp_path, monkeypatch):
-        # with blocks of a fixed size, 1792 more rows of 257 samples add the
-        # 8 B raster and 1 B graymap a sample; the CSV text (~60 B a sample) never
-        # is held whole
-        monkeypatch.setattr(cli, "_BLOCK_SAMPLES", 1 << 16)  # 192 im columns a block at nx = 257
-
+    def test_memory_grows_by_the_field_factors_alone(self, tmp_path):
+        # at the default block size, 1792 more rows of 257 samples add only
+        # the field's factors, 16 B M^2 a grid row, and a fixed margin: no
+        # raster (8 B a sample) or graymap (1 B) is held, and the CSV text
+        # (~60 B a sample) never is held whole
         def peak(ny):
             argv = ["wigner", "--alpha", "0+2i", "--m", "4", "--bounds", "-6", "6", "-6", "6", "--nx", "257",
                     "--ny", str(ny), "--out", str(tmp_path / f"r{ny}")]
@@ -319,7 +348,7 @@ class TestWignerCommand:
 
         peak(256)  # tables built on first use
         growth = peak(2048) - peak(256)
-        assert growth <= 1.5 * 8 * 257 * (2048 - 256), growth
+        assert growth <= 16 * 4**2 * (2048 - 256) + (1 << 16), growth
 
     def test_perturbed_field_underresolution_is_reported(self, tmp_path):
         # the base cat is resolved at this step but the state displaced to 6i
@@ -806,6 +835,14 @@ class TestDeterminismAndErrors:
             (["estimate", "--alpha", "4i", "--seed", "-1", "--out", "bad.csv"], "--seed"),
             (["wigner", "--alpha", "4i", "--bounds", "-1", "1", "-1", "1", "--nx", "1", "--ny", "3", "--out", "bad"],
              "--nx"),
+            # bad bounds reached the grid, whose message named no flag, and an
+            # infinite one leaked numpy's RuntimeWarnings from linspace on
+            (["wigner", "--alpha", "4i", "--bounds", "1", "-1", "-1", "1", "--nx", "3", "--ny", "3", "--out", "bad"],
+             "--bounds"),
+            (["wigner", "--alpha", "4i", "--bounds", "-1", "1", "nan", "1", "--nx", "3", "--ny", "3", "--out", "bad"],
+             "--bounds"),
+            (["wigner", "--alpha", "4i", "--bounds", "-1", "inf", "-1", "1", "--nx", "3", "--ny", "3", "--out", "bad"],
+             "--bounds"),
         ],
         ids=["overlap_s_max_overflows", "overlap_alpha_overflows", "wigner_s_overflows", "estimate_zero_alpha",
              "estimate_alpha_overflows", "estimate_repetitions_beyond_int64", "feasibility_zero_period",
@@ -814,7 +851,8 @@ class TestDeterminismAndErrors:
              "overlap_nan_alpha", "overlap_rotation_nan_alpha", "protocol_dispersive_nan_alpha", "protocol_resonant_nan_alpha",
              "estimate_nan_alpha", "overlap_negative_m", "wigner_negative_m_with_gammas", "wigner_zero_m",
              "overlap_one_point", "protocol_one_point", "estimate_zero_trials", "estimate_zero_repetitions",
-             "estimate_negative_seed", "wigner_one_column"],
+             "estimate_negative_seed", "wigner_one_column", "wigner_unordered_bounds", "wigner_nan_bound",
+             "wigner_infinite_bound"],
     )
     def test_out_of_range_input_names_its_flag(self, tmp_path, argv, flag):
         # one error line that names the flag: no numpy warning, no traceback

@@ -241,6 +241,15 @@ class TestCalibration:
         with pytest.raises(ValueError, match="convention"):
             run_trials(0.05, 4j, 100, 2, seed=1, convention="resonnant")
 
+    def test_trials_reject_zero_repetitions_before_seeding(self, monkeypatch):
+        # the sampler refused them only after every child state was computed
+        def seeds(master, n):
+            raise AssertionError("_pcg64_seeds ran before the repetitions check")
+
+        monkeypatch.setattr(estimation, "_pcg64_seeds", seeds)
+        with pytest.raises(ValueError, match="repetitions must be >= 1"):
+            run_trials(0.05, 4j, 0, 200_000, seed=0)
+
     def test_trials_accept_both_branch_ends(self):
         assert run_trials(0.0, 4j, 100, 2, seed=1).shape == (2,)
         assert run_trials(np.pi / 16, 4j, 100, 2, seed=1).shape == (2,)

@@ -1,12 +1,16 @@
 """README's python code blocks run as written and print what their comments
-say, so the README cannot name an API the package no longer has."""
+say, so the README cannot name an API the package no longer has, and its
+install paragraph names every package of pyproject's `test` extra."""
 
 import contextlib
 import io
 import re
 from pathlib import Path
 
+import pytest
+
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 
 
 def python_blocks(text: str) -> list[str]:
@@ -22,3 +26,12 @@ def test_python_blocks_print_their_comments():
     overlap, p_e = printed.getvalue().splitlines()
     assert 0.0 <= float(overlap) < 1e-12  # ~0 : quasi-orthogonal
     assert p_e == "1.0"  # bright fringe
+
+
+def test_install_paragraph_names_every_test_package():
+    # the paragraph that lists the `test` extra once left out one of its packages
+    tomllib = pytest.importorskip("tomllib")
+    extra = tomllib.loads(PYPROJECT.read_text())["project"]["optional-dependencies"]["test"]
+    packages = [re.match(r"[A-Za-z0-9_.-]+", requirement).group() for requirement in extra]
+    paragraph = next(p for p in README.read_text().split("\n\n") if "The `test` extra adds" in p)
+    assert [name for name in packages if not re.search(rf"\b{re.escape(name)}\b", paragraph)] == []
