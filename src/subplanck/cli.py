@@ -451,9 +451,10 @@ def _cmd_estimate(args) -> int:
     true_s = args.s if args.s is not None else np.pi / (8.0 * a_abs)
     counts = estimation.run_trials(true_s, args.alpha, args.repetitions, args.trials, args.seed, args.convention)
     estimates = estimation.estimate_displacement(counts, args.repetitions, a_abs, args.convention)
-    mean = float(estimates.mean())
-    emp_sigma = float(estimates.std(ddof=1)) if estimates.size > 1 else 0.0
+    mean, emp_sigma = estimation._mean_and_spread(estimates)
     theory = estimation.theory_sigma(args.repetitions, a_abs)
+    if not all(map(math.isfinite, (mean, emp_sigma, theory))):
+        raise FloatingPointError(f"the summary is not finite: mean={mean!r} empirical_sigma={emp_sigma!r} theory_sigma={theory!r}")
     summary = f"summary mean={_fmt(mean)} empirical_sigma={_fmt(emp_sigma)} theory_sigma={_fmt(theory)}"
     config = _config_string(args, ["alpha", "s", "repetitions", "trials", "seed", "convention"])
     columns = [np.arange(estimates.size), counts, estimates]

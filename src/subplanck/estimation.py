@@ -5,19 +5,14 @@ experimental feasibility calculator.
 call and returns one estimate per count; its quoted width is
 `theory_sigma`.
 
-Randomness contract: `simulate_readout` is the one sampler.  It draws
-each binomial count as one exact Generator.binomial draw from
-np.random.default_rng(seed), so no R-sized array is ever formed; an int
-seed gives numpy's PCG64 stream seeded through SeedSequence(seed).  Trial
-ensembles draw trial i from child i of SeedSequence(seed).spawn(n), so
-results are reproducible for a given master seed and independent of
-evaluation order, and a shorter ensemble is a prefix of a longer one.
-`run_trials` does not build the n children: `_pcg64_seeds` replays numpy's
-SeedSequence hashing and PCG64 seeding for all of them in one pass, and
-each trial hands one reused PCG64, set to its child's state, to
-`simulate_readout`.  Each call checks its last child against numpy's own
-seeding and raises AssertionError on any difference, so a numpy that
-changes either algorithm fails loudly instead of drawing other counts.
+Randomness contract: `run_trials` is the one sampler.  It draws a run's
+n excited counts as one Generator.binomial(R, p_e, size=n) call on
+np.random.default_rng(seed), so every count is an exact binomial draw and
+no R-sized array is ever formed; an int seed gives numpy's PCG64 stream
+seeded through SeedSequence(seed).  The counts are one stream drawn in
+order, so results are reproducible for a given seed and a shorter run is
+a prefix of a longer one.  The stream pins SeedSequence, PCG64 and
+numpy's binomial algorithm, which NEP 19 lets a numpy release change.
 """
 
 from __future__ import annotations
@@ -32,7 +27,6 @@ from .protocol import _fringe_weights
 
 __all__ = [
     "FeasibilityReport",
-    "simulate_readout",
     "estimate_displacement",
     "estimator_calibration",
     "run_trials",
@@ -47,17 +41,6 @@ class FeasibilityReport:
     decoherence_threshold: float
     ratio: float
     verdict: bool
-
-
-def simulate_readout(p_e: float, repetitions: int, seed) -> int:
-    """Draw r ~ Binomial(repetitions, p_e) from np.random.default_rng(seed);
-    `seed` is an int, None, a (spawned) SeedSequence or a BitGenerator,
-    which draws from its current state."""
-    if not 0.0 <= p_e <= 1.0:
-        raise ValueError("p_e must lie in [0, 1]")
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    return int(np.random.default_rng(seed).binomial(repetitions, p_e))
 
 
 def theory_sigma(repetitions: int, alpha_mag: float) -> float:
@@ -106,60 +89,6 @@ def _alpha_magnitude(alpha: complex) -> float:
     return a_abs
 
 
-def _n_words(entropy) -> int:
-    """How many uint32 words SeedSequence makes of an entropy value: one
-    per 32 bits of an int (at least one), summed over a sequence.  Like
-    numpy, a string in a sequence is read as hex after "0x", else decimal."""
-    if isinstance(entropy, (list, tuple, range, np.ndarray)):
-        return sum(_n_words(x) for x in entropy)
-    if isinstance(entropy, str):
-        entropy = int(entropy, 16 if entropy.startswith("0x") else 10)
-    return max(1, -(-int(entropy).bit_length() // 32))
-
-
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _pcg64_seeds(master: np.random.SeedSequence, n: int) -> list[tuple[int, int]]:
-    """The PCG64 (state, inc) of children 0 .. n-1 of `master`, the ones a
-    fresh master's spawn(n) makes, all n at once.
-
-    A child's entropy is the master's, zero-padded to the pool size, then
-    the master's spawn key, then its own index, and the pool mixes its
-    words in that order.  So every child's pool, before its index word, is
-    the master's own pool, and the hash constant has by then advanced once
-    per hashmix: pool size times the words before the index.  Mixing the
-    index word into that pool and hashing the pool into 8 uint32 words
-    (generate_state(4, uint64)) run as uint32 array arithmetic over all
-    children.  PCG64's 128-bit seeding step from those words (s, t),
-    inc = 2 t + 1 and state = (inc + s) * MULT + inc, runs in Python ints.
-    """
-    pool = master.pool_size
-    n_words = max(_n_words(master.entropy), pool) + _n_words(master.spawn_key)
-    hash_const = 0x43B0D7E5 * pow(0x931E8875, pool * n_words, 1 << 32) % (1 << 32)  # INIT_A * MULT_A**k
-    keys = np.arange(n, dtype=np.uint32)
-    mixer = []
-    for word in master.pool.tolist():
-        value = keys ^ hash_const
-        hash_const = hash_const * 0x931E8875 % (1 << 32)  # MULT_A
-        value *= hash_const
-        value ^= value >> 16
-        mixed = np.uint32(0xCA01F9DD * word % (1 << 32)) - 0x4973F715 * value  # MIX_MULT_L, MIX_MULT_R
-        mixer.append(mixed ^ (mixed >> 16))
-    hash_const, words = 0x8B51F9DD, []  # INIT_B
-    for i in range(8):
-        value = mixer[i % pool] ^ hash_const
-        hash_const = hash_const * 0x58F38DED % (1 << 32)  # MULT_B
-        value *= hash_const
-        words.append((value ^ (value >> 16)).astype(np.uint64))
-    seed_hi, seed_lo, inc_hi, inc_lo = (lo | hi << 32 for lo, hi in zip(words[0::2], words[1::2]))
-    seeds = []
-    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi.tolist(), seed_lo.tolist(), inc_hi.tolist(), inc_lo.tolist()):
-        inc = (i_hi << 65 | i_lo << 1 | 1) % (1 << 128)
-        seeds.append((((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) % (1 << 128), inc))
-    return seeds
-
-
 def run_trials(
     true_s: float,
     alpha: complex,
@@ -170,15 +99,12 @@ def run_trials(
 ) -> np.ndarray:
     """Excited counts for n_trials independent full pipelines.
 
-    The protocol's excited-state probability is computed once; trial i
-    then draws its count with `simulate_readout` from the PCG64 stream of
-    child i of SeedSequence(seed).spawn(n_trials).  The children are not
-    built: `_pcg64_seeds` gives every child's PCG64 state in one pass, one
-    reused PCG64 takes each in turn, and the last one is checked against
-    numpy's own seeding, which raises AssertionError on a mismatch.  alpha
-    must be nonzero and finite, and true_s finite and on the principal
-    branch [0, pi/(4|alpha|)], the only range the arccos inversion can
-    return, so no larger shift is silently aliased.
+    The protocol's excited-state probability is computed once; the n_trials
+    counts are then one Generator.binomial draw of that many from
+    np.random.default_rng(seed).  alpha must be nonzero and finite, and
+    true_s finite and on the principal branch [0, pi/(4|alpha|)], the only
+    range the arccos inversion can return, so no larger shift is silently
+    aliased.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -190,21 +116,22 @@ def run_trials(
     if not 0.0 <= true_s <= math.pi / (4.0 * a_abs) or true_s == math.inf:
         raise ValueError("true_s must be finite and lie on the principal branch [0, pi/(4|alpha|)]")
     p_e = abs(_fringe_weights(convention, alpha, DISPLACEMENT, None, true_s, 1.0)[0]) ** 2
-    master = np.random.SeedSequence(seed)
-    seeds = _pcg64_seeds(master, n_trials)
-    bit_generator = np.random.PCG64(
-        np.random.SeedSequence(master.entropy, spawn_key=(n_trials - 1,), pool_size=master.pool_size))
-    numpy_last = bit_generator.state["state"]
-    if (numpy_last["state"], numpy_last["inc"]) != seeds[-1]:
-        raise AssertionError(
-            f"the PCG64 state of the last spawned child differs from numpy {np.__version__}'s own seeding: "
-            "numpy changed its SeedSequence hashing or its PCG64 seeding")
-    counts = []
-    for state, inc in seeds:
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        counts.append(simulate_readout(p_e, repetitions, bit_generator))
-    return np.array(counts, dtype=np.int64)
+    if not 0.0 <= p_e <= 1.0:
+        raise ValueError("p_e must lie in [0, 1]")
+    return np.random.default_rng(seed).binomial(repetitions, p_e, size=n_trials).astype(np.int64, copy=False)
+
+
+def _mean_and_spread(estimates: np.ndarray) -> tuple[float, float]:
+    """Mean and sample standard deviation (ddof=1; 0 for one estimate) of
+    `estimates`, computed on them scaled by 2^-k so that the largest
+    magnitude lies in [1/2, 1), then scaled back.  Scaling by a power of
+    two is exact, so wherever the squared deviations are normal both
+    figures keep numpy's bits; where they would overflow, the spread
+    stays finite."""
+    k = math.frexp(float(np.max(np.abs(estimates))))[1]
+    scaled = np.ldexp(estimates, -k)
+    spread = float(scaled.std(ddof=1)) if scaled.size > 1 else 0.0
+    return math.ldexp(float(scaled.mean()), k), math.ldexp(spread, k)
 
 
 def estimator_calibration(
@@ -223,8 +150,8 @@ def estimator_calibration(
     if not 0.0 < true_s < np.pi / (4.0 * a_abs):
         raise ValueError("true_s must lie strictly inside the principal branch")
     counts = run_trials(true_s, alpha, repetitions, n_trials, seed, convention)
-    estimates = estimate_displacement(counts, repetitions, a_abs, convention)
-    return float(estimates.mean() - true_s), float(estimates.std(ddof=1))
+    mean, spread = _mean_and_spread(estimate_displacement(counts, repetitions, a_abs, convention))
+    return mean - true_s, spread
 
 
 def feasibility(omega0: float, nbar: float, decoherence_budget: float, regime: str = "cavity") -> FeasibilityReport:

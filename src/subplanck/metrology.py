@@ -230,15 +230,19 @@ class OverlapSweep:
     target: CoherentSuperposition = field(compare=False)
 
     def first_fringe_zero(self) -> float:
-        """First overlap minimum, bracketed by the half-crossings of the exact
-        curve and narrowed to 1e-12 by `_stacked_minimum`, about ten 33-point
-        stacks.  ValueError if the curve stays above 1/2 or ends still falling."""
+        """First overlap minimum: the first sampled local minimum of the exact
+        curve after it drops below 1/2, bracketed by its two neighbours and
+        narrowed to 1e-12 by `_stacked_minimum`, about ten 33-point stacks.
+        The run of points below 1/2 can hold more than one minimum (the
+        compass off its axes), so the bracket is the first one's alone.
+        ValueError if the curve stays above 1/2 or ends still falling."""
         below = self.exact < 0.5
         if not below.any():
             raise ValueError("sweep never crosses overlap = 1/2; extend the range")
         i0 = int(np.argmax(below))
-        after = i0 + int(np.argmax(~below[i0:])) if (~below[i0:]).any() else self.magnitudes.size - 1
-        lo, hi = float(self.magnitudes[max(i0 - 1, 0)]), float(self.magnitudes[after])
+        rising = np.diff(self.exact[i0:]) >= 0.0
+        i = i0 + int(np.argmax(rising)) if rising.any() else self.magnitudes.size - 1
+        lo, hi = float(self.magnitudes[max(i - 1, 0)]), float(self.magnitudes[min(i + 1, self.magnitudes.size - 1)])
         zero = _stacked_minimum(lambda mags: _exact_overlaps(self.target, self.kind, self.direction, mags), lo, hi, 1e-12)
         if zero == self.magnitudes[-1]:
             raise ValueError(f"sweep ends at {zero!r} with the overlap still falling; extend the range")
@@ -304,7 +308,8 @@ def locate_first_zero(
     search_max: float | None = None,
 ) -> float:
     """First fringe zero of the exact overlap: a 257-point sweep brackets
-    it between half-crossings and `OverlapSweep.first_fringe_zero` narrows
-    the bracket to 1e-12, one 33-point stack of the exact kernel a round."""
+    its first sampled minimum below 1/2 and `OverlapSweep.first_fringe_zero`
+    narrows the bracket to 1e-12, one 33-point stack of the exact kernel a
+    round."""
     sweep = overlap_sweep(alpha, m, gammas, kind, direction, max_magnitude=search_max, n_points=257)
     return sweep.first_fringe_zero()

@@ -906,6 +906,35 @@ class TestDeterminismAndErrors:
         assert theory == pytest.approx(1.0 / (8.0 * 100.0 * 3e153), rel=1e-12)
         assert f"{theory:.3g}" == "4.17e-157"
 
+    def test_spread_of_huge_estimates_is_finite(self, tmp_path):
+        # at |alpha| = 1e-200 the estimates are about 4e199: their squared
+        # deviations overflow, and numpy's std gave an empirical sigma of inf
+        # with a RuntimeWarning
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = ["estimate", "--alpha", "1e-200", "--trials", "3", "--out", "e.csv"]
+        result = subprocess.run([sys.executable, "-W", "default", "-m", "subplanck.cli", *argv], cwd=tmp_path, env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert "RuntimeWarning" not in result.stderr
+        sigma = float(result.stdout.split("empirical_sigma=")[1].split()[0])
+        assert 1e196 < sigma < 1e198
+        assert (tmp_path / "e.csv").read_text().splitlines()[-1] == "# " + result.stdout.strip()
+
+    def test_non_finite_summary_exits_with_an_error(self, tmp_path, capsys):
+        # 4|alpha| is subnormal at |alpha| = 3e-309, so a count of R inverts
+        # to an infinite estimate and the mean is infinite
+        out = tmp_path / "e.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["estimate", "--alpha", "3e-309", "--repetitions", "1", "--trials", "4", "--seed", "2",
+                         "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the summary is not finite")
+        assert not out.exists()
+
     def test_output_mode_follows_umask(self, tmp_path):
         out = tmp_path / "pe.csv"
         previous = os.umask(0o022)
@@ -993,16 +1022,17 @@ class TestPinnedOutputs:
              "--s-max", "0.05", "--points", "33"],
             "45da605ba7172c451e572b926c2b475e68edbcc5292ca488274db4a1a79e7c68",
         ),
-        # the estimate streams are pinned as of the exact Generator.binomial
-        # sampler, which replaced uniform counting and the normal approximation
+        # the estimate streams are pinned as of one Generator.binomial(R, p_e,
+        # size=n) call per run on default_rng(seed), which replaced one draw per
+        # spawned child of SeedSequence(seed)
         "estimate_dispersive": (
             ["estimate", "--alpha", "0+4i", "--repetitions", "4000", "--trials", "64", "--seed", "9"],
-            "8799b8852ba32a4812cfa389493bcfd6982c4e997be2c112944c72d95b787ab6",
+            "b45f0038394516ebf62b78dd90096a27f67df376a8b2ac18f776836e99ce0a1d",
         ),
         "estimate_resonant": (
             ["estimate", "--alpha", "2-3i", "--s", "0.03", "--repetitions", "250000", "--trials", "16", "--seed", "5",
              "--convention", "resonant"],
-            "91ccba5c133c365a335b66d06083eddad1c0b4a50d62ae7cf17a401b70edec17",
+            "461c4fe022745083d7bb17c6dff3477a93f84691bda4f031e1f8313451fec9d3",
         ),
         "overlap_displacement": (
             ["overlap", "--alpha", "0+4i", "--m", "2", "--s-max", "0.4", "--points", "129"],

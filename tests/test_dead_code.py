@@ -15,9 +15,10 @@ time.  And only the grid's cached trapezoid rules call
 `wigner._trapezoid_weights`, so quadratures do not form weights per
 call.  And no function in `cli` forms a field or a field overlap per
 point: `wigner_field` and `phase_space_overlap` are never called inside
-a loop or a comprehension there.  And `estimation` seeds no trial on its
-own: `SeedSequence` and `spawn` are never called inside a loop or a
-comprehension there.  And only `protocol._prepare` runs a step of the
+a loop or a comprehension there.  And `estimation` seeds and draws no
+trial on its own: `SeedSequence`, `spawn`, `default_rng`, `PCG64` and
+`binomial` are never called inside a loop or a comprehension there, so a
+run's counts stay one draw.  And only `protocol._prepare` runs a step of the
 preparation U forward: U runs once per engine call, in one place, and
 every other walk of the descriptors is U^dag.  And no function in
 `metrology` calls the exact kernel `_exact_overlaps` on a one-point array
@@ -437,7 +438,7 @@ def test_values_reader_check_catches_readers():
 
 
 PER_POINT_FIELD_CALLS = {"_field", "wigner_field", "phase_space_overlap"}
-PER_TRIAL_SEED_CALLS = {"SeedSequence", "spawn"}
+PER_TRIAL_SEED_CALLS = {"SeedSequence", "spawn", "default_rng", "PCG64", "binomial"}
 
 
 def test_cli_forms_no_field_per_point():
@@ -467,16 +468,21 @@ def test_per_point_field_check_catches_loops():
         "_cmd_a: wigner_field", "_cmd_b: phase_space_overlap", "_cmd_c: wigner_field", "_cmd_d: phase_space_overlap",
         "_cmd_e: wigner_field",
     ]
-    # with the seed callees, a SeedSequence built per trial counts; one
-    # master spawned once, with a loop over its children, does not
+    # with the seed callees, a SeedSequence built per trial counts, and so
+    # do a generator seeded and a count drawn per trial; one generator and
+    # one sized draw for the whole run, and a loop over its counts, do not
     tree = ast.parse(
         "def per_trial(p, r, n, seed):\n"
-        "    return [simulate_readout(p, r, np.random.SeedSequence(seed, spawn_key=(i,))) for i in range(n)]\n"
+        "    return [readout(p, r, np.random.SeedSequence(seed, spawn_key=(i,))) for i in range(n)]\n"
+        "def per_trial_draw(p, r, seeds):\n"
+        "    return [np.random.default_rng(s).binomial(r, p) for s in seeds]\n"
         "def once(p, r, n, seed):\n"
-        "    children = np.random.SeedSequence(seed).spawn(n)\n"
-        "    return [simulate_readout(p, r, c) for c in children]\n"
+        "    counts = np.random.default_rng(seed).binomial(r, p, size=n)\n"
+        "    return [int(c) for c in counts]\n"
     )
-    assert per_point_field_calls(tree, PER_TRIAL_SEED_CALLS) == ["per_trial: SeedSequence"]
+    assert per_point_field_calls(tree, PER_TRIAL_SEED_CALLS) == [
+        "per_trial: SeedSequence", "per_trial_draw: binomial", "per_trial_draw: default_rng",
+    ]
 
 
 def test_only_the_preparation_runs_u_forward():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from subplanck import estimation
 from subplanck.estimation import (
@@ -10,107 +10,155 @@ from subplanck.estimation import (
     estimator_calibration,
     feasibility,
     run_trials,
-    simulate_readout,
     theory_sigma,
 )
 from subplanck.protocol import dispersive_protocol, resonant_protocol
 from subplanck.metrology import PerturbationSpec
 
 
-class TestSimulateReadout:
-    def test_degenerate_probabilities(self):
+MID_S = np.pi / 32  # mid-fringe at |alpha| = 4: p_e = 1/2 in the dispersive convention
+
+
+class TestRunTrials:
+    @pytest.mark.parametrize("convention, ends", [("dispersive", (0, 500)), ("resonant", (500, 0))])
+    def test_degenerate_probabilities_at_the_branch_ends(self, convention, ends):
+        # p_e is 0 or 1 at s = 0 and at pi/(4|alpha|), so every count is 0 or R
         for seed in [0, 1, 99]:
-            assert simulate_readout(0.0, 500, seed) == 0
-            assert simulate_readout(1.0, 500, seed) == 500
+            assert run_trials(0.0, 4j, 500, 8, seed, convention).tolist() == [ends[0]] * 8
+            assert run_trials(np.pi / 16, 4j, 500, 8, seed, convention).tolist() == [ends[1]] * 8
 
     def test_reproducible(self):
-        a = simulate_readout(0.37, 20_000, 123456)
-        b = simulate_readout(0.37, 20_000, 123456)
-        assert a == b
+        a = run_trials(0.05, 3 + 1j, 20_000, 64, 123456)
+        b = run_trials(0.05, 3 + 1j, 20_000, 64, 123456)
+        np.testing.assert_array_equal(a, b)
+        assert a.dtype == np.int64
 
     def test_three_sigma_band_over_seeds(self):
         # binomial std at p = 1/2, R = 1e4 is 0.005; ~99.7% of seeds stay
         # inside +-3 sigma
         inside = sum(
-            0.485 <= simulate_readout(0.5, 10_000, seed) / 10_000 <= 0.515
+            0.485 <= run_trials(MID_S, 4j, 10_000, 1, seed)[0] / 10_000 <= 0.515
             for seed in range(200)
         )
         assert inside >= 194
 
     def test_normal_approximation_regime(self):
-        r = simulate_readout(0.25, 2_000_000, 7)
-        assert abs(r / 2_000_000 - 0.25) < 0.002
+        # p_e = 1/4 at s = pi/48 and |alpha| = 4
+        counts = run_trials(np.pi / 48, 4j, 2_000_000, 4, 7)
+        assert np.all(np.abs(counts / 2_000_000 - 0.25) < 0.002)
 
-    def test_input_validation(self):
+    @pytest.mark.parametrize("args", [(0.05, 4j, 0, 4, 0), (0.05, 4j, 100, 0, 0), (0.05, 4j, 100, 4, 0, "resonnant")],
+                             ids=["zero_repetitions", "zero_trials", "convention"])
+    def test_input_validation(self, args):
         with pytest.raises(ValueError):
-            simulate_readout(1.5, 10, 0)
-        with pytest.raises(ValueError):
-            simulate_readout(0.5, 0, 0)
+            run_trials(*args)
 
-    def test_int_seed_draws_the_seed_sequence_pcg64_stream(self):
-        for seed in (0, 7, 2**40 + 3):
-            ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-            assert simulate_readout(0.37, 20_000, seed) == ref.binomial(20_000, 0.37)
+    def test_probability_outside_the_unit_interval_rejected(self, monkeypatch):
+        # the fringe weight's modulus must not pass 1, or binomial would draw nonsense
+        monkeypatch.setattr(estimation, "_fringe_weights", lambda *args: np.array([1.5]))
+        with pytest.raises(ValueError, match="p_e must lie in"):
+            run_trials(0.05, 4j, 100, 4, 0)
 
     @pytest.mark.parametrize("convention, protocol", [("dispersive", dispersive_protocol), ("resonant", resonant_protocol)])
-    def test_spawned_children_reproduce_run_trials(self, convention, protocol):
-        # run_trials draws trial i with simulate_readout from child i of the
-        # master SeedSequence, so one child replays one trial
-        alpha, true_s, repetitions, n = 2 - 3j, 0.05, 4000, 12
-        counts = run_trials(true_s, alpha, repetitions, n, 321, convention)
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 5, 2**200 + 3],
+                             ids=["0", "7", "2^32-1", "2^32", "2^40+3", "2^64+5", "2^200+3"])
+    def test_int_seed_draws_the_seed_sequence_pcg64_stream(self, seed, convention, protocol):
+        # seeds of one, two, three and seven 32-bit words
+        alpha, true_s, repetitions, n = 2 - 3j, 0.05, 20_000, 12
         p_e = protocol(alpha, PerturbationSpec("displacement", true_s)).p_e
-        children = np.random.SeedSequence(321).spawn(n)
-        assert [simulate_readout(p_e, repetitions, child) for child in children] == counts.tolist()
+        ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        expected = ref.binomial(repetitions, p_e, size=n)
+        np.testing.assert_array_equal(run_trials(true_s, alpha, repetitions, n, seed, convention), expected)
 
-
-class TestChildSeeds:
-    @pytest.mark.parametrize("n", [1, 2, 257])
-    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 3, [1, 2, 3], [7, 2**32 + 1, 0, 5], None,
-                                      ["0x1" + "0" * 9, "010", "12345678901"]],
-                             ids=["0", "2^32-1", "2^32", "2^64+5", "2^200+3", "list3", "list_5_words", "None", "strings"])
-    def test_helper_matches_numpy_seeding_of_every_child(self, seed, n):
-        # a 5-word list overflows the 4-word pool; a None master draws its
-        # entropy from the OS, and its children are replayed from it
-        master = np.random.SeedSequence(seed)
-        children = np.random.SeedSequence(master.entropy).spawn(n)
-        expected = [(state["state"], state["inc"]) for state in (np.random.PCG64(c).state["state"] for c in children)]
-        assert estimation._pcg64_seeds(master, n) == expected
+    @pytest.mark.parametrize("seed", [[1, 2, 3], [7, 2**32 + 1, 0, 5]], ids=["list3", "list_5_words"])
+    def test_int_list_seed_draws_the_seed_sequence_pcg64_stream(self, seed):
+        # a 5-word list overflows SeedSequence's 4-word pool
+        p_e = dispersive_protocol(4j, PerturbationSpec("displacement", MID_S)).p_e
+        ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        np.testing.assert_array_equal(run_trials(MID_S, 4j, 1000, 20, seed), ref.binomial(1000, p_e, size=20))
 
     @given(st.integers(min_value=0, max_value=2**256 - 1), st.integers(min_value=1, max_value=300),
            st.sampled_from(["dispersive", "resonant"]))
     @settings(max_examples=40, deadline=None)
-    def test_counts_equal_one_draw_per_spawned_child(self, seed, n, convention):
+    def test_counts_equal_one_sized_draw_of_the_seeded_stream(self, seed, n, convention):
         alpha, true_s, repetitions = 3 + 1j, 0.1, 5000
         protocol = dispersive_protocol if convention == "dispersive" else resonant_protocol
         p_e = protocol(alpha, PerturbationSpec("displacement", true_s)).p_e
-        expected = [simulate_readout(p_e, repetitions, c) for c in np.random.SeedSequence(seed).spawn(n)]
-        assert run_trials(true_s, alpha, repetitions, n, seed, convention).tolist() == expected
+        expected = np.random.default_rng(seed).binomial(repetitions, p_e, size=n)
+        assert run_trials(true_s, alpha, repetitions, n, seed, convention).tolist() == expected.tolist()
 
-    def test_corrupted_last_child_raises(self, monkeypatch):
-        seeds = estimation._pcg64_seeds
+    @given(st.integers(min_value=0, max_value=2**64), st.integers(min_value=1, max_value=200),
+           st.integers(min_value=1, max_value=200))
+    @settings(max_examples=40, deadline=None)
+    def test_shorter_run_is_a_prefix_of_a_longer_one(self, seed, n_a, n_b):
+        # one stream drawn in order: the first counts do not depend on how many follow
+        short, long = sorted((n_a, n_b))
+        a = run_trials(MID_S, 4j, 1000, short, seed)
+        b = run_trials(MID_S, 4j, 1000, long, seed)
+        np.testing.assert_array_equal(a, b[:short])
 
-        def corrupted(master, n):
-            out = seeds(master, n)
-            state, inc = out[-1]
-            return out[:-1] + [(state ^ 1, inc)]
+    def test_seed_sequence_seed_draws_the_same_stream_as_its_entropy(self):
+        np.testing.assert_array_equal(run_trials(MID_S, 4j, 1000, 16, np.random.SeedSequence(2**40 + 3)),
+                                      run_trials(MID_S, 4j, 1000, 16, 2**40 + 3))
 
-        monkeypatch.setattr(estimation, "_pcg64_seeds", corrupted)
-        with pytest.raises(AssertionError, match=f"numpy {np.__version__}"):
-            run_trials(0.05, 4j, 100, 8, 1)
+    def test_generator_seed_continues_its_own_stream(self):
+        # default_rng hands a Generator back as it is, so two runs on one
+        # generator draw what one run of both lengths draws from its seed
+        rng = np.random.default_rng(31)
+        first = run_trials(MID_S, 4j, 1000, 5, rng)
+        second = run_trials(MID_S, 4j, 1000, 11, rng)
+        np.testing.assert_array_equal(np.concatenate([first, second]), run_trials(MID_S, 4j, 1000, 16, 31))
+
+    def test_unseeded_run_draws_valid_counts(self):
+        # seed None draws fresh OS entropy; the counts are still R-bounded int64
+        counts = run_trials(MID_S, 4j, 1000, 64, None)
+        assert counts.dtype == np.int64 and counts.shape == (64,)
+        assert np.all((counts >= 0) & (counts <= 1000))
+
+    def test_largest_repetition_count_draws_without_an_r_sized_array(self):
+        # R = 2^63 - 1, the largest int64: each count is one exact draw, within
+        # 6 binomial standard deviations of R p_e
+        repetitions = 2**63 - 1
+        p_e = dispersive_protocol(4j, PerturbationSpec("displacement", MID_S)).p_e
+        counts = run_trials(MID_S, 4j, repetitions, 8, 5)
+        assert counts.dtype == np.int64 and np.all((counts >= 0) & (counts <= repetitions))
+        sd = math.sqrt(repetitions * p_e * (1 - p_e))
+        assert np.all(np.abs(counts.astype(float) - repetitions * p_e) <= 6 * sd)
+
+    def test_moments_match_the_binomial(self):
+        # 1e5 trials at the mid-fringe p_e: the sample mean and variance each
+        # lie within 4 standard errors of Binomial(R, p_e)'s
+        repetitions, n = 10_000, 100_000
+        p_e = dispersive_protocol(4j, PerturbationSpec("displacement", MID_S)).p_e
+        counts = run_trials(MID_S, 4j, repetitions, n, 2024).astype(float)
+        mean, var = repetitions * p_e, repetitions * p_e * (1 - p_e)
+        # the variance's standard error: sqrt((mu4 - var^2 (n-3)/(n-1)) / n),
+        # with the binomial's fourth central moment mu4 = 3 var^2 + var (1 - 6 p q)
+        mu4 = 3 * var**2 + var * (1 - 6 * p_e * (1 - p_e))
+        assert abs(counts.mean() - mean) <= 4 * math.sqrt(var / n)
+        assert abs(counts.var(ddof=1) - var) <= 4 * math.sqrt((mu4 - var**2 * (n - 3) / (n - 1)) / n)
 
     @pytest.mark.parametrize("n", [16, 512])
-    def test_seed_sequences_per_call_do_not_grow_with_trials(self, monkeypatch, n):
-        # the master and numpy's own last child, never one per trial
-        built = []
+    def test_one_generator_and_one_binomial_call_per_run(self, monkeypatch, n):
+        # the n counts are one draw, never one generator or one draw per trial
+        rngs, draws = [], []
+        default_rng = np.random.default_rng
 
-        class Counted(np.random.SeedSequence):
-            def __init__(self, *args, **kwargs):
-                built.append(args)
-                super().__init__(*args, **kwargs)
+        class Counted:
+            def __init__(self, generator):
+                self.generator = generator
 
-        monkeypatch.setattr(np.random, "SeedSequence", Counted)
-        run_trials(0.05, 4j, 100, n, 9)
-        assert len(built) <= 2
+            def binomial(self, *args, **kwargs):
+                draws.append(kwargs.get("size"))
+                return self.generator.binomial(*args, **kwargs)
+
+        def counted_rng(seed):
+            rngs.append(seed)
+            return Counted(default_rng(seed))
+
+        monkeypatch.setattr(np.random, "default_rng", counted_rng)
+        assert run_trials(0.05, 4j, 100, n, 9).shape == (n,)
+        assert rngs == [9] and draws == [n]
 
 
 class TestAlphaGuard:
@@ -216,11 +264,38 @@ class TestCalibration:
         with pytest.raises(ValueError, match="n_trials"):
             estimator_calibration(0.05, 4j, 1000, 1, 3)
 
+    @given(st.lists(st.floats(min_value=-1e150, max_value=1e150, allow_subnormal=False), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_scaled_summary_keeps_numpy_bits(self, values):
+        # scaling by a power of two is exact, so wherever the scaling loses
+        # no bit and every nonzero squared deviation stays normal, before and
+        # after it, the mean and the spread equal numpy's bit for bit
+        estimates = np.array(values)
+        k = math.frexp(float(np.max(np.abs(estimates))))[1]
+        scaled = np.ldexp(estimates, -k)
+        assume(np.array_equal(np.ldexp(scaled, k), estimates))
+        for x in (estimates, scaled):
+            with np.errstate(under="ignore"):
+                deviations = x - x.mean()
+                squares = deviations * deviations
+            assume(np.all((deviations == 0) | (squares >= np.finfo(float).tiny)))
+        mean, spread = estimation._mean_and_spread(estimates)
+        assert mean == float(estimates.mean())
+        assert spread == (float(estimates.std(ddof=1)) if estimates.size > 1 else 0.0)
+
+    def test_spread_of_estimates_whose_squares_overflow(self):
+        # numpy's std squares deviations of 1e200 and returns inf; deviations
+        # of 7/3, 1/3 and -8/3 (in 1e200) give 114/9 over 2 degrees of freedom
+        estimates = np.array([3e200, 1e200, -2e200])
+        mean, spread = estimation._mean_and_spread(estimates)
+        assert mean == pytest.approx(2e200 / 3, rel=1e-15)
+        assert spread == pytest.approx(math.sqrt((49 + 1 + 64) / 18) * 1e200, rel=1e-15)
+
     def test_trials_deterministic_and_order_independent(self):
         a = run_trials(np.pi / 32, 4j, 1000, 32, seed=555)
         b = run_trials(np.pi / 32, 4j, 1000, 32, seed=555)
         np.testing.assert_array_equal(a, b)
-        # sub-seeds are spawned per trial, so a shorter run is a prefix
+        # the counts are one stream drawn in order, so a shorter run is a prefix
         c = run_trials(np.pi / 32, 4j, 1000, 8, seed=555)
         np.testing.assert_array_equal(a[:8], c)
 
@@ -242,11 +317,11 @@ class TestCalibration:
             run_trials(0.05, 4j, 100, 2, seed=1, convention="resonnant")
 
     def test_trials_reject_zero_repetitions_before_seeding(self, monkeypatch):
-        # the sampler refused them only after every child state was computed
-        def seeds(master, n):
-            raise AssertionError("_pcg64_seeds ran before the repetitions check")
+        # the repetitions check comes before any generator is seeded
+        def default_rng(seed):
+            raise AssertionError("default_rng ran before the repetitions check")
 
-        monkeypatch.setattr(estimation, "_pcg64_seeds", seeds)
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
         with pytest.raises(ValueError, match="repetitions must be >= 1"):
             run_trials(0.05, 4j, 0, 200_000, seed=0)
 

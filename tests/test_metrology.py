@@ -1,3 +1,4 @@
+import math
 import sys
 from collections import Counter
 
@@ -298,6 +299,15 @@ class TestFirstZeroSearch:
         with pytest.raises(ValueError, match="still falling; extend the range"):
             locate_first_zero(4, 2, direction=0.4)
         assert locate_first_zero(4, 2, direction=0.4, search_max=1.0) == pytest.approx(0.5042123585789255, rel=1e-9)
+
+    @pytest.mark.parametrize("degrees", [10, 15, 20])
+    def test_compass_off_its_axis_finds_the_first_zero(self, degrees):
+        # the |alpha| = 4 compass's first zero follows pi/(2(|cos phi| + |sin phi|))
+        # in s|alpha|; its run of points below 1/2 holds a second minimum, at
+        # 1.9365, 2.2214 and 2.6282, which a half-crossing bracket returned
+        phi = math.radians(degrees)
+        zero = locate_first_zero(4j, 4, None, "displacement", math.pi + phi, 0.75)
+        assert 4.0 * zero == pytest.approx(math.pi / (2.0 * (abs(math.cos(phi)) + abs(math.sin(phi)))), abs=1e-4)
 
     @pytest.mark.parametrize(
         "args,kwargs,golden",
