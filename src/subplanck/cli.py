@@ -443,8 +443,9 @@ def _cmd_protocol(args) -> int:
 
 def _cmd_estimate(args) -> int:
     a_abs = _modulus(args.alpha)
-    if a_abs == 0.0:
-        raise ValueError("--alpha must be nonzero: the fringe and its inversion divide by |alpha|")
+    if a_abs == 0.0 or math.pi / (4.0 * a_abs) == math.inf:  # below about 4.4e-309
+        raise ValueError("--alpha must be nonzero, and pi/(4|alpha|), where the principal branch ends, finite: "
+                         f"the fringe and its inversion divide by |alpha|, got |alpha| = {a_abs:.3g}")
     _check_amplitudes(("--alpha", a_abs))
     if args.repetitions > np.iinfo(np.int64).max:
         raise ValueError(f"--repetitions must be at most {np.iinfo(np.int64).max}, got {args.repetitions}")
@@ -490,6 +491,12 @@ def _add_pert_args(p):
     p.add_argument("--s", type=float, default=0.0, help="perturbation magnitude (s, or theta in radians)")
     p.add_argument("--phi", type=float, default=None,
                    help="absolute displacement direction in radians (default: maximum sensitivity)")
+
+
+# argparse takes only -12 and -1.5 for negative numbers, so -1e-1, -4i and
+# -1+2i read as flags; no option here starts with a digit, so a dash before
+# a digit, or before a point and a digit, starts a value
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -551,6 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, required=True, help="decoherence budget in seconds")
     p.add_argument("--regime", choices=["cavity", "ion"], default="cavity")
     p.set_defaults(func=_cmd_feasibility)
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -81,11 +81,12 @@ def estimate_displacement(
 
 
 def _alpha_magnitude(alpha: complex) -> float:
-    """|alpha|, refused where it is 0, NaN or infinite: the fringe and its
-    inversion divide by it."""
+    """|alpha|, refused where it is 0, NaN or infinite, or where the end
+    pi/(4|alpha|) of the principal branch overflows (below about 4.4e-309):
+    the fringe and its inversion divide by it."""
     a_abs = abs(alpha)
-    if not 0.0 < a_abs < math.inf:  # phrased so that NaN fails too
-        raise ValueError(f"alpha must be nonzero and finite, got {alpha!r}")
+    if not (0.0 < a_abs < math.inf and math.pi / (4.0 * a_abs) < math.inf):  # phrased so that NaN fails too
+        raise ValueError(f"alpha must be nonzero and finite, and pi/(4|alpha|) finite, got {alpha!r}")
     return a_abs
 
 
@@ -101,10 +102,10 @@ def run_trials(
 
     The protocol's excited-state probability is computed once; the n_trials
     counts are then one Generator.binomial draw of that many from
-    np.random.default_rng(seed).  alpha must be nonzero and finite, and
-    true_s finite and on the principal branch [0, pi/(4|alpha|)], the only
-    range the arccos inversion can return, so no larger shift is silently
-    aliased.
+    np.random.default_rng(seed).  alpha must be nonzero and finite, with
+    pi/(4|alpha|) finite, and true_s finite and on the principal branch
+    [0, pi/(4|alpha|)], the only range the arccos inversion can return, so
+    no larger shift is silently aliased.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")

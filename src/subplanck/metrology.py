@@ -1,4 +1,4 @@
-"""Overlap fringe laws and sensitivity scales for circular states.
+"""Overlap fringe laws for circular states.
 
 The perturbed-state overlap of an M-component circular state obeys, for
 small perturbations,
@@ -25,20 +25,17 @@ of its bracket refinement is one stack, which shrinks the bracket 16x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import wigner
-from .states import (CoherentSuperposition, _abs_sq, _braket, _check_ceiling, _moved_terms, displace, make_circular_state,
-                     mean_excitation)
+from .states import CoherentSuperposition, _abs_sq, _braket, _check_ceiling, _moved_terms, displace, make_circular_state
 
 __all__ = [
     "PerturbationSpec",
-    "SensitivityReport",
     "OverlapSweep",
     "OutOfRegimeWarning",
-    "sensitivity_report",
     "overlap_sweep",
     "locate_first_zero",
 ]
@@ -159,38 +156,6 @@ def _exact_overlaps(target: CoherentSuperposition, kind: str, direction: float |
     return _abs_sq(_braket(w, a, ket_w, ket_a))
 
 
-@dataclass(frozen=True)
-class SensitivityReport:
-    """Benchmark scales (from the mean excitation) plus the structure-area
-    diagnostic (from the amplitude geometry; not used in any physics)."""
-
-    support_action: float
-    structure_area: float
-    sql_displacement: float
-    heisenberg_displacement: float
-    sql_rotation: float
-    heisenberg_rotation: float
-
-
-def sensitivity_report(state: CoherentSuperposition) -> SensitivityReport:
-    """SQL vs Heisenberg scales for the state's energy, and the sub-unit
-    interference-cell area a = 1/A with A = max(r, 1)^2 and r the largest
-    distance max_k |a_k - mean(a)| of an amplitude from their centroid.
-    r bounds the smallest enclosing disk's radius from above and equals it
-    for uniform circles, displaced circles and coherent states."""
-    nbar = max(mean_excitation(state), 1.0)
-    r_disk = float(np.max(np.abs(state.amplitudes - state.amplitudes.mean())))
-    action = max(r_disk, 1.0) ** 2
-    return SensitivityReport(
-        support_action=action,
-        structure_area=1.0 / action,
-        sql_displacement=1.0,
-        heisenberg_displacement=nbar ** -0.5,
-        sql_rotation=nbar ** -0.5,
-        heisenberg_rotation=1.0 / nbar,
-    )
-
-
 # points a round of `_stacked_minimum` evaluates: it keeps 2 of their 32 intervals
 _ROUND_POINTS = 33
 
@@ -215,7 +180,7 @@ def _stacked_minimum(f, lo: float, hi: float, xtol: float) -> float:
     return best_x
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class OverlapSweep:
     """Exact and closed-form overlap of `target` with its perturbed copies,
     sampled on a magnitude grid.  `direction` is the absolute displacement
@@ -227,7 +192,7 @@ class OverlapSweep:
     exact: np.ndarray
     approx: np.ndarray
     in_regime: np.ndarray
-    target: CoherentSuperposition = field(compare=False)
+    target: CoherentSuperposition
 
     def first_fringe_zero(self) -> float:
         """First overlap minimum: the first sampled local minimum of the exact

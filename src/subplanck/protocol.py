@@ -8,9 +8,8 @@ are the |e> and |g> branches, and the level populations P_e and P_g;
 
 The generic strategy evolves |level, alpha> under a composable unitary
 sequence U, applies the perturbation to the oscillator alone, undoes U,
-and returns the final entangled state, with the state U |level, alpha>
-the perturbation hit as its `intermediate`.  Only the conditional phase
-adds terms, so K <= 4^c for c conditional phases.
+and returns the final entangled state.  Only the conditional phase adds
+terms, so K <= 4^c for c conditional phases.
 
 Two named protocols implement the idealized algebra in closed form and
 return only their fringe, as a one-term joint state:
@@ -42,11 +41,10 @@ is a diagonal number-dependent phase.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,30 +63,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolResult:
     """Joint TLS (x) oscillator state sum_k weights[0, k] |e, a_k> +
     weights[1, k] |g, a_k> over the shared amplitudes a_k, with its level
-    populations p_e and p_g, which must sum to 1 within 1e-8.
-
-    `intermediate` is the joint state the perturbation hit, where the
-    sequence computed it (`generic_strategy`), and None for the closed forms.
-    """
+    populations p_e and p_g, which must sum to 1 within 1e-8."""
 
     weights: np.ndarray
     amplitudes: np.ndarray
     p_e: float
     p_g: float
-    _prepared: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         total = self.p_e + self.p_g
         if not abs(total - 1.0) <= 1e-8:  # phrased so that NaN fails too
             raise ValueError(f"level populations are not normalized (p_e + p_g = {total})")
-
-    @functools.cached_property
-    def intermediate(self) -> ProtocolResult | None:
-        return None if self._prepared is None else _joint(*self._prepared, _norms(*self._prepared))
 
     def branch(self, level: str) -> CoherentSuperposition:
         """The normalized oscillator state of the |e> or |g> branch; ValueError
@@ -230,11 +219,11 @@ def _apply_op(w: np.ndarray, a: np.ndarray, op: tuple, inverse: bool) -> tuple[n
     return _moved_terms(w, a, theta=-op[1] if inverse else op[1])
 
 
-def _joint(w: np.ndarray, a: np.ndarray, norms: np.ndarray, prepared: tuple | None = None) -> ProtocolResult:
+def _joint(w: np.ndarray, a: np.ndarray, norms: np.ndarray) -> ProtocolResult:
     """The joint state with its populations (n_e / n)^2 and (n_g / n)^2 from
     the row norms `norms`, n = hypot(n_e, n_g)."""
     total = math.hypot(*norms)
-    return ProtocolResult(w, a, (norms[0] / total) ** 2, (norms[1] / total) ** 2, prepared)
+    return ProtocolResult(w, a, (norms[0] / total) ** 2, (norms[1] / total) ** 2)
 
 
 def dispersive_sequence(alpha: complex, rotation: bool = False) -> list[tuple]:
@@ -265,8 +254,7 @@ def generic_strategy(u_ops, pert: PerturbationSpec, alpha: complex, initial_leve
     displacements and rotations move the shared amplitudes, and only
     `conditional_phase` adds terms (a -> [a, -a]), so a sequence with c
     conditional phases ends with K <= 4^c; no terms are merged.  The result
-    is the final joint state, and its `intermediate` is U |level, alpha>,
-    the exact joint state the perturbation hits, formed when it is read.
+    is the final joint state.
 
     `u_ops` is read once, so any iterable of descriptors will do, and a
     malformed one raises ValueError before any step runs.  Each call runs
@@ -291,19 +279,15 @@ def generic_strategy(u_ops, pert: PerturbationSpec, alpha: complex, initial_leve
     if initial_level not in ("e", "g"):
         raise ValueError("initial_level must be 'e' or 'g'")
     ops = tuple(map(_checked, u_ops))
-    prepared = _prepare(ops, complex(alpha), initial_level)
-
-    w, a = pert.moved_terms(*prepared, alpha)
+    w, a = pert.moved_terms(*_prepare(ops, complex(alpha), initial_level), alpha)
     for op in reversed(ops):
         w, a = _apply_op(w, a, op, inverse=True)
-    if w is prepared[0]:  # rotations alone leave U's weights as they were
-        w = w.copy()
     _check_ceiling(a)
     norms = _norms(w, a)
     total = math.hypot(*norms)
     if not abs(total - 1.0) <= 1e-9:  # phrased so that NaN fails too
         raise AssertionError(f"sequence is not unitary: final norm {total!r}, start norm 1")
-    return _joint(w, a, norms, prepared)
+    return _joint(w, a, norms)
 
 
 # --- numeric Jaynes-Cummings oracle ---------------------------------------

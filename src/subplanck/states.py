@@ -73,7 +73,7 @@ def _norms(weights: np.ndarray, amplitudes: np.ndarray):
     return np.sqrt(np.maximum(_braket(weights, amplitudes, weights, amplitudes).real, 0.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoherentSuperposition:
     """Weighted superposition of coherent states, treated as immutable.
 
@@ -212,7 +212,7 @@ def default_n_trunc(max_amplitude: float) -> int:
     return int(math.ceil(a * a + 7.0 * a + 10.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockVector:
     """Truncated number-basis vector c_n, n = 0..dimension-1.
 

@@ -22,7 +22,7 @@ A field on an nx x ny grid is Re(G diag(c) H^T): G (nx x M^2) and H
 (ny x M^2) stack the factors, c_kl = 2 w_k conj(w_l) e^{i phi_kl}, and
 column (l, k) is the conjugate of column (k, l), so the factors cost
 M (M + 1)/2 (nx + ny) exponentials.  `samples(columns)` forms a slice of
-im columns, (G diag(c)) H[columns]^T; `values` is every column, cached.
+im columns, (G diag(c)) H[columns]^T.
 
 Integrals never form the samples: with trapezoid weights w_x, w_y, the sum
 of W times S(x + iy) = E_x[x] E_y[y] is
@@ -152,7 +152,7 @@ class PhaseSpaceGrid:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WignerField:
     """Wigner function on a grid in factored form, W = Re(G diag(c) H^T).
     `g` is (nx, K), `coeffs` (K,) and `h` (ny, K), with K = M^2 cross terms."""
@@ -177,11 +177,6 @@ class WignerField:
         if not residue <= 1e-10:  # phrased so that NaN fails too
             raise FloatingPointError(f"Wigner sum lost Hermiticity (imag residue {residue:.3e})")
         return total.real.copy()
-
-    @functools.cached_property
-    def values(self) -> np.ndarray:
-        """Real samples, shape (nx, ny), formed and checked on first read."""
-        return self.samples(slice(None))
 
 
 def auto_grid(*states: CoherentSuperposition) -> PhaseSpaceGrid:

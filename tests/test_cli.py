@@ -192,6 +192,48 @@ class TestParseComplex:
             parse_complex("four")
 
 
+class TestNegativeValues:
+    # argparse takes only -12 and -1.5 for negative numbers, so each of these
+    # read as a flag and ended with "expected one argument" (or "expected 4
+    # arguments" for --bounds, which has no --flag=value spelling), exit 2
+    @pytest.mark.parametrize("argv,key,value", [
+        (["overlap", "--alpha", "-1+2i", "--s-max", "0.1"], "alpha", -1 + 2j),
+        (["overlap", "--alpha", "-4i", "--s-max", "0.1"], "alpha", -4j),
+        (["overlap", "--alpha", "4i", "--phi", "-1e-1", "--s-max", "0.1"], "phi", -0.1),
+        (["protocol", "--regime", "dispersive", "--alpha", "-2+2i", "--s-max", "0.1"], "alpha", -2 + 2j),
+        (["wigner", "--alpha", "4i", "--bounds", "-8e0", "8", "-8", "8", "--nx", "9", "--ny", "9"], "bounds",
+         [-8.0, 8.0, -8.0, 8.0]),
+        (["estimate", "--alpha", "-.5e1i"], "alpha", -5j),
+    ], ids=["complex", "imaginary", "exponent", "protocol_complex", "bounds_exponent", "point_exponent"])
+    def test_bare_negative_values_parse(self, argv, key, value):
+        args = cli.build_parser().parse_args([*argv, "--out", "unused"])
+        assert getattr(args, key) == value
+
+    def test_bare_and_equals_spellings_write_the_same_bytes(self, tmp_path):
+        argv = ["overlap", "--m", "2", "--s-max", "0.2", "--points", "5", "--out"]
+        assert main([*argv, str(tmp_path / "bare.csv"), "--alpha", "-1+2i"]) == 0
+        assert main([*argv, str(tmp_path / "equals.csv"), "--alpha=-1+2i"]) == 0
+        assert (tmp_path / "bare.csv").read_bytes() == (tmp_path / "equals.csv").read_bytes()
+
+    def test_negative_count_still_reaches_its_check(self, tmp_path, capsys):
+        assert main(["wigner", "--alpha", "4i", "--m", "-1", "--out", str(tmp_path / "w")]) == 1
+        assert capsys.readouterr().err == "error: --m must be at least 1, got -1\n"
+
+    def test_unknown_flags_still_fail(self):
+        with pytest.raises(SystemExit) as err:
+            cli.build_parser().parse_args(["overlap", "--alpha", "4i", "--s-max", "0.1", "--out", "o.csv", "-x"])
+        assert err.value.code == 2
+
+    def test_every_parser_takes_the_wider_matcher(self):
+        # the matcher is a private attribute of argparse: a Python release
+        # that renames it would leave the bare spellings above to fail
+        assert hasattr(argparse.ArgumentParser(), "_negative_number_matcher")
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for p in (parser, *subparsers.choices.values()):
+            assert p._negative_number_matcher is cli._NEGATIVE_NUMBER
+
+
 class TestWignerCommand:
     def test_cat_field_files(self, tmp_path):
         out = tmp_path / "cat"
@@ -316,11 +358,11 @@ class TestWignerCommand:
         base = states.make_circular_state(2j, m, np.zeros(m))
         grid = wigner.PhaseSpaceGrid(-4.0, 4.0, -6.0, 6.0, nx, ny)
         argv = ["wigner", "--alpha", "0+2i", "--m", str(m), "--bounds", "-4", "4", "-6", "6", "--nx", str(nx), "--ny", str(ny)]
-        values = wigner.wigner_field(base, grid).values
+        values = wigner.wigner_field(base, grid).samples(slice(None))
         if product:
             argv += ["--product", "--pert", "displacement", "--s", "0.3", "--phi", "0.7"]
             moved = metrology.PerturbationSpec("displacement", 0.3, 0.7).apply(base, 2j)
-            values = values * wigner.wigner_field(moved, grid).values
+            values = values * wigner.wigner_field(moved, grid).samples(slice(None))
         raster = values[:, ::-1].T
         csv = cli._csv_bytes("reference", ["re", "im", "w"], [grid.re_points[None, :], grid.im_points[::-1, None], raster])
         scale = float(np.max(np.abs(raster))) or 1.0
@@ -921,18 +963,20 @@ class TestDeterminismAndErrors:
         assert 1e196 < sigma < 1e198
         assert (tmp_path / "e.csv").read_text().splitlines()[-1] == "# " + result.stdout.strip()
 
-    def test_non_finite_summary_exits_with_an_error(self, tmp_path, capsys):
-        # 4|alpha| is subnormal at |alpha| = 3e-309, so a count of R inverts
-        # to an infinite estimate and the mean is infinite
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--alpha", "3e-309", "--repetitions", "1", "--trials", "4", "--seed", "2"],
+        ["estimate", "--alpha", "0+1e-320i", "--trials", "3"],
+    ], ids=["inverts_to_infinity", "blamed_s"])
+    def test_alpha_whose_branch_end_overflows_names_its_flag(self, tmp_path, capsys, argv):
+        # pi/(4|alpha|) overflows below about 4.4e-309: the first run leaked
+        # two RuntimeWarnings, which raise here, and ended with an infinite
+        # summary; the second refused a true_s that no --s had given
         out = tmp_path / "e.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code = main(["estimate", "--alpha", "3e-309", "--repetitions", "1", "--trials", "4", "--seed", "2",
-                         "--out", str(out)])
-        assert code == 1
+        assert main([*argv, "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: the summary is not finite")
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --alpha "), captured.err
         assert not out.exists()
 
     def test_output_mode_follows_umask(self, tmp_path):

@@ -1,17 +1,25 @@
 """Static checks that keep dead code out of the package: every import is
 used in its module, every module-level `_private` definition is
 referenced somewhere in the package outside its own body, and every
-`__all__` entry names a module-level binding.  Every public function,
-class and public method is called by name somewhere other than its own
-definition, in the package or in perfbench/, unless `UNCALLED_PUBLIC`
-names it with a reason, so no public twin lives on for tests alone.  One
-structural check rides along: only `states` touches the Gram kernel
+`__all__` entry names a module-level binding.
+
+Every unit of the package (a module-level function or class, or a
+method, private ones too) is reached by a walk from what users run:
+`cli.main`, `cli.build_parser` and README's python block.  A reached
+unit's loaded bare names reach the module-level definitions of those
+names, and its attribute names reach those and the methods and
+properties of those names; a reached class reaches its dunder methods.
+So a same-named local variable keeps no method alive, and a call from an
+unreached caller keeps nothing alive.  A unit the walk misses must be in
+`UNCALLED_PUBLIC`, with a reason, or in `BENCHMARK_ONLY`, which must equal
+the set the walk reaches only when the files of perfbench/ (parsed, never
+imported) are roots too.
+
+One structural check rides along: only `states` touches the Gram kernel
 `_gram`; every other module contracts through the `states` helpers.  And
 the 17-digit float format is spelled once, as `cli._FLOAT_FMT`, and read
 only by `cli._fmt` and `cli._text_rows`, so every CSV value goes through
-the one writer.  And no function in `cli` reads a whole field's
-`.values`: `wigner` renders stream the field a block of columns at a
-time.  And only the grid's cached trapezoid rules call
+the one writer.  And only the grid's cached trapezoid rules call
 `wigner._trapezoid_weights`, so quadratures do not form weights per
 call.  And no function in `cli` forms a field or a field overlap per
 point: `wigner_field` and `phase_space_overlap` are never called inside
@@ -32,19 +40,37 @@ from pathlib import Path
 
 import pytest
 
+from test_readme import README, python_blocks
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "subplanck"
 MODULES = sorted(PACKAGE.glob("*.py"))
 # the benchmark's harness, which calls the package by name; read, never written
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-# public names that nothing in the package or perfbench/ calls, each kept for a reason
+# the units every run starts from: the command and its parser
+ROOTS = ("cli.py: main", "cli.py: build_parser")
+
+# units that no command, README example or benchmark job reaches, each kept for a reason
 UNCALLED_PUBLIC = {
     "wigner.py: cross_wigner": "acceptance criterion 03 checks it, and it is the paper's object, W_kl",
-    "metrology.py: sensitivity_report": "ROADMAP item 2 rebuilds it on the quantum Fisher information",
-    "protocol.py: revival_time": "the last reader of JCParams.nbar, which the jc_oracle jobs pass by position",
-    "protocol.py: ProtocolResult.intermediate": "the state the perturbation hit, a field until it was formed on read",
     "states.py: inner_product": "the one public bra-ket that keeps the phase, <a|b>, beside fidelity",
-    "states.py: rotate": "R(theta), the public partner of displace in the state algebra",
+    "states.py: rotate": "R(theta) for any real theta; PerturbationSpec takes theta >= 0 only",
+    "states.py: mean_excitation": "acceptance criterion 05 checks it; ROADMAP items 2 and 26 put <n> on the CLI path",
+    "protocol.py: revival_time": "the last reader of JCParams.nbar, which the jc_oracle jobs pass by position",
+    "protocol.py: ProtocolResult.branch": "acceptance criterion 06 reads it; it goes with ProtocolResult in ROADMAP item 20",
+}
+
+# units that only perfbench/'s calls reach: the strategy engine, the JC
+# oracle, the Fock bridge, the first-zero search and the calibration, which
+# wait for ROADMAP items 20 and 22 to move onto the CLI path or go
+BENCHMARK_ONLY = {
+    "estimation.py: estimator_calibration",
+    "metrology.py: locate_first_zero", "metrology.py: OverlapSweep.first_fringe_zero", "metrology.py: _stacked_minimum",
+    "protocol.py: JCParams", "protocol.py: resonant_protocol", "protocol.py: dispersive_sequence",
+    "protocol.py: generic_strategy", "protocol.py: _checked", "protocol.py: _apply_op", "protocol.py: _prepare",
+    "protocol.py: _joint", "protocol.py: jc_numeric_evolve",
+    "states.py: coherent_state", "states.py: default_n_trunc", "states.py: FockVector", "states.py: FockVector.dimension",
+    "states.py: to_fock", "states.py: CoherentSuperposition.n_terms",
 }
 
 
@@ -172,16 +198,6 @@ def float_format_readers(trees: dict[str, ast.Module]) -> list[str]:
     )
 
 
-def values_readers(tree: ast.Module) -> list[str]:
-    """Top-level definitions of a module that read a `.values` attribute
-    anywhere in their body, named by what they define, or by their line."""
-    return sorted(
-        ", ".join(_bound_names(stmt)) or f"line {stmt.lineno}"
-        for stmt in tree.body
-        if any(isinstance(node, ast.Attribute) and node.attr == "values" for node in ast.walk(stmt))
-    )
-
-
 def trapezoid_weight_callers(trees: dict[str, ast.Module]) -> list[str]:
     """`module: name` for each top-level statement, or statement of a class
     body (named `Class.name`), that reads `_trapezoid_weights` in any form:
@@ -280,53 +296,6 @@ def private_reads(tree: ast.Module, modules: set[str]) -> list[str]:
     return sorted(found)
 
 
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-
-
-def _reads(*nodes: ast.AST) -> set[str]:
-    """Identifiers the nodes read: bare names and attribute names.  An
-    import alone is not a read, so a re-export is not a use."""
-    found = set()
-    for node in (node for root in nodes for node in ast.walk(root)):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
-    return found
-
-
-def uncalled_public_names(trees: dict[str, ast.Module], outside=(), allowed=()) -> list[str]:
-    """`module: name`, or `module: Class.method`, for each public module-level
-    function or class of the package `trees`, and each public method of a
-    public class, that no other statement reads, in the package or in the
-    modules `outside`.  A class's header and each statement of its body
-    count apart, so a sibling method's call counts and the definition's own
-    body does not; `__all__` holds strings, which are not reads.  Names in
-    `allowed` are skipped."""
-    units = []  # (the definitions a unit belongs to, the names it reads)
-    for tree in [*trees.values(), *outside]:
-        for stmt in tree.body:
-            if isinstance(stmt, ast.ClassDef):
-                units.append(((stmt,), _reads(*stmt.decorator_list, *stmt.bases, *stmt.keywords)))
-                units += [((stmt, member), _reads(member)) for member in stmt.body]
-            else:
-                units.append(((stmt,), _reads(stmt)))
-    found = []
-    for module, tree in trees.items():
-        for stmt in tree.body:
-            if not isinstance(stmt, DEFINITIONS) or stmt.name.startswith("_"):
-                continue
-            labels = [(stmt, stmt.name)]
-            if isinstance(stmt, ast.ClassDef):
-                labels += [(m, f"{stmt.name}.{m.name}") for m in stmt.body
-                           if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)) and not m.name.startswith("_")]
-            for node, label in labels:
-                name = f"{module}: {label}"
-                if name not in allowed and not any(node.name in reads for owners, reads in units if node not in owners):
-                    found.append(name)
-    return sorted(found)
-
-
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(_parse(path)) == []
@@ -337,43 +306,134 @@ def test_every_export_is_bound(path):
     assert stale_exports(_parse(path)) == []
 
 
-def test_every_public_name_is_called():
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _reads(*nodes: ast.AST) -> tuple[set[str], set[str]]:
+    """The bare names the nodes load and the attribute names they read.  An
+    import alone is not a read, so a re-export is not a use, and neither is
+    a name in a string or a docstring."""
+    names, attributes = set(), set()
+    for node in (node for root in nodes for node in ast.walk(root)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            attributes.add(node.attr)
+    return names, attributes
+
+
+def _units(trees: dict[str, ast.Module]) -> tuple[dict, tuple[set[str], set[str]]]:
+    """The units of the package `trees`, {`module: name` or `module:
+    Class.method`: (name, is a method, reads)}, and the reads of the
+    module-level statements that define nothing, which run on import.  A
+    unit is a module-level function or class, or a method; a class's
+    decorators, bases, other body statements and dunder methods are its
+    own reads, so a reached class reaches its dunder methods."""
+    units, on_import = {}, (set(), set())
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ClassDef):
+                methods = [m for m in stmt.body
+                           if isinstance(m, FUNCTIONS) and not (m.name.startswith("__") and m.name.endswith("__"))]
+                rest = [node for node in stmt.body if node not in methods]
+                units[f"{module}: {stmt.name}"] = (stmt.name, False, _reads(*stmt.decorator_list, *stmt.bases, *stmt.keywords, *rest))
+                units.update((f"{module}: {stmt.name}.{m.name}", (m.name, True, _reads(m))) for m in methods)
+            elif isinstance(stmt, FUNCTIONS):
+                units[f"{module}: {stmt.name}"] = (stmt.name, False, _reads(stmt))
+            else:
+                for found, read in zip(on_import, _reads(stmt)):
+                    found |= read
+    return units, on_import
+
+
+def unreached_units(trees: dict[str, ast.Module], outside=(), allowed=()) -> list[str]:
+    """Labels of the units of the package `trees` (see `_units`) that no walk
+    from `ROOTS`, the package's module-level statements and the modules
+    `outside` reaches, outside `allowed`.  Each reached unit's reads reach
+    more: a loaded bare name reaches the module-level functions and classes
+    of that name, and an attribute also reaches the methods and properties
+    of that name.  So a local variable reaches no method, and a unit that
+    only unreached units read is unreached too."""
+    units, (names, attributes) = _units(trees)
+    for tree in outside:
+        more_names, more_attributes = _reads(tree)
+        names, attributes = names | more_names, attributes | more_attributes
+    reached = set()
+    frontier = [label for label in ROOTS if label in units]
+    while frontier:
+        label = frontier.pop()
+        if label not in reached:
+            reached.add(label)
+            more_names, more_attributes = units[label][2]
+            names, attributes = names | more_names, attributes | more_attributes
+            frontier += [other for other, (name, method, _) in units.items()
+                         if other not in reached and (name in attributes or not method and name in names)]
+    return sorted(set(units) - reached - set(allowed))
+
+
+def _package_and_roots():
+    """The package's modules, README's python blocks and perfbench/'s files, parsed."""
     trees = {path.name: _parse(path) for path in MODULES}
-    outside = [_parse(path) for path in sorted(PERFBENCH.glob("*.py"))]
-    assert outside, "perfbench/ has no modules to read"
-    assert uncalled_public_names(trees, outside, UNCALLED_PUBLIC) == []
-    # every allowlisted name still exists and is still uncalled
-    assert uncalled_public_names(trees, outside) == sorted(UNCALLED_PUBLIC)
+    readme = [ast.parse(block) for block in python_blocks(README.read_text())]
+    bench = [_parse(path) for path in sorted(PERFBENCH.glob("*.py"))]
+    assert readme and bench, "README has no python block, or perfbench/ no modules"
+    return trees, readme, bench
 
 
-def test_public_name_check_catches_uncalled_names():
-    # a helper only itself calls, a method nothing calls and a class read
-    # only by its own body count; a name only perfbench calls, one a sibling
-    # method calls, a re-export, a name in a docstring, a property read as an
-    # attribute, a private method and an allowlisted name do not
+def test_every_unit_is_reached():
+    trees, readme, bench = _package_and_roots()
+    assert unreached_units(trees, [*readme, *bench], UNCALLED_PUBLIC) == []
+    # every allowlisted unit still exists and is still unreached
+    assert unreached_units(trees, [*readme, *bench]) == sorted(UNCALLED_PUBLIC)
+
+
+def test_benchmark_only_units_are_pinned():
+    # the units that only perfbench/'s calls keep: the set that ROADMAP
+    # items 20 and 22 delete or move, and no more
+    trees, readme, bench = _package_and_roots()
+    only = set(unreached_units(trees, readme)) - set(unreached_units(trees, [*readme, *bench]))
+    assert sorted(only) == sorted(BENCHMARK_ONLY)
+
+
+def test_reachability_catches_dead_chains_and_name_collisions():
+    # a helper that only an unreached public function calls, a method whose
+    # name is only a local variable's (of the command and of the benchmark),
+    # and a class nothing builds are flagged; a sibling method's call, a
+    # property read, a dunder method of a reached class, a re-export, a
+    # name in a docstring and an allowlisted name are not, and a name only
+    # the benchmark reads is reached with it alone
     trees = {
         "states.py": ast.parse(
-            "__all__ = ['Ket', 'helper', 'bench_only', 'kept']\n"
-            "def helper(x):\n    'Calls nothing but `helper`.'\n    return helper(x - 1) if x else 0\n"
+            "__all__ = ['Ket', 'helper', 'dead', 'bench_only', 'kept', 'Unbuilt']\n"
+            "def helper(x):\n    return x\n"
+            "def dead(k):\n    'Calls `helper`.'\n    return helper(k.size)\n"
             "def bench_only(x):\n    return x\n"
             "def kept(x):\n    return x\n"
+            "class Unbuilt:\n    pass\n"
             "class Ket:\n"
+            "    def __init__(self):\n        self.n = _size()\n"
             "    def norm(self):\n        return self.scaled()\n"
             "    def scaled(self):\n        return Ket()\n"
-            "    def unused(self):\n        return 0\n"
+            "    def values(self):\n        return 0\n"
+            "    def branch(self):\n        return 1\n"
             "    @property\n    def size(self):\n        return 1\n"
-            "    def _private(self):\n        return 2\n"
+            "def _size():\n    return 2\n"
         ),
         "__init__.py": ast.parse("from .states import Ket, helper\n__all__ = ['Ket', 'helper']\n"),
-        "cli.py": ast.parse("def main(k):\n    'See kept.'\n    return k.norm() + k.size\n"),
+        "cli.py": ast.parse(
+            "from .states import Ket\n"
+            "def main(values):\n    'See kept.'\n    k = Ket()\n    return k.norm() + k.size + sum(values)\n"
+        ),
     }
-    outside = [ast.parse("import subplanck.states as states\nstates.bench_only(1)\nsubplanck.cli.main(None)\n")]
-    assert uncalled_public_names(trees, outside, {"states.py: kept": "a reason"}) == [
-        "states.py: Ket", "states.py: Ket.unused", "states.py: helper",
+    bench = [ast.parse("import subplanck.states as states\nbranch = states.bench_only(1)\nprint(branch)\n")]
+    assert unreached_units(trees, bench, {"states.py: kept": "a reason"}) == [
+        "states.py: Ket.branch", "states.py: Ket.values", "states.py: Unbuilt", "states.py: dead", "states.py: helper",
     ]
-    assert "states.py: kept" in uncalled_public_names(trees, outside)
-    # without perfbench, its one caller, the name is flagged
-    assert "states.py: bench_only" in uncalled_public_names(trees)
+    assert "states.py: kept" in unreached_units(trees, bench)
+    # without the benchmark, its one reader, the name is unreached
+    assert set(unreached_units(trees)) - set(unreached_units(trees, bench)) == {"states.py: bench_only"}
+    # the helper is reached once its caller is
+    assert "states.py: helper" not in unreached_units(trees, [ast.parse("dead(None)")])
 
 
 def test_every_private_definition_is_referenced():
@@ -419,22 +479,6 @@ def test_float_format_reader_check_catches_third_readers():
     assert float_format_readers(trees) == [
         "cli.py: _csv_bytes", "cli.py: _fmt", "cli.py: _text_rows", "metrology.py: _FLOAT_FMT", "wigner.py: dump",
     ]
-
-
-def test_cli_reads_no_whole_field():
-    assert values_readers(_parse(PACKAGE / "cli.py")) == []
-
-
-def test_values_reader_check_catches_readers():
-    # a direct read, one inside a nested generator and one in a module-level
-    # statement each count; a `values` name, string or keyword does not
-    tree = ast.parse(
-        "def _cmd_a(fields):\n    return fields[0].values * fields[1].values\n"
-        "def _cmd_b(field):\n    def blocks():\n        yield field.values[:, :64]\n    return list(blocks())\n"
-        "def _cmd_c(values, field):\n    return dict(values=values, name='values', f=field.samples(slice(None)))\n"
-        "RASTER = wigner.field.values.T\n"
-    )
-    assert values_readers(tree) == ["RASTER", "_cmd_a", "_cmd_b"]
 
 
 PER_POINT_FIELD_CALLS = {"_field", "wigner_field", "phase_space_overlap"}

@@ -162,12 +162,13 @@ class TestRunTrials:
 
 
 class TestAlphaGuard:
-    @pytest.mark.parametrize("true_s, alpha", [(0.05, 0j), (0.05, complex(math.nan, 1.0)), (0.0, math.inf)],
-                             ids=["zero", "nan", "inf"])
+    @pytest.mark.parametrize("true_s, alpha", [(0.05, 0j), (0.05, complex(math.nan, 1.0)), (0.0, math.inf), (0.05, 3e-309)],
+                             ids=["zero", "nan", "inf", "branch_end_overflows"])
     @pytest.mark.parametrize("function", [run_trials, estimator_calibration], ids=lambda f: f.__name__)
     def test_alpha_must_be_nonzero_and_finite(self, function, true_s, alpha):
-        # before the guard, 0 divided by zero, NaN met the branch test and
-        # infinity reached the sampler as a NaN probability
+        # before the guard, 0 divided by zero, NaN met the branch test,
+        # infinity reached the sampler as a NaN probability, and below about
+        # 4.4e-309 the branch end pi/(4|alpha|) was infinite
         with pytest.raises(ValueError, match="alpha must be nonzero and finite"):
             function(true_s, alpha, 100, 3, 1)
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subplanck.metrology import PerturbationSpec, locate_first_zero, overlap_sweep, sensitivity_report
+from subplanck.metrology import PerturbationSpec, locate_first_zero, overlap_sweep
 from subplanck import metrology, states
-from subplanck.states import coherent_state, displace, make_circular_state
+from subplanck.states import displace, make_circular_state
 
 from oracles import perturbed_overlap
 
@@ -152,40 +152,6 @@ class TestExactOverlap:
         beta = 1j * theta * alpha
         disp = exact_at(shifted, PerturbationSpec("displacement", abs(beta), direction=float(np.angle(beta))))
         assert abs(rot - disp) < 1e-3
-
-
-class TestSensitivityReport:
-    def test_coherent_state_is_sql_limited(self):
-        rep = sensitivity_report(coherent_state(3.0))
-        assert rep.support_action == pytest.approx(1.0)
-        assert rep.structure_area == pytest.approx(1.0)
-        assert rep.heisenberg_displacement <= rep.sql_displacement
-        assert rep.heisenberg_rotation <= rep.sql_rotation
-
-    def test_cat_heisenberg_displacement_scale(self):
-        rep = sensitivity_report(make_circular_state(4j, 2, [0.0, 0.0]))
-        assert rep.heisenberg_displacement == pytest.approx(0.25, abs=1e-10)
-        assert rep.support_action == pytest.approx(16.0, abs=1e-9)
-        assert rep.structure_area == pytest.approx(1 / 16, abs=1e-10)
-
-    def test_displaced_cat_rotation_scale(self):
-        cat = make_circular_state(4j, 2, [0.0, 0.0])
-        rep = sensitivity_report(displace(cat, 4j))
-        # the benchmark scale 1/nbar sits a factor 2 below the structural
-        # 1/|alpha|^2 because displacing the circle doubles nbar
-        assert 0.5 / 16 <= rep.heisenberg_rotation <= 2.0 / 16
-        assert rep.structure_area == pytest.approx(1 / 16, abs=1e-9)
-
-    def test_scale_ordering_invariant(self):
-        for state in [
-            coherent_state(2.0),
-            make_circular_state(3.0, 4, np.zeros(4)),
-            displace(make_circular_state(2j, 2, [0.0, 0.0]), 2j),
-        ]:
-            rep = sensitivity_report(state)
-            assert rep.heisenberg_displacement <= rep.sql_displacement + 1e-12
-            assert rep.heisenberg_rotation <= rep.sql_rotation + 1e-12
-            assert rep.structure_area == pytest.approx(1.0 / rep.support_action)
 
 
 class TestSweep:

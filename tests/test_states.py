@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subplanck import states
+from subplanck import metrology, protocol, states, wigner
 from subplanck.states import (
     CoherentSuperposition,
     coherent_state,
@@ -246,3 +246,28 @@ class TestProperties:
         rotated = rotate(shifted, theta)
         translated = displace(shifted, 1j * theta * alpha)
         assert fidelity(rotated, translated) >= 0.999
+
+
+def _cat():
+    return make_circular_state(4j, 2, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("make", [
+    _cat,
+    lambda: to_fock(_cat()),
+    lambda: wigner.wigner_field(_cat(), wigner.auto_grid(_cat())),
+    lambda: protocol.dispersive_protocol(4j, metrology.PerturbationSpec("displacement", 0.1)),
+    lambda: metrology.overlap_sweep(4j, 2, n_points=5),
+], ids=["CoherentSuperposition", "FockVector", "WignerField", "ProtocolResult", "OverlapSweep"])
+def test_records_holding_arrays_compare_by_identity(make):
+    # the generated field-wise == met numpy arrays and raised "the truth
+    # value of an array ... is ambiguous", and hash() raised TypeError
+    record, twin = make(), make()
+    assert record == record
+    assert hash(record) == hash(record)
+    assert record != twin
+
+
+def test_grids_keep_value_equality():
+    # phase_space_overlap compares the grids of its two fields by value
+    assert wigner.PhaseSpaceGrid(-1, 1, -2, 2, 5, 7) == wigner.PhaseSpaceGrid(-1, 1, -2, 2, 5, 7)

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from subplanck import metrology, wigner
 from subplanck.states import (
@@ -121,7 +121,7 @@ class TestWignerField:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UnderresolvedGridWarning)
             f = wigner_field(VACUUM, g)
-        assert f.values.max() == pytest.approx(2.0, abs=1e-9)
+        assert f.samples(slice(None)).max() == pytest.approx(2.0, abs=1e-9)
         assert mass(f) == pytest.approx(1.0, abs=1e-6)
 
     def test_cat_central_fringe_period(self):
@@ -136,7 +136,7 @@ class TestWignerField:
         assert np.allclose(np.diff(crossings), np.pi / 16, rtol=1e-4)
         # the sampled field shows the same extremes: period pi/8 cosine
         iy0 = np.argmin(np.abs(grid.im_points))
-        central = field.values[:, iy0]
+        central = field.samples(slice(None))[:, iy0]
         assert central.max() > 1.5  # fringes as tall as the lobes
 
     def test_compass_checkerboard_cell(self):
@@ -186,7 +186,7 @@ class TestWignerField:
     def test_values_bounded(self):
         comp = make_circular_state(3j, 4, np.zeros(4))
         f = wigner_field(comp, auto_grid(comp))
-        assert np.all(np.abs(f.values) <= 2.0 + 1e-9)
+        assert np.all(np.abs(f.samples(slice(None))) <= 2.0 + 1e-9)
 
 
 def _random_state(rng, m, radius):
@@ -194,9 +194,43 @@ def _random_state(rng, m, radius):
     return make_circular_state(alpha, m, rng.uniform(0.0, 2.0 * np.pi, m))
 
 
+@st.composite
+def parity_cases(draw):
+    """(state, grid): an M <= 8 circle of radius <= 20 with random phases, on
+    a grid of 2..9 points an axis somewhere in its box."""
+    m = draw(st.integers(1, 8))
+    alpha = draw(st.floats(0.0, 20.0)) * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+    try:
+        state = make_circular_state(alpha, m, draw(st.lists(st.floats(0.0, 2.0 * np.pi), min_size=m, max_size=m)))
+    except ValueError:  # the components cancel
+        assume(False)
+    box = abs(alpha) + 4.0
+    bounds = [sorted(draw(st.lists(st.floats(-box, box), min_size=2, max_size=2, unique=True))) for _ in "xy"]
+    assume(all(lo < hi for lo, hi in bounds))
+    return state, PhaseSpaceGrid(*bounds[0], *bounds[1], draw(st.integers(2, 9)), draw(st.integers(2, 9)))
+
+
 class TestFieldOracles:
     """wigner_field against evaluations that share nothing with its kernel:
-    the unfactorised exponent sum and the displaced-parity Fock sum."""
+    the unfactorised exponent sum, the displaced-parity Fock sum and the
+    displaced-parity Gram contraction."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(parity_cases())
+    def test_matches_displaced_parity(self, case):
+        # W(beta) = 2 <psi|D(beta) Pi D(beta)^dag|psi> (Lutterbach & Davidovich,
+        # PRL 78, 2547 (1997)), and D(beta) Pi D(-beta)|a_l> is
+        # e^{-2i Im(beta conj(a_l))} |2 beta - a_l>: one bra-ket a point.  Both
+        # round Gram exponents of size |2 beta - a_l|^2, times weights that
+        # overlapping components which nearly cancel make larger than 1
+        state, grid = case
+        w, a = state.weights, state.amplitudes
+        beta = (grid.re_points[:, None] + 1j * grid.im_points)[..., None]
+        want = 2.0 * _braket(w, a, w * np.exp(-2j * np.imag(beta * np.conj(a))), 2.0 * beta - a)
+        reach = np.maximum(1.0, np.max(np.abs(2.0 * beta - a) ** 2, axis=-1))
+        assert np.all(np.abs(want.imag) < 1e-9)
+        error = np.abs(wigner._field(state, grid).samples(slice(None)) - want.real)
+        assert np.all(error <= 16.0 * np.finfo(float).eps * reach * max(1.0, float(np.sum(np.abs(w) ** 2))))
 
     @pytest.mark.parametrize("m", [1, 2, 4, 8, 16])
     @pytest.mark.parametrize("radius", [0.5, 2.0, 8.0])
@@ -209,7 +243,7 @@ class TestFieldOracles:
         grid = PhaseSpaceGrid(-box, box, -box, box, 41, 37)
         field = wigner_field(state, grid)
         want = wigner_direct(state.weights, state.amplitudes, grid.re_points[:, None] + 1j * grid.im_points)
-        assert np.max(np.abs(field.values - want)) < 1e-12
+        assert np.max(np.abs(field.samples(slice(None)) - want)) < 1e-12
 
     @pytest.mark.parametrize("m", [1, 2, 4, 8, 16])
     @pytest.mark.parametrize("radius", [1.0, 8.0])
@@ -219,13 +253,13 @@ class TestFieldOracles:
         state = make_circular_state(1j * radius, m, gammas)
         # 5 x 5 samples: the origin, the component at i*radius and points between
         grid = PhaseSpaceGrid(-radius, radius, -radius, radius, 5, 5)
-        field = wigner_field(state, grid)
+        values = wigner_field(state, grid).samples(slice(None))
         w, a = state.weights, state.amplitudes
         for ix, x in enumerate(grid.re_points):
             for iy, y in enumerate(grid.im_points):
                 want = sum(w[k] * np.conj(w[l]) * parity_wigner_fock(a[k], a[l], complex(x, y))
                            for k in range(m) for l in range(m))
-                assert abs(field.values[ix, iy] - want.real) < 1e-8
+                assert abs(values[ix, iy] - want.real) < 1e-8
 
     @pytest.mark.parametrize("radius", [20.0, 30.0, 40.0])
     @pytest.mark.parametrize("m", [2, 4])
@@ -234,11 +268,11 @@ class TestFieldOracles:
         grid = PhaseSpaceGrid(-0.5, 0.5, -0.5, 0.5, 121, 121)
         with warnings.catch_warnings():
             warnings.simplefilter("error", UnderresolvedGridWarning)
-            field = wigner_field(state, grid)
-        assert np.all(np.isfinite(field.values))
-        assert np.max(np.abs(field.values)) > 0.5  # the fringes are there, not underflowed
+            values = wigner_field(state, grid).samples(slice(None))
+        assert np.all(np.isfinite(values))
+        assert np.max(np.abs(values)) > 0.5  # the fringes are there, not underflowed
         want = wigner_direct(state.weights, state.amplitudes, grid.re_points[:, None] + 1j * grid.im_points)
-        assert np.max(np.abs(field.values - want)) < 1e-9
+        assert np.max(np.abs(values - want)) < 1e-9
 
     @pytest.mark.parametrize("radius", [2.0, 8.0])
     def test_m16_auto_grid_mass(self, radius):
@@ -392,7 +426,7 @@ class TestNonFiniteGuard:
         field = wigner_field(cat, auto_grid(cat))
         skewed = dataclasses.replace(field, coeffs=1j * field.coeffs)
         with pytest.raises(FloatingPointError, match="Hermiticity"):
-            skewed.values
+            skewed.samples(slice(None))
         with pytest.raises(FloatingPointError):
             phase_space_overlap(field, skewed)
 
@@ -474,11 +508,12 @@ class TestOverlapQuadrature:
         grid = PhaseSpaceGrid(-4.5, 4.0, -4.0, 4.2, nx, ny)
         f1, f2 = wigner_field(state, grid), wigner_field(other, grid)
         value, err = phase_space_overlap(f1, f2, with_error=True)
-        want_value, want_err = trapezoid_overlap(f1.values, f2.values, grid.re_points, grid.im_points)
+        w1 = f1.samples(slice(None))
+        want_value, want_err = trapezoid_overlap(w1, f2.samples(slice(None)), grid.re_points, grid.im_points)
         assert value == pytest.approx(want_value, abs=1e-14)
         assert err == pytest.approx(want_err, abs=1e-14)
         assert phase_space_overlap(f1, f2) == value
-        want_mass = trapezoid_overlap(f1.values, np.ones((nx, ny)), grid.re_points, grid.im_points)[0]
+        want_mass = trapezoid_overlap(w1, np.ones((nx, ny)), grid.re_points, grid.im_points)[0]
         assert mass(f1) == pytest.approx(want_mass, abs=1e-14)
 
     def test_fringe_frequency_scales_linearly(self):
